@@ -5,7 +5,8 @@ cross-check the operational machine, and mine static critical cycles.
 Reports come out as a table or as json-lines; the table is rendered
 from the same records the jsonl mode prints, so the two views never
 disagree.  Exit codes are a CI contract: 0 all pass, 1 a verdict
-mismatch or divergence, 2 usage or parse errors.
+mismatch or divergence, 2 usage, parse, unreadable-file or model
+evaluation errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import glob
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -21,14 +21,14 @@ import click
 from . import suite
 from .cat import CatError
 from .cycles import ThrError, frequency, mine, parse_thr, program_from_litmus
-from .executions import enumerate_candidates
+# enumerate_* and model_behaviors are unused: perfbench/spans.py wraps them here
+from .executions import enumerate_candidates  # noqa: F401
 from .litmus import LitmusError, parse_litmus, project
-from .machine import (
+from .machine import (  # noqa: F401
     BoundError,
     WitnessCycleError,
+    cross_check,
     enumerate_accepted,
-    machine_accepts,
-    machine_context,
     model_behaviors,
     trace_lines,
     witness_path,
@@ -54,8 +54,10 @@ def _model_label(spec: str) -> str:
 def _load_model(spec: str, static_ppo: bool = False):
     try:
         return load_model(spec, static_ppo)
-    except (FileNotFoundError, CatError) as exc:
+    except (OSError, CatError) as exc:
         raise click.UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{spec}: {exc}")
 
 
 def _expand(args):
@@ -77,16 +79,16 @@ def _load_tests(args):
                 tests.append(suite.load(arg))
             else:
                 raise click.UsageError(f"{arg}: not a file or bundled test")
-        except LitmusError as exc:
+        except (LitmusError, OSError, UnicodeDecodeError) as exc:
             raise click.UsageError(f"{arg}: {exc}")
     return tests
 
 
-def _pool_map(fn, items):
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
+def _evaluate(t, model, spec, **kw):
+    try:
+        return evaluate_test(t, model, _model_label(spec), **kw)
+    except CatError as exc:
+        raise click.UsageError(f"{spec}: {exc}")
 
 
 def _table(headers, rows) -> str:
@@ -141,7 +143,7 @@ def run(model_spec, prune, static_ppo, fmt, tests):
     loaded = _load_tests(tests)
 
     def work(t):
-        r = evaluate_test(t, model, label, prune_uniproc=prune)
+        r = _evaluate(t, model, model_spec, prune_uniproc=prune)
         expected = t.expect.get(label)
         return {
             "test": r.name,
@@ -156,7 +158,7 @@ def run(model_spec, prune, static_ppo, fmt, tests):
             "checks": r.check_failures,
         }
 
-    records = sorted(_pool_map(work, loaded), key=lambda r: r["test"])
+    records = sorted(map(work, loaded), key=lambda r: r["test"])
     if fmt == "jsonl":
         _emit_jsonl(records)
     else:
@@ -208,8 +210,8 @@ def compare(spec_a, spec_b, fmt, tests):
     loaded = _load_tests(tests)
 
     def work(t):
-        ra = evaluate_test(t, model_a, label_a)
-        rb = evaluate_test(t, model_b, label_b)
+        ra = _evaluate(t, model_a, spec_a)
+        rb = _evaluate(t, model_b, spec_b)
         return {
             "test": t.name,
             "model_a": label_a,
@@ -223,7 +225,7 @@ def compare(spec_a, spec_b, fmt, tests):
             "diverges": ra.verdict != rb.verdict or ra.states != rb.states,
         }
 
-    records = sorted(_pool_map(work, loaded), key=lambda r: r["test"])
+    records = sorted(map(work, loaded), key=lambda r: r["test"])
     if fmt == "jsonl":
         _emit_jsonl(records)
     else:
@@ -249,17 +251,6 @@ def compare(spec_a, spec_b, fmt, tests):
         sys.exit(1)
 
 
-def _witness_trace(t):
-    for cand in enumerate_candidates(t):
-        ctx = machine_context(cand)
-        if machine_accepts(ctx):
-            try:
-                return trace_lines(ctx, witness_path(ctx))
-            except WitnessCycleError as exc:
-                return [f"no single-path witness: {exc}"]
-    return []
-
-
 @main.command()
 @click.option(
     "--bound",
@@ -281,10 +272,9 @@ def machine(bound, trace, fmt, tests):
     def work(t):
         base = {"test": t.name, "events": len(t.events)}
         try:
-            accepted = enumerate_accepted(t, bound)
+            accepted, axiomatic, first = cross_check(t, power, bound)
         except BoundError as exc:
             return {**base, "skipped": True, "warning": str(exc)}
-        axiomatic = model_behaviors(t, power)
         rec = {
             **base,
             "skipped": False,
@@ -295,10 +285,13 @@ def machine(bound, trace, fmt, tests):
             "axiomatic_states": sorted({"; ".join(s) for _, s in axiomatic}),
         }
         if trace:
-            rec["trace"] = _witness_trace(t)
+            try:
+                rec["trace"] = trace_lines(first, witness_path(first)) if first else []
+            except WitnessCycleError as exc:
+                rec["trace"] = [f"no single-path witness: {exc}"]
         return rec
 
-    records = sorted(_pool_map(work, loaded), key=lambda r: r["test"])
+    records = sorted(map(work, loaded), key=lambda r: r["test"])
     for rec in records:
         if rec.get("warning"):
             click.echo(f"warning: skipped {rec['warning']}", err=True)
@@ -335,7 +328,10 @@ def machine(bound, trace, fmt, tests):
 def _load_program(arg: str):
     path = Path(arg)
     if path.is_file():
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise click.UsageError(str(exc))
         if path.suffix == ".litmus":
             return program_from_litmus(project(parse_litmus(text)))
         return parse_thr(text, name=path.stem)

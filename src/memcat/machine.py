@@ -7,6 +7,10 @@ a satisfy label s(w,r) and a commit label c(w,r), where w is the write the
 candidate's rf picked for r.  Initial-state writes are treated as already
 committed and already past coherence point.
 
+The premises consult Power's ppo, fence, prop and hb, taken from the
+caller's one evaluation of Power on the candidate; cross_check feeds that
+result's env to the machine and its verdict to the axiomatic side.
+
 A candidate is accepted when some interleaving of its labels discharges
 every premise below.  Premise identifiers (reported by replay_path when a
 step is illegal):
@@ -65,6 +69,7 @@ __all__ = [
     "BoundError",
     "MachineContext",
     "WitnessCycleError",
+    "cross_check",
     "derive_from_path",
     "enumerate_accepted",
     "label_str",
@@ -98,7 +103,6 @@ class MachineContext:
     block_cw_buff: dict  # w -> writes whose early commit wedges c(w)
     block_cw_sr: dict  # w -> reads whose early satisfaction wedges c(w)
     co_preds: dict  # w -> writes that must reach coherence first
-    block_cpw: dict  # w -> writes whose early coherence wedges cp(w)
     later_reads: dict  # r -> ppo/fence-later reads
     later_writes: dict  # r -> ppo/fence-later writes
     local_fwd: dict  # r -> rf source sits po-loc-before r
@@ -112,21 +116,12 @@ class MachineContext:
     prop: Relation = field(repr=False, default=None)
 
 
-def _power_env(cand):
-    from .cat import run_model
-    from .models import load_builtin
-
-    return run_model(load_builtin("power"), cand).env
-
-
-def machine_context(cand, env=None, strengthen_coRR=True):
+def machine_context(cand, env, strengthen_coRR=True):
     """Precompute premise tables for one candidate.
 
-    env supplies the ppo/fence/prop/hb bindings the machine consults; by
-    default they come from evaluating the bundled Power model on cand.
+    env supplies the ppo/fence/prop/hb bindings the machine consults: the
+    env of the caller's evaluation of Power on cand, run_model(power, cand).env.
     """
-    if env is None:
-        env = _power_env(cand)
     ppo, fence, prop, hb = env["ppo"], env["fence"], env["prop"], env["hb"]
     ppo_fence = ppo | fence
     prop_hb_star = compose(prop, closure(hb, reflexive=True))
@@ -163,7 +158,6 @@ def machine_context(cand, env=None, strengthen_coRR=True):
         block_cw_sr[w] = mask(x for x in fence.successors(w) if read_flag[x])
         co_preds[w] = mask(x for (x, y) in co.pairs() if y == w)
         prop_rw_preds[w] = mask(x for x in prop_preds[w] if read_flag[x])
-    block_cpw = block_cw_buff
 
     events_by_id = {e.id: e for e in cand.events}
     later_reads = {}
@@ -206,7 +200,6 @@ def machine_context(cand, env=None, strengthen_coRR=True):
         block_cw_buff=block_cw_buff,
         block_cw_sr=block_cw_sr,
         co_preds=co_preds,
-        block_cpw=block_cpw,
         later_reads=later_reads,
         later_writes=later_writes,
         local_fwd=local_fwd,
@@ -266,7 +259,7 @@ def _enabled(ctx, label, done, buff, cpd, sr):
         return (
             bool(buff & (1 << w))
             and ctx.co_preds[w] & ~cpd == 0
-            and not cpd & ctx.block_cpw[w]
+            and not cpd & ctx.block_cw_buff[w]
             and ctx.prop_rw_preds[w] & ~sr == 0
         )
     if kind == "sr":
@@ -484,19 +477,36 @@ def _behavior(cand):
     return frozenset(cand.rf.pairs()), observed_state(cand)
 
 
-def enumerate_accepted(t, bound: int = 8):
-    """Behaviors {(rf pairs, observed state)} with an accepted machine run."""
+def cross_check(t, model, bound: int = 8):
+    """Machine and model behaviors of t, evaluating model once per candidate.
+
+    Returns (machine behaviors, model behaviors, context of the first
+    machine-accepted candidate or None); the model's env feeds the machine.
+    """
+    from .cat import run_model
     from .executions import enumerate_candidates
 
     if len(t.events) > bound:
         raise BoundError(
             f"{t.name}: {len(t.events)} memory events exceed bound {bound}"
         )
-    behaviors = set()
+    accepted, allowed, first = set(), set(), None
     for cand in enumerate_candidates(t):
-        if machine_accepts(machine_context(cand)):
-            behaviors.add(_behavior(cand))
-    return behaviors
+        result = run_model(model, cand)
+        ctx = machine_context(cand, result.env)
+        if machine_accepts(ctx):
+            accepted.add(_behavior(cand))
+            first = first or ctx
+        if result.passed:
+            allowed.add(_behavior(cand))
+    return accepted, allowed, first
+
+
+def enumerate_accepted(t, bound: int = 8):
+    """Behaviors {(rf pairs, observed state)} with an accepted machine run."""
+    from .models import load_builtin
+
+    return cross_check(t, load_builtin("power"), bound)[0]
 
 
 def model_behaviors(t, model):

@@ -372,15 +372,3 @@ class Candidate:
     @property
     def fre(self) -> Relation:
         return self._fr_split[1]
-
-    def reads(self) -> list[Event]:
-        return [e for e in self.events if is_read(e)]
-
-    def writes(self) -> list[Event]:
-        return [e for e in self.events if is_write(e)]
-
-    def rf_source(self, read_id: int) -> int:
-        srcs = self.rf.inverse().successors(read_id)
-        if len(srcs) != 1:
-            raise ValueError(f"read {read_id} has {len(srcs)} rf sources")
-        return srcs[0]

@@ -112,9 +112,10 @@ def test_criterion_4_machine_equivalence_and_witness_roundtrip_under_5min():
         assert enumerate_accepted(t, 8) == model_behaviors(t, power), t.name
     for t in small:
         for cand in enumerate_candidates(t):
-            if not run_model(power, cand).passed:
+            result = run_model(power, cand)
+            if not result.passed:
                 continue
-            ctx = machine_context(cand)
+            ctx = machine_context(cand, result.env)
             path = witness_path(ctx)
             accepted, blocked = replay_path(ctx, path)
             assert accepted and blocked is None, t.name

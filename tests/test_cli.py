@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from memcat import cat, models, suite
 from memcat.cli import main
+from memcat.executions import enumerate_candidates
 from memcat.models import models_dir
 
 
@@ -272,3 +275,65 @@ def test_cycles_straight_line_has_none(tmp_path):
     assert "no cycles" in res.output
     res = invoke("cycles", "--format", "jsonl", str(f))
     assert jsonl(res) == []
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("bad.litmus", ("run", "-m", "power", "{}")),
+        ("bad.thr", ("cycles", "{}")),
+        ("bad.cat", ("run", "-m", "{}", "mp")),
+    ],
+)
+def test_unreadable_input_is_usage_error(tmp_path, name, args):
+    f = tmp_path / name
+    f.write_bytes(b"\xff")
+    res = invoke(*(a.format(f) for a in args))
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "body", ["let x = pox\n", "let x = po\nlet x = rf\n"], ids=["unbound", "rebound"]
+)
+def test_model_evaluation_error_is_usage_error(tmp_path, body):
+    f = tmp_path / "broken.cat"
+    f.write_text(body + "acyclic x\n")
+    for args in (
+        ("run", "-m", str(f), "mp"),
+        ("compare", "-a", "power", "-b", str(f), "mp"),
+    ):
+        res = invoke(*args)
+        assert res.exit_code == 2, args
+        err = getattr(res, "stderr", "") or res.output
+        assert "broken.cat" in err
+
+
+def test_machine_matches_power_on_whole_suite_at_bound_10():
+    res = invoke("machine", "--bound", "10", "--format", "jsonl", *suite.names())
+    assert res.exit_code == 0, res.output
+    recs = jsonl(res)
+    assert len(recs) == len(suite.names())
+    for r in recs:
+        assert r["skipped"] is False and r["equal"] is True, r["test"]
+
+
+def test_machine_evaluates_power_once_per_candidate(monkeypatch):
+    calls = {"run_model": 0, "parse_cat": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cat, "run_model", counted("run_model", cat.run_model))
+    monkeypatch.setattr(models, "parse_cat", counted("parse_cat", models.parse_cat))
+    res = invoke("machine", "--format", "jsonl", "mp")
+    assert res.exit_code == 0, res.output
+    assert calls == {
+        "run_model": sum(1 for _ in enumerate_candidates(suite.load("mp"))),
+        "parse_cat": 1,
+    }
