@@ -1,9 +1,12 @@
 """Bundled model verdicts on the bundled suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from memcat import suite
-from memcat.cat import parse_cat, run_model
+from memcat.cat import Check, parse_cat, run_model
 from memcat.executions import enumerate_candidates
 from memcat.litmus import parse_litmus, project
 from memcat.models import (
@@ -26,6 +29,57 @@ def tests():
 @pytest.fixture(scope="module")
 def models():
     return {n: load_builtin(n) for n in BUILTIN_MODELS}
+
+
+# Every bundled model on every suite test, recorded before the models were
+# rewritten as instances of one shared skeleton.  Frozen: a model change
+# that moves any figure here is a behaviour change, not a refactor.
+SNAPSHOT = Path(__file__).with_name("model_snapshot.json")
+STATIC_PPO_MODELS = ("power", "power-as-arm", "arm", "arm-llh")
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return json.loads(SNAPSHOT.read_text())
+
+
+def _outcomes(tests, model, label):
+    out = {}
+    for name, t in tests.items():
+        r = evaluate_test(t, model, label)
+        out[name] = {
+            "verdict": r.verdict,
+            "candidates": r.candidates,
+            "passing": r.passing,
+            "satisfying": r.satisfying,
+            "states": list(r.states),
+            "checks": r.check_failures,
+        }
+    return out
+
+
+def _mismatches(got, want):
+    return sorted(k for k in set(got) | set(want) if got.get(k) != want.get(k))
+
+
+def test_bundled_models_match_snapshot(tests, models, snapshot):
+    assert sorted(snapshot["outcomes"]) == sorted(BUILTIN_MODELS)
+    for m in BUILTIN_MODELS:
+        got = _outcomes(tests, models[m], m)
+        assert _mismatches(got, snapshot["outcomes"][m]) == [], m
+
+
+def test_static_ppo_models_match_snapshot(tests, snapshot):
+    assert sorted(snapshot["static-ppo"]) == sorted(STATIC_PPO_MODELS)
+    for m in STATIC_PPO_MODELS:
+        got = _outcomes(tests, load_builtin(m, static_ppo=True), m)
+        assert _mismatches(got, snapshot["static-ppo"][m]) == [], m
+
+
+def test_check_names_and_order_match_snapshot(models, snapshot):
+    for m in BUILTIN_MODELS:
+        names = [s.name for s in models[m].statements if isinstance(s, Check)]
+        assert names == snapshot["checks"][m], m
 
 
 def test_all_builtin_models_present():
