@@ -7,13 +7,17 @@ and reflexive-transitive closure, and direction filters like WW(e).
 
 Checks are named by an `as` suffix, else by the last comment seen
 before them (lowercased, spaces to hyphens), else positionally.
+
+`include "f.cat"` splices another file's statements in at load time, so
+a model is always one flat statement list.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union as TUnion
+from pathlib import Path
+from typing import Optional
 
 from .relation import (
     Candidate,
@@ -111,73 +115,70 @@ DIRS = {
     "RM": ("R", "M"), "MR": ("M", "R"), "MW": ("M", "W"), "MM": ("M", "M"),
 }
 
-_KEYWORDS = {"let", "rec", "and", "acyclic", "irreflexive", "as"}
-_RESERVED_NAMES = ("ctrl+isync", "ctrl+isb", "ctrl+cfence")
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
-_OPS = set("|&\\;+*()=")
+_KEYWORDS = {"let", "rec", "and", "acyclic", "irreflexive", "as", "include"}
+_IDENT = "[A-Za-z0-9_.-]"
+# ctrl+isync, ctrl+isb and ctrl+cfence lex as single names
+_TOKEN = re.compile(
+    rf'\s+|(?P<string>"[^"\n]*")'
+    rf"|(?P<name>ctrl\+(?:isync|isb|cfence)(?!{_IDENT})|[^\W\d]{_IDENT}*)"
+    r"|(?P<zero>0)|(?P<op>[|&\\;+*()=])"
+)
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
-def _lex(text: str):
+def _error(text: str, path, offset: int, msg: str) -> CatError:
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return CatError(f"{path or '<model>'}:{line}:{col}: {msg}")
+
+
+def _lex(text: str, path=None):
     tokens = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("(*", j):
-                    depth += 1
-                    j += 2
-                elif text.startswith("*)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth:
-                raise CatError("unterminated comment")
-            tokens.append(("comment", text[i + 2:j - 2].strip(), i))
-            i = j
-            continue
-        matched = False
-        for res in _RESERVED_NAMES:
-            if text.startswith(res, i):
-                end = i + len(res)
-                if end >= n or text[end] not in _IDENT_CHARS:
-                    tokens.append(("name", res, i))
-                    i = end
-                    matched = True
+        if text.startswith("(*", i):  # comments nest
+            depth = 0
+            for m in _COMMENT_MARK.finditer(text, i):
+                depth += 1 if m.group() == "(*" else -1
+                if not depth:
                     break
-        if matched:
+            else:
+                raise _error(text, path, i, "unterminated comment")
+            tokens.append(("comment", text[i + 2:m.start()].strip(), i))
+            i = m.end()
             continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            word = text[i:j]
-            tokens.append(("kw" if word in _KEYWORDS else "name", word, i))
-            i = j
-            continue
-        if ch == "0":
-            tokens.append(("zero", "0", i))
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise CatError(f"unexpected character {ch!r} at offset {i}")
+        m = _TOKEN.match(text, i)
+        if m is None:
+            if text[i] == '"':
+                raise _error(text, path, i, "unterminated string")
+            raise _error(text, path, i, f"unexpected character {text[i]!r}")
+        kind = m.lastgroup
+        if kind == "string":
+            tokens.append((kind, m.group()[1:-1], i))
+        elif kind:
+            word = m.group()
+            tokens.append(("kw" if word in _KEYWORDS else kind, word, i))
+        i = m.end()
     tokens.append(("eof", "", n))
     return tokens
 
 
+def _describe(tok) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text, path, include_dirs, including):
+        self.text = text
+        self.path = path
+        self.include_dirs = include_dirs
+        self.including = including  # resolved paths of the open files
+        self.tokens = _lex(text, path)
         self.pos = 0
         self.last_comment = None
+
+    def error(self, tok, msg) -> CatError:
+        return _error(self.text, self.path, tok[2], msg)
 
     def peek(self):
         while self.tokens[self.pos][0] == "comment":
@@ -193,7 +194,7 @@ class _Parser:
     def expect(self, kind, value=None):
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise CatError(f"expected {value or kind}, got {tok[1]!r}")
+            raise self.error(tok, f"expected {value or kind}, got {_describe(tok)}")
         return tok
 
     # expression grammar: union < inter/diff < seq < postfix < primary
@@ -226,7 +227,8 @@ class _Parser:
         return node
 
     def primary(self):
-        kind, value, _ = self.peek()
+        tok = self.peek()
+        kind, value, _ = tok
         if kind == "zero":
             self.next()
             return Empty()
@@ -243,18 +245,22 @@ class _Parser:
                 self.expect("op", ")")
                 return DirFilter(value, inner)
             return Name(value)
-        raise CatError(f"unexpected token {value!r} in expression")
+        raise self.error(tok, f"unexpected {_describe(tok)} in expression")
 
     def statements(self):
         out = []
         check_index = 0
         while True:
-            kind, value, _ = self.peek()
+            tok = self.peek()
+            kind, value, _ = tok
             if kind == "eof":
                 break
             if kind == "kw" and value == "let":
                 self.next()
                 out.append(self.let_tail())
+            elif kind == "kw" and value == "include":
+                self.next()
+                out.extend(self.include(self.expect("string")))
             elif kind == "kw" and value in ("acyclic", "irreflexive"):
                 # grab the naming comment now: expression lookahead below
                 # may consume a comment that belongs to the next check
@@ -273,18 +279,37 @@ class _Parser:
                     name = f"check-{check_index}"
                 out.append(Check(value, expr, name))
             else:
-                raise CatError(f"unexpected token {value!r} at statement level")
-        return tuple(out)
+                raise self.error(tok, f"unexpected {_describe(tok)} at statement level")
+        return out
+
+    def include(self, tok):
+        name = tok[1]
+        dirs = ((self.path.parent,) if self.path else ()) + tuple(self.include_dirs)
+        path = next((d / name for d in dirs if (d / name).is_file()), None)
+        if path is None:
+            searched = ", ".join(str(d) for d in dirs) or "no directories"
+            raise self.error(tok, f"cannot find include {name!r} (searched {searched})")
+        key = path.resolve()
+        if key in self.including:
+            raise self.error(tok, f"include cycle through {str(path)!r}")
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise self.error(tok, f"cannot read include {str(path)!r}: {exc}")
+        return _Parser(text, path, self.include_dirs, self.including | {key}).statements()
 
     def let_tail(self):
         if self.peek()[:2] == ("kw", "rec"):
-            self.next()
+            start = self.next()
             bindings = [self.binding()]
             while self.peek()[:2] == ("kw", "and"):
                 self.next()
                 bindings.append(self.binding())
             stmt = LetRec(tuple(bindings))
-            _check_monotone(stmt)
+            try:
+                _check_monotone(stmt)
+            except CatError as exc:
+                raise self.error(start, str(exc)) from None
             return stmt
         name, expr = self.binding()
         return Let(name, expr)
@@ -320,8 +345,15 @@ def _check_monotone(stmt: LetRec):
         walk(expr, False)
 
 
-def parse_cat(text: str) -> Model:
-    return Model(_Parser(_lex(text)).statements())
+def parse_cat(text: str, path=None, include_dirs=()) -> Model:
+    """Parse a model, expanding each `include "f.cat"` in place.
+
+    path names the file text came from, for error positions and as the
+    first place to look for its includes; include_dirs are searched next.
+    """
+    path = Path(path) if path else None
+    including = frozenset({path.resolve()}) if path else frozenset()
+    return Model(tuple(_Parser(text, path, include_dirs, including).statements()))
 
 
 # ---------------------------------------------------------------- evaluation

@@ -33,7 +33,7 @@ from .machine import (  # noqa: F401
     trace_lines,
     witness_path,
 )
-from .models import evaluate_test, load_builtin, load_model
+from .models import evaluate_test, load_model
 
 
 def _format_option(f):
@@ -266,7 +266,7 @@ def compare(spec_a, spec_b, fmt, tests):
 @click.argument("tests", nargs=-1, required=True)
 def machine(bound, trace, fmt, tests):
     """Cross-check the operational machine against axiomatic Power."""
-    power = load_builtin("power")
+    power = _load_model("power")
     loaded = _load_tests(tests)
 
     def work(t):

@@ -177,7 +177,7 @@ def machine_context(cand, env, strengthen_coRR=True):
         sr_obs_ok[r] = not any(
             (w2, r) in prop_hb_star for w2 in co.successors(w)
         )
-        visible_ok[r] = _visible(cand, events_by_id, w, r, strengthen_coRR)
+        visible_ok[r] = _visible(cand, events_by_id, rf_src, w, r, strengthen_coRR)
 
     labels = []
     for w in write_ids:
@@ -214,9 +214,9 @@ def machine_context(cand, env, strengthen_coRR=True):
     )
 
 
-def _visible(cand, events_by_id, w, r, strengthen_coRR):
+def _visible(cand, events_by_id, rf_src, w, r, strengthen_coRR):
     """w may service r: it lies between r's po-loc write neighbours."""
-    po_loc, co, rf = cand.po_loc, cand.co, cand.rf
+    po_loc, co = cand.po_loc, cand.co
     rev = events_by_id[r]
     loc = rev.action.loc
     before = [
@@ -238,7 +238,6 @@ def _visible(cand, events_by_id, w, r, strengthen_coRR):
         if (w, r) not in po_loc and (w, wa) not in co:
             return False
     if strengthen_coRR:
-        rf_src = {rd: wr for (wr, rd) in rf.pairs()}
         for e in cand.events:
             if is_read(e) and e.action.loc == loc and (e.id, r) in po_loc:
                 if (w, rf_src[e.id]) in co:
@@ -452,23 +451,12 @@ def trace_lines(ctx, path):
     Stops at the first blocked step; a fully accepted path yields one
     "accepted" line per label.
     """
-    done = 0
-    buff, cpd, sr, cr = ctx.init_mask, ctx.init_mask, 0, 0
-    lines = []
-    for label in path:
-        idx = ctx.label_index.get(label)
-        text = label_str(ctx, label)
-        if (
-            idx is None
-            or done & (1 << idx)
-            or not _enabled(ctx, label, done, buff, cpd, sr)
-        ):
-            lines.append(f"{text}  blocked")
-            break
-        lines.append(f"{text}  accepted")
-        done |= 1 << idx
-        buff, cpd, sr, cr = _apply(label, buff, cpd, sr, cr)
-    return lines
+    _, blocked = replay_path(ctx, path)
+    shown = path if blocked is None else path[: blocked + 1]
+    return [
+        f"{label_str(ctx, label)}  {'blocked' if i == blocked else 'accepted'}"
+        for i, label in enumerate(shown)
+    ]
 
 
 def _behavior(cand):

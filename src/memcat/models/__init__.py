@@ -21,16 +21,22 @@ BUILTIN_MODELS = ("sc", "tso", "cpp-ra", "power", "power-as-arm", "arm", "arm-ll
 
 MODELS_DIR_VAR = "MEMCAT_MODELS_DIR"
 
+# the shipped models and the fragments they include ("_" names)
+BUNDLED_DIR = Path(__file__).resolve().parent
+
 
 def models_dir() -> Path:
     override = os.environ.get(MODELS_DIR_VAR)
     if override:
         return Path(override)
-    return Path(__file__).resolve().parent
+    return BUNDLED_DIR
 
 
 def available_models() -> list:
-    return sorted(p.stem for p in models_dir().glob("*.cat"))
+    """Model names in models_dir(); include-only fragments start with "_"."""
+    return sorted(
+        p.stem for p in models_dir().glob("*.cat") if not p.stem.startswith("_")
+    )
 
 
 def _drop_dynamic_ppo(model: Model) -> Model:
@@ -46,27 +52,30 @@ def _drop_dynamic_ppo(model: Model) -> Model:
     )
 
 
+def _load(path: Path, static_ppo: bool) -> Model:
+    # includes resolve against path's directory, then the bundled one
+    model = parse_cat(path.read_text(), path, (BUNDLED_DIR,))
+    return _drop_dynamic_ppo(model) if static_ppo else model
+
+
 def load_builtin(name: str, static_ppo: bool = False) -> Model:
-    path = models_dir() / f"{name}.cat"
-    if not path.is_file():
+    if name not in available_models():
         raise FileNotFoundError(
             f"no model {name!r} in {models_dir()} (available: {', '.join(available_models())})"
         )
-    model = parse_cat(path.read_text())
-    return _drop_dynamic_ppo(model) if static_ppo else model
+    return _load(models_dir() / f"{name}.cat", static_ppo)
 
 
 def load_model(spec: str, static_ppo: bool = False) -> Model:
     """Resolve a builtin model name or a path to a .cat file."""
     path = Path(spec)
     if path.suffix == ".cat" and path.is_file():
-        model = parse_cat(path.read_text())
-        return _drop_dynamic_ppo(model) if static_ppo else model
+        return _load(path, static_ppo)
     return load_builtin(spec, static_ppo)
 
 
 def golden_table() -> dict:
-    return json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
+    return json.loads((BUNDLED_DIR / "golden.json").read_text())
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,73 @@ def test_unterminated_comment_rejected():
         parse_cat("let x = a (* oops")
 
 
+def test_parse_errors_name_file_line_and_column():
+    with pytest.raises(CatError, match=r"^m\.cat:2:12: unexpected end of input in expression$"):
+        parse_cat("let x = po\nacyclic x |", path="m.cat")
+    with pytest.raises(CatError, match=r"^<model>:1:11: unexpected character '@'$"):
+        parse_cat("let x = a @ b")
+    with pytest.raises(CatError, match=r"^<model>:2:5: recursive name"):
+        parse_cat("(* a *)\nlet rec a = b \\ a")
+
+
+# ------------------------------------------------------------------ include
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+def test_include_splices_statements_in_place(tmp_path):
+    write(tmp_path / "defs.cat", "let y = x | rf\n(* inner *)\nacyclic y\n")
+    top = write(tmp_path / "top.cat", 'let x = po\ninclude "defs.cat"\nacyclic x as outer\n')
+    m = parse_cat(top.read_text(), top)
+    assert [type(s).__name__ for s in m.statements] == ["Let", "Let", "Check", "Check"]
+    assert [s.name for s in m.statements if isinstance(s, Check)] == ["inner", "outer"]
+
+
+def test_include_looks_beside_the_file_then_in_include_dirs(tmp_path):
+    lib, here = tmp_path / "lib", tmp_path / "here"
+    lib.mkdir()
+    here.mkdir()
+    write(lib / "frag.cat", "let z = rf\n")
+    write(lib / "both.cat", "let w = rf\n")
+    write(here / "both.cat", "let w = po\n")
+    top = write(here / "top.cat", 'include "frag.cat"\ninclude "both.cat"\n')
+    z, w = parse_cat(top.read_text(), top, (lib,)).statements
+    assert (z.name, z.expr) == ("z", Name("rf"))
+    assert (w.name, w.expr) == ("w", Name("po"))
+
+
+def test_missing_include_names_the_including_file(tmp_path):
+    top = write(tmp_path / "top.cat", 'let x = po\n  include "nope.cat"\n')
+    with pytest.raises(CatError, match=r"top\.cat:2:11: cannot find include 'nope\.cat'"):
+        parse_cat(top.read_text(), top)
+
+
+def test_include_cycle_rejected(tmp_path):
+    write(tmp_path / "a.cat", 'include "b.cat"\n')
+    b = write(tmp_path / "b.cat", 'include "a.cat"\n')
+    with pytest.raises(CatError, match="include cycle"):
+        parse_cat(b.read_text(), b)
+    me = write(tmp_path / "me.cat", 'include "me.cat"\n')
+    with pytest.raises(CatError, match="include cycle"):
+        parse_cat(me.read_text(), me)
+
+
+def test_parse_error_in_included_file_names_that_file(tmp_path):
+    write(tmp_path / "frag.cat", "let y =\n")
+    top = write(tmp_path / "top.cat", 'include "frag.cat"\n')
+    with pytest.raises(CatError, match=r"frag\.cat:2:1: unexpected end of input"):
+        parse_cat(top.read_text(), top)
+
+
+def test_include_needs_a_string(tmp_path):
+    with pytest.raises(CatError, match="expected string, got 'frag'"):
+        parse_cat("include frag")
+    with pytest.raises(CatError, match="unterminated string"):
+        parse_cat('include "frag.cat\nacyclic po')
+
+
 # --------------------------------------------------------------- monotonicity
 
 def test_recursive_name_in_subtrahend_rejected():

@@ -163,6 +163,41 @@ def test_run_model_from_file_and_models_dir_override(tmp_path):
     assert jsonl(res)[0]["verdict"] == "allowed"
     res = invoke("run", "-m", "power", "mp", env=env)
     assert res.exit_code == 2  # override dir has no power.cat
+    res = invoke("machine", "mp", env=env)
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "no model 'power'" in err
+
+
+def test_run_fragment_name_is_not_a_model():
+    res = invoke("run", "-m", "_axioms", "mp")
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "_axioms" not in err.split("available:")[1]
+
+
+@pytest.mark.parametrize(
+    "files, want",
+    [
+        ({"top.cat": 'include "nope.cat"\n'}, "top.cat:1:9: cannot find include"),
+        (
+            {"top.cat": 'include "a.cat"\n', "a.cat": 'include "top.cat"\n'},
+            "a.cat:1:9: include cycle",
+        ),
+        (
+            {"top.cat": 'include "a.cat"\n', "a.cat": "acyclic po |\n"},
+            "a.cat:2:1: unexpected end of input",
+        ),
+    ],
+    ids=["missing", "cycle", "parse-error-inside"],
+)
+def test_include_errors_are_usage_errors(tmp_path, files, want):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = invoke("run", "-m", str(tmp_path / "top.cat"), "mp")
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert want in err
 
 
 def test_compare_reports_divergence():

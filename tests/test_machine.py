@@ -12,6 +12,7 @@ from memcat.machine import (
     machine_accepts,
     machine_context,
     replay_path,
+    trace_lines,
     witness_path,
 )
 from memcat.models import load_builtin
@@ -141,4 +142,18 @@ def test_replay_reports_block_position(power):
         bad = [l for l in path if l[0] == "cr"][:1] + path
         ok, blocked_at = replay_path(ctx, bad)
         assert not ok and blocked_at == 0
+        break
+
+
+def test_trace_lines_stop_at_the_replay_block(power):
+    for cand, ctx, model_ok in contexts("mp", power):
+        path = witness_path(ctx)
+        names = [label_str(ctx, l) for l in path]
+        assert trace_lines(ctx, path) == [f"{n}  accepted" for n in names]
+        # a label replayed twice blocks there and ends the trace
+        bad = path[:3] + path[2:]
+        assert replay_path(ctx, bad) == (False, 3)
+        assert trace_lines(ctx, bad) == [f"{n}  accepted" for n in names[:3]] + [
+            f"{names[2]}  blocked"
+        ]
         break

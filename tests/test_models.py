@@ -1,6 +1,7 @@
 """Bundled model verdicts on the bundled suite."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from memcat.executions import enumerate_candidates
 from memcat.litmus import parse_litmus, project
 from memcat.models import (
     BUILTIN_MODELS,
+    BUNDLED_DIR,
+    MODELS_DIR_VAR,
     available_models,
     evaluate_test,
     golden_table,
@@ -82,8 +85,26 @@ def test_check_names_and_order_match_snapshot(models, snapshot):
         assert names == snapshot["checks"][m], m
 
 
-def test_all_builtin_models_present():
-    assert set(BUILTIN_MODELS) <= set(available_models())
+def test_all_builtin_models_present(monkeypatch):
+    monkeypatch.delenv(MODELS_DIR_VAR, raising=False)
+    assert available_models() == sorted(BUILTIN_MODELS)
+    with pytest.raises(FileNotFoundError):
+        load_builtin("_axioms")  # an include fragment is not a model
+
+
+def test_axioms_and_ppo_fixpoint_live_in_one_fragment_each():
+    def holders(pattern):
+        return sorted(
+            p.name
+            for p in BUNDLED_DIR.glob("*.cat")
+            if re.search(pattern, p.read_text(), re.M)
+        )
+
+    # cpp-ra states its own, weaker propagation check
+    assert holders(r"^\s*(acyclic|irreflexive)\b") == [
+        "_axioms.cat", "_common.cat", "cpp-ra.cat"
+    ]
+    assert holders(r"^\s*let rec\b") == ["_power-arm.cat"]
 
 
 def test_suite_has_enough_tests():
