@@ -248,6 +248,12 @@ class _Parser:
         raise self.error(tok, f"unexpected {_describe(tok)} in expression")
 
     def statements(self):
+        try:
+            return self._statements()
+        except RecursionError:
+            raise self.error(self.tokens[self.pos], "expression nested too deeply") from None
+
+    def _statements(self):
         out = []
         check_index = 0
         while True:
@@ -441,6 +447,13 @@ def _bind(env: dict, name: str, value: Relation):
 
 
 def run_model(model: Model, cand: Candidate) -> ModelResult:
+    try:
+        return _run(model, cand)
+    except RecursionError:
+        raise CatError("expression nested too deeply to evaluate") from None
+
+
+def _run(model: Model, cand: Candidate) -> ModelResult:
     env = builtin_env(cand)
     checks = []
     for stmt in model.statements:

@@ -25,6 +25,7 @@ from .cycles import ThrError, frequency, mine, parse_thr, program_from_litmus
 from .executions import enumerate_candidates  # noqa: F401
 from .litmus import LitmusError, parse_litmus, project
 from .machine import (  # noqa: F401
+    DEFAULT_BOUND,
     BoundError,
     WitnessCycleError,
     cross_check,
@@ -254,7 +255,7 @@ def compare(spec_a, spec_b, fmt, tests):
 @main.command()
 @click.option(
     "--bound",
-    default=8,
+    default=DEFAULT_BOUND,
     show_default=True,
     type=click.IntRange(min=1),
     help="max memory events (incl. init) for exhaustive machine runs",

@@ -25,8 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .litmus import ALL_FENCE_KINDS, ProjectedTest
 from .relation import is_write
 
@@ -256,27 +254,26 @@ def find_critical_cycles(program: Program) -> list:
     for a in program.accesses:
         by_loc.setdefault(a.location, []).append(a)
 
-    g = nx.DiGraph()
-    g.add_nodes_from(by_uid)
+    succs = {u: [] for u in by_uid}
     for accs in threads.values():
         for i, a in enumerate(accs):
-            for b in accs[i + 1 :]:
-                g.add_edge(a.uid, b.uid)
+            succs[a.uid] += [b.uid for b in accs[i + 1 :]]
     for accs in by_loc.values():
         for i, a in enumerate(accs):
             for b in accs[i + 1 :]:
                 if a.thread != b.thread and "W" in (a.direction, b.direction):
-                    g.add_edge(a.uid, b.uid)
-                    g.add_edge(b.uid, a.uid)
+                    succs[a.uid].append(b.uid)
+                    succs[b.uid].append(a.uid)
 
     found = []
-    for nodes in nx.simple_cycles(g, length_bound=2 * len(threads)):
+    for nodes in _simple_cycles(succs, 2 * len(threads)):
         accs = [by_uid[u] for u in nodes]
         edges = [
             _edge_between(accs[i], accs[(i + 1) % len(accs)], program)
             for i in range(len(accs))
         ]
-        cyc = _canonical(accs, edges, True)
+        # each cycle starts at its least uid, so it is already canonical
+        cyc = LabeledCycle(tuple(accs), tuple(edges), True)
         if (
             len({a.location for a in cyc.accesses}) >= 2
             and thread_condition(cyc)
@@ -285,6 +282,22 @@ def find_critical_cycles(program: Program) -> list:
             found.append(cyc)
     found.sort(key=_sort_key)
     return found + _coherence_shapes(program, threads, by_loc)
+
+
+def _simple_cycles(succs: dict, bound: int):
+    """Each simple cycle of at most bound nodes once, from its least node."""
+    for start in sorted(succs):
+        path, todo = [start], [iter(succs[start])]
+        while todo:
+            v = next(todo[-1], None)
+            if v is None:
+                todo.pop()
+                path.pop()
+            elif v == start:
+                yield list(path)
+            elif v > start and v not in path and len(path) < bound:
+                path.append(v)
+                todo.append(iter(succs[v]))
 
 
 def _coherence_shapes(program: Program, threads: dict, by_loc: dict) -> list:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import replace
 from typing import Iterator
 
-from .litmus import And, Final, LocEq, Or, ProjectedTest, RegEq
+from .litmus import And, Final, LocEq, Or, ProjectedTest, RegEq, atoms
 from .relation import Candidate, Relation, check_acyclic, is_read, is_write
 
 
@@ -95,19 +95,13 @@ def observed_state(cand: Candidate, final: Final | None = None) -> tuple:
     if final is None:
         final = t.final
     regs, locs = set(), set()
-
-    def walk(node):
-        if isinstance(node, (And, Or)):
-            for x in node.items:
-                walk(x)
-        elif isinstance(node, RegEq):
+    for node in atoms(final.cond):
+        if isinstance(node, RegEq):
             regs.add((node.thread, node.reg))
         elif isinstance(node, LocEq):
             locs.add(node.loc)
         else:
             raise TypeError(f"unexpected final node {node!r}")
-
-    walk(final.cond)
     parts = []
     for thread, reg in sorted(regs):
         src = t.reg_sources[(thread, reg)]

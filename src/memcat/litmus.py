@@ -2,28 +2,19 @@
 
 Parses the small assembly-like litmus format, statically evaluates
 register contents (addresses and stored values must be compile-time
-constants), builds per-thread event graphs with intra-instruction and
-register dataflow edges, and projects everything down to the memory
-events and relations the enumerator works on.
+constants), follows each register's taint (the loads whose values flow
+into it) to recover dependencies, and projects everything down to the
+memory events and relations the enumerator works on.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from .relation import (
-    BranchEvent,
-    Event,
-    FenceEvent,
-    MemRead,
-    MemWrite,
-    RegRead,
-    RegWrite,
-    Relation,
-)
+from .relation import Event, MemRead, MemWrite, Relation
 
 
 ARCH_FENCES = {
@@ -273,7 +264,10 @@ def _parse_cond(tokens: list, line: int):
             items.append(conj())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
-    node = disj()
+    try:
+        node = disj()
+    except RecursionError:
+        raise LitmusError("final condition nested too deeply", line) from None
     if pos != len(tokens):
         raise LitmusError("trailing tokens in final condition", line)
     return node
@@ -431,7 +425,7 @@ class ProjectedTest:
     names: dict
     locations: tuple
     threads: tuple
-    reg_sources: dict  # (thread, reg) -> ("event", eid) | ("const", n)
+    reg_sources: dict  # (thread, reg) -> ("event", eid) | ("const", n) | ("unknown",)
     init_ids: tuple
 
     @property
@@ -455,38 +449,28 @@ def _event_names(count: int):
 
 
 class _ThreadSim:
-    """Static per-thread evaluation producing the micro-event graph."""
+    """Static evaluation of one thread.
+
+    Next to each register's static value it keeps the register's taint:
+    the loads (indexes into mems) whose values flow into it.  A tainted
+    address gives addr, a tainted stored value data, and a tainted cr0
+    at a branch ctrl.
+    """
 
     def __init__(self, tname, instrs, regstate):
         self.tname = tname
         self.regs = regstate
-        self.micro = []  # (action, instr_idx)
-        self.iico = []
-        self.rfreg = []
-        self.last_write = {}
-        self.mem_of_instr = {}
-        self.loads = []  # (instr_idx, dst_reg, mem_micro_idx)
-        self.reg_last = {}  # reg -> ("micro", idx) | ("const", n) | ("unknown",)
+        self.taint = {}  # reg -> frozenset of load indexes
+        self.reg_last = {}  # reg -> ("load", idx) | ("const", n) | ("unknown",)
+        self.mems = []  # (instr_idx, MemRead | MemWrite)
+        self.fences = []  # (instr_idx, kind)
+        self.branches = []  # (instr_idx, taint of cr0)
+        self.addr, self.data = [], []  # (load idx, access idx)
         for reg, val in regstate.items():
             if val[0] == "int":
                 self.reg_last[reg] = ("const", val[1])
         for idx, ins in enumerate(instrs):
             self._step(idx, ins)
-
-    def _emit(self, action, instr_idx):
-        self.micro.append((action, instr_idx))
-        return len(self.micro) - 1
-
-    def _read_reg(self, reg, port, instr_idx):
-        idx = self._emit(RegRead(reg, port), instr_idx)
-        if reg in self.last_write:
-            self.rfreg.append((self.last_write[reg], idx))
-        return idx
-
-    def _write_reg(self, reg, instr_idx):
-        idx = self._emit(RegWrite(reg), instr_idx)
-        self.last_write[reg] = idx
-        return idx
 
     def _loc_of(self, reg, what):
         val = self.regs.get(reg, ("unknown",))
@@ -496,20 +480,27 @@ class _ThreadSim:
             )
         return val[1]
 
+    def _access(self, idx, action, addr_reg):
+        m = len(self.mems)
+        self.mems.append((idx, action))
+        self.addr += [(s, m) for s in self.taint.get(addr_reg, ())]
+        return m
+
+    def _taint(self, *regs):
+        return frozenset().union(*(self.taint.get(r, ()) for r in regs))
+
+    def _set(self, reg, val, taint):
+        self.regs[reg] = val
+        self.taint[reg] = taint
+        self.reg_last[reg] = ("const", val[1]) if val[0] == "int" else ("unknown",)
+
     def _step(self, idx, ins):
         if isinstance(ins, MovConst):
-            self._write_reg(ins.dst, idx)
-            self.regs[ins.dst] = ("int", ins.val)
-            self.reg_last[ins.dst] = ("const", ins.val)
+            self._set(ins.dst, ("int", ins.val), frozenset())
         elif isinstance(ins, Load):
             loc = self._loc_of(ins.addr, "address")
-            a = self._read_reg(ins.addr, "addr", idx)
-            m = self._emit(MemRead(loc), idx)
-            w = self._write_reg(ins.dst, idx)
-            self.iico += [(a, m), (m, w)]
-            self.mem_of_instr[idx] = m
-            self.regs[ins.dst] = ("unknown",)
-            self.loads.append((idx, ins.dst, m))
+            m = self._access(idx, MemRead(loc), ins.addr)
+            self._set(ins.dst, ("unknown",), self._taint(ins.addr) | {m})
             self.reg_last[ins.dst] = ("load", m)
         elif isinstance(ins, Store):
             loc = self._loc_of(ins.addr, "address")
@@ -518,16 +509,9 @@ class _ThreadSim:
                 raise LitmusError(
                     f"{self.tname}: stored value in {ins.src} must be a static integer"
                 )
-            a = self._read_reg(ins.addr, "addr", idx)
-            v = self._read_reg(ins.src, "value", idx)
-            m = self._emit(MemWrite(loc, val[1]), idx)
-            self.iico += [(a, m), (v, m)]
-            self.mem_of_instr[idx] = m
+            m = self._access(idx, MemWrite(loc, val[1]), ins.addr)
+            self.data += [(s, m) for s in self._taint(ins.src)]
         elif isinstance(ins, Xor):
-            r1 = self._read_reg(ins.a, "operand", idx)
-            r2 = self._read_reg(ins.b, "operand", idx)
-            w = self._write_reg(ins.dst, idx)
-            self.iico += [(r1, w), (r2, w)]
             va, vb = self.regs.get(ins.a, ("unknown",)), self.regs.get(ins.b, ("unknown",))
             if ins.a == ins.b:
                 out = ("int", 0)  # x^x=0 even when x is runtime-dependent
@@ -535,37 +519,24 @@ class _ThreadSim:
                 out = ("int", va[1] ^ vb[1])
             else:
                 out = ("unknown",)
-            self.regs[ins.dst] = out
-            self.reg_last[ins.dst] = ("const", out[1]) if out[0] == "int" else ("unknown",)
+            self._set(ins.dst, out, self._taint(ins.a, ins.b))
         elif isinstance(ins, Add):
-            r1 = self._read_reg(ins.a, "operand", idx)
+            va = self.regs.get(ins.a, ("unknown",))
             if isinstance(ins.b, str):
-                r2 = self._read_reg(ins.b, "operand", idx)
                 vb = self.regs.get(ins.b, ("unknown",))
-                srcs = [r1, r2]
+                srcs = self._taint(ins.a, ins.b)
             else:
                 vb = ("int", ins.b)
-                srcs = [r1]
-            w = self._write_reg(ins.dst, idx)
-            self.iico += [(s, w) for s in srcs]
-            va = self.regs.get(ins.a, ("unknown",))
-            out = self._add_vals(va, vb)
-            self.regs[ins.dst] = out
-            self.reg_last[ins.dst] = ("const", out[1]) if out[0] == "int" else ("unknown",)
+                srcs = self._taint(ins.a)
+            self._set(ins.dst, self._add_vals(va, vb), srcs)
         elif isinstance(ins, Cmp):
-            r = self._read_reg(ins.reg, "operand", idx)
-            w = self._write_reg("cr0", idx)
-            self.iico.append((r, w))
             self.regs["cr0"] = ("unknown",)
+            self.taint["cr0"] = self._taint(ins.reg)
         elif isinstance(ins, Branch):
-            r = self._read_reg("cr0", "flag", idx)
-            b = self._emit(BranchEvent(), idx)
-            self.iico.append((r, b))
-        elif isinstance(ins, LabelDef):
-            pass
+            self.branches.append((idx, self._taint("cr0")))
         elif isinstance(ins, Fence):
-            self._emit(FenceEvent(ins.kind), idx)
-        else:  # pragma: no cover
+            self.fences.append((idx, ins.kind))
+        elif not isinstance(ins, LabelDef):  # pragma: no cover
             raise LitmusError(f"unhandled instruction {ins!r}")
 
     def _add_vals(self, va, vb):
@@ -582,184 +553,103 @@ class _ThreadSim:
             )
         return ("unknown",)
 
-    def reach_from(self, start):
-        # forward closure over iico and register dataflow
-        succs = {}
-        for s, d in self.iico + self.rfreg:
-            succs.setdefault(s, []).append(d)
-        seen, work = set(), [start]
-        while work:
-            cur = work.pop()
-            for nxt in succs.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-        return seen
+    def relations(self) -> dict:
+        """Pairs of access indexes for po, each fence kind and each dependency."""
+        at = [instr for instr, _ in self.mems]
+
+        def after(i):
+            return [k for k, j in enumerate(at) if j > i]
+
+        rels = {
+            "po": [(a, b) for a in range(len(at)) for b in range(a + 1, len(at))],
+            "addr": self.addr,
+            "data": self.data,
+            "ctrl": [],
+        }
+        for fi, kind in self.fences:
+            before = [k for k, j in enumerate(at) if j < fi]
+            rels.setdefault(kind, []).extend((a, b) for a in before for b in after(fi))
+        for bi, srcs in self.branches:
+            rels["ctrl"] += [(s, b) for s in srcs for b in after(bi)]
+            for fi, kind in self.fences:
+                if fi > bi and kind in _CTRL_FENCES:
+                    rels.setdefault("ctrl+" + kind, []).extend(
+                        (s, b) for s in srcs for b in after(fi)
+                    )
+        return rels
 
 
 def project(test: LitmusTest) -> ProjectedTest:
     sims = {}
     for tname, instrs in test.threads.items():
-        regstate = {}
-        for (qual, reg), val in test.init_regs.items():
-            if qual is None or qual == tname:
-                regstate[reg] = val
+        regstate = {
+            reg: val for (qual, reg), val in test.init_regs.items() if qual in (None, tname)
+        }
         sims[tname] = _ThreadSim(tname, instrs, regstate)
 
-    locations = sorted(
-        {
-            act.loc
-            for sim in sims.values()
-            for act, _ in sim.micro
-            if isinstance(act, (MemRead, MemWrite))
-        }
-    )
+    locations = sorted({act.loc for sim in sims.values() for _, act in sim.mems})
     if not locations:
         raise LitmusError("test accesses no memory")
 
     events = []
     names = {}
-    init_ids = []
     for k, loc in enumerate(locations):
-        eid = len(events)
-        events.append(Event(eid, "init", k, MemWrite(loc, test.init_locs.get(loc, 0))))
-        names[eid] = "i" + loc
-        init_ids.append(eid)
+        events.append(Event(k, "init", k, MemWrite(loc, test.init_locs.get(loc, 0))))
+        names[k] = "i" + loc
+    init_ids = tuple(range(len(locations)))
 
-    # program memory events in (thread, po) order, with their micro index
-    micro_to_eid = {}
-    program = []
-    for tname, sim in sims.items():
-        for midx, (act, instr_idx) in enumerate(sim.micro):
-            if isinstance(act, (MemRead, MemWrite)):
-                eid = len(events)
-                events.append(Event(eid, tname, instr_idx, act, origin=instr_idx))
-                micro_to_eid[(tname, midx)] = eid
-                program.append(eid)
-    for label, eid in zip(_event_names(len(program)), program):
-        names[eid] = label
-
-    n = len(events)
-    po_pairs = []
-    for tname in sims:
-        ids = [e.id for e in events if e.thread == tname]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                po_pairs.append((ids[a], ids[b]))
-    po = Relation.from_pairs(n, po_pairs)
-
-    fences = {}
-    for kind in ALL_FENCE_KINDS:
-        pairs = []
-        for tname, sim in sims.items():
-            fence_instrs = [
-                instr for act, instr in sim.micro
-                if isinstance(act, FenceEvent) and act.kind == kind
-            ]
-            if not fence_instrs:
-                continue
-            mems = [
-                (instr, micro_to_eid[(tname, midx)])
-                for midx, (act, instr) in enumerate(sim.micro)
-                if isinstance(act, (MemRead, MemWrite))
-            ]
-            for fi in fence_instrs:
-                for i1, e1 in mems:
-                    for i2, e2 in mems:
-                        if i1 < fi < i2:
-                            pairs.append((e1, e2))
-        fences[kind] = Relation.from_pairs(n, pairs)
-
-    addr_pairs, data_pairs, ctrl_pairs = [], [], []
-    ctrlk_pairs = {k: [] for k in _CTRL_FENCES}
-    for tname, sim in sims.items():
-        mem_reads = [
-            midx
-            for midx, (act, _) in enumerate(sim.micro)
-            if isinstance(act, MemRead)
-        ]
-        mems = [
-            (instr, midx)
-            for midx, (act, instr) in enumerate(sim.micro)
-            if isinstance(act, (MemRead, MemWrite))
-        ]
-        fences_at = [
-            (instr, act.kind)
-            for act, instr in sim.micro
-            if isinstance(act, FenceEvent)
-        ]
-        for rm in mem_reads:
-            src = micro_to_eid[(tname, rm)]
-            reach = sim.reach_from(rm)
-            branch_instrs = set()
-            for idx in reach:
-                act, instr = sim.micro[idx]
-                if isinstance(act, RegRead) and instr in sim.mem_of_instr:
-                    tgt_micro = sim.mem_of_instr[instr]
-                    tgt = micro_to_eid[(tname, tgt_micro)]
-                    tgt_act = sim.micro[tgt_micro][0]
-                    if act.port == "addr":
-                        addr_pairs.append((src, tgt))
-                    elif act.port == "value" and isinstance(tgt_act, MemWrite):
-                        data_pairs.append((src, tgt))
-                elif isinstance(act, BranchEvent):
-                    branch_instrs.add(instr)
-            for bi in branch_instrs:
-                for mi, midx in mems:
-                    if mi > bi:
-                        ctrl_pairs.append((src, micro_to_eid[(tname, midx)]))
-                for fi, fkind in fences_at:
-                    if fi > bi and fkind in ctrlk_pairs:
-                        for mi, midx in mems:
-                            if mi > fi:
-                                ctrlk_pairs[fkind].append(
-                                    (src, micro_to_eid[(tname, midx)])
-                                )
-
-    deps = {
-        "addr": Relation.from_pairs(n, addr_pairs),
-        "data": Relation.from_pairs(n, data_pairs),
-        "ctrl": Relation.from_pairs(n, ctrl_pairs),
-    }
-    for k in _CTRL_FENCES:
-        deps["ctrl+" + k] = Relation.from_pairs(n, ctrlk_pairs[k])
-    deps["ctrl+cfence"] = deps["ctrl+isync"] | deps["ctrl+isb"]
-
+    # program accesses in (thread, po) order; a thread's accesses are
+    # consecutive ids from base, so its local pairs shift by base
+    dep_kinds = ("addr", "data", "ctrl") + tuple("ctrl+" + k for k in _CTRL_FENCES)
+    pairs = {k: [] for k in ("po",) + dep_kinds + ALL_FENCE_KINDS}
     reg_sources = {}
     for tname, sim in sims.items():
+        base = len(events)
+        for instr_idx, act in sim.mems:
+            events.append(Event(len(events), tname, instr_idx, act))
+        for kind, local in sim.relations().items():
+            pairs[kind] += [(base + a, base + b) for a, b in local]
         for reg, last in sim.reg_last.items():
-            if last[0] == "load":
-                reg_sources[(tname, reg)] = ("event", micro_to_eid[(tname, last[1])])
-            elif last[0] == "const":
-                reg_sources[(tname, reg)] = ("const", last[1])
-            else:
-                reg_sources[(tname, reg)] = ("unknown",)
+            reg_sources[(tname, reg)] = (
+                ("event", base + last[1]) if last[0] == "load" else last
+            )
+    program = range(len(locations), len(events))
+    names.update(zip(program, _event_names(len(program))))
 
+    n = len(events)
+    deps = {k: Relation.from_pairs(n, pairs[k]) for k in dep_kinds}
+    deps["ctrl+cfence"] = deps["ctrl+isync"] | deps["ctrl+isb"]
     projected = ProjectedTest(
         name=test.name,
         arch=test.arch,
         events=tuple(events),
-        po=po,
+        po=Relation.from_pairs(n, pairs["po"]),
         deps=deps,
-        fences=fences,
+        fences={k: Relation.from_pairs(n, pairs[k]) for k in ALL_FENCE_KINDS},
         final=test.final,
         expect=test.expect,
         names=names,
         locations=tuple(locations),
         threads=tuple(sims),
         reg_sources=reg_sources,
-        init_ids=tuple(init_ids),
+        init_ids=init_ids,
     )
     _validate_final(projected)
     return projected
 
 
+def atoms(cond):
+    """The RegEq and LocEq atoms of a final condition, left to right."""
+    if isinstance(cond, (And, Or)):
+        for item in cond.items:
+            yield from atoms(item)
+    else:
+        yield cond
+
+
 def _validate_final(t: ProjectedTest):
-    def walk(node):
-        if isinstance(node, (And, Or)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, RegEq):
+    for node in atoms(t.final.cond):
+        if isinstance(node, RegEq):
             if node.thread not in t.threads:
                 raise LitmusError(f"final mentions unknown thread {node.thread}")
             src = t.reg_sources.get((node.thread, node.reg))
@@ -768,8 +658,5 @@ def _validate_final(t: ProjectedTest):
                     f"final mentions {node.thread}:{node.reg} which has no "
                     "statically known source"
                 )
-        elif isinstance(node, LocEq):
-            if node.loc not in t.locations:
-                raise LitmusError(f"final mentions unaccessed location {node.loc}")
-
-    walk(t.final.cond)
+        elif isinstance(node, LocEq) and node.loc not in t.locations:
+            raise LitmusError(f"final mentions unaccessed location {node.loc}")

@@ -67,6 +67,7 @@ Label = tuple
 
 __all__ = [
     "BoundError",
+    "DEFAULT_BOUND",
     "MachineContext",
     "WitnessCycleError",
     "cross_check",
@@ -88,6 +89,10 @@ class WitnessCycleError(Exception):
 
 class BoundError(Exception):
     """Test exceeds the event budget for exhaustive machine runs."""
+
+
+# memory events, init writes included; every bundled test fits
+DEFAULT_BOUND = 10
 
 
 @dataclass
@@ -116,7 +121,7 @@ class MachineContext:
     prop: Relation = field(repr=False, default=None)
 
 
-def machine_context(cand, env, strengthen_coRR=True):
+def machine_context(cand, env):
     """Precompute premise tables for one candidate.
 
     env supplies the ppo/fence/prop/hb bindings the machine consults: the
@@ -177,7 +182,7 @@ def machine_context(cand, env, strengthen_coRR=True):
         sr_obs_ok[r] = not any(
             (w2, r) in prop_hb_star for w2 in co.successors(w)
         )
-        visible_ok[r] = _visible(cand, events_by_id, rf_src, w, r, strengthen_coRR)
+        visible_ok[r] = _visible(cand, events_by_id, rf_src, w, r)
 
     labels = []
     for w in write_ids:
@@ -214,7 +219,7 @@ def machine_context(cand, env, strengthen_coRR=True):
     )
 
 
-def _visible(cand, events_by_id, rf_src, w, r, strengthen_coRR):
+def _visible(cand, events_by_id, rf_src, w, r):
     """w may service r: it lies between r's po-loc write neighbours."""
     po_loc, co = cand.po_loc, cand.co
     rev = events_by_id[r]
@@ -237,11 +242,10 @@ def _visible(cand, events_by_id, rf_src, w, r, strengthen_coRR):
         wa = min(after, key=lambda e: e.po_index).id
         if (w, r) not in po_loc and (w, wa) not in co:
             return False
-    if strengthen_coRR:
-        for e in cand.events:
-            if is_read(e) and e.action.loc == loc and (e.id, r) in po_loc:
-                if (w, rf_src[e.id]) in co:
-                    return False
+    for e in cand.events:
+        if is_read(e) and e.action.loc == loc and (e.id, r) in po_loc:
+            if (w, rf_src[e.id]) in co:
+                return False
     return True
 
 
@@ -465,7 +469,7 @@ def _behavior(cand):
     return frozenset(cand.rf.pairs()), observed_state(cand)
 
 
-def cross_check(t, model, bound: int = 8):
+def cross_check(t, model, bound: int = DEFAULT_BOUND):
     """Machine and model behaviors of t, evaluating model once per candidate.
 
     Returns (machine behaviors, model behaviors, context of the first
@@ -490,7 +494,7 @@ def cross_check(t, model, bound: int = 8):
     return accepted, allowed, first
 
 
-def enumerate_accepted(t, bound: int = 8):
+def enumerate_accepted(t, bound: int = DEFAULT_BOUND):
     """Behaviors {(rf pairs, observed state)} with an accepted machine run."""
     from .models import load_builtin
 

@@ -29,34 +29,7 @@ class MemWrite:
     value: int
 
 
-@dataclass(frozen=True)
-class RegRead:
-    """Read of a register feeding a named input port of its instruction.
-
-    port is one of "addr", "value", "operand", "flag"; address-vs-value
-    distinguishes which dependencies count as addr and which as data.
-    """
-
-    reg: str
-    port: str
-
-
-@dataclass(frozen=True)
-class RegWrite:
-    reg: str
-
-
-@dataclass(frozen=True)
-class BranchEvent:
-    pass
-
-
-@dataclass(frozen=True)
-class FenceEvent:
-    kind: str
-
-
-Action = Union[MemRead, MemWrite, RegRead, RegWrite, BranchEvent, FenceEvent]
+Action = Union[MemRead, MemWrite]
 
 
 @dataclass(frozen=True)
@@ -67,7 +40,6 @@ class Event:
     thread: str
     po_index: int
     action: Action
-    origin: Any = None
 
 
 def is_read(event: Event) -> bool:

@@ -106,11 +106,10 @@ def test_criterion_3_sc_tso_oracle_equivalence_under_2min():
 def test_criterion_4_machine_equivalence_and_witness_roundtrip_under_5min():
     start = time.monotonic()
     power = load_builtin("power")
-    small = [t for t in map(suite.load, suite.names()) if len(t.events) <= 8]
-    assert len(small) >= 15
-    for t in small:
-        assert enumerate_accepted(t, 8) == model_behaviors(t, power), t.name
-    for t in small:
+    tests = [suite.load(name) for name in suite.names()]
+    for t in tests:
+        assert enumerate_accepted(t, 10) == model_behaviors(t, power), t.name
+    for t in tests:
         for cand in enumerate_candidates(t):
             result = run_model(power, cand)
             if not result.passed:

@@ -234,7 +234,7 @@ def test_compare_read_read_coherence_split():
 
 
 def test_machine_equivalence_pass_and_bound_skip():
-    res = invoke("machine", "--format", "jsonl", "sb", "isa2")
+    res = invoke("machine", "--bound", "8", "--format", "jsonl", "sb", "isa2")
     assert res.exit_code == 0, res.output
     by = {r["test"]: r for r in jsonl(res)}
     assert by["sb"]["skipped"] is False
@@ -345,6 +345,22 @@ def test_model_evaluation_error_is_usage_error(tmp_path, body):
         assert "broken.cat" in err
 
 
+@pytest.mark.parametrize(
+    "check",
+    ["(" * 400 + "po" + ")" * 400, " | ".join(["po"] * 3000)],
+    ids=["nested-parentheses", "long-union"],
+)
+def test_deeply_nested_model_is_usage_error(tmp_path, check):
+    # the first overflows the parser, the second the evaluator
+    f = tmp_path / "deep.cat"
+    f.write_text(f"acyclic {check}\n")
+    res = invoke("run", "-m", str(f), "mp")
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "deep.cat" in err
+    assert "nested too deeply" in err
+
+
 def test_machine_matches_power_on_whole_suite_at_bound_10():
     res = invoke("machine", "--bound", "10", "--format", "jsonl", *suite.names())
     assert res.exit_code == 0, res.output
@@ -352,6 +368,10 @@ def test_machine_matches_power_on_whole_suite_at_bound_10():
     assert len(recs) == len(suite.names())
     for r in recs:
         assert r["skipped"] is False and r["equal"] is True, r["test"]
+    # the default budget is 10 events, so it cross-checks the whole suite too
+    default = invoke("machine", "--format", "jsonl", *suite.names())
+    assert default.exit_code == 0, default.output
+    assert jsonl(default) == recs
 
 
 def test_machine_evaluates_power_once_per_candidate(monkeypatch):

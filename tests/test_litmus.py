@@ -1,7 +1,11 @@
 """Litmus parser and projection tests."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from memcat import suite
 from memcat.litmus import (
     And,
     LitmusError,
@@ -11,7 +15,7 @@ from memcat.litmus import (
     parse_litmus,
     project,
 )
-from memcat.relation import FenceEvent, MemRead, MemWrite
+from memcat.relation import MemRead, MemWrite
 
 
 MP = """\
@@ -198,6 +202,35 @@ final exists (T0:r1=0)
     assert reads[1].action.loc == "x"
 
 
+def test_dependency_carries_through_a_dependent_load():
+    # b's address depends on a, so b's destination r4 carries a's taint
+    # along with b's own; mov clears a register's taint
+    src = """\
+chain power
+init { x=0; y=0; z=0; w=0; rx=&x; ry=&y; rz=&z; rw=&w; r9=1; }
+thread T0 {
+  ld r1, [rx]
+  xor r2, r1, r1
+  add r3, r2, ry
+  ld r4, [r3]
+  xor r5, r4, r4
+  add r6, r5, rz
+  st [r6], r9
+  add r7, r5, #1
+  st [rw], r7
+  mov r4, #0
+  add r8, r4, rx
+  ld r10, [r8]
+}
+final exists (T0:r1=0)
+"""
+    t = project(parse_litmus(src))
+    a, b, c, d, e = (ev.id for ev in t.events if ev.thread == "T0")
+    assert set(t.deps["addr"].pairs()) == {(a, b), (a, c), (b, c)}
+    assert set(t.deps["data"].pairs()) == {(a, d), (b, d)}
+    assert not any((x, e) in t.deps["addr"] for x in (a, b, c, d))
+
+
 def test_ctrl_covers_every_later_access():
     src = """\
 ctrl power
@@ -307,6 +340,14 @@ def test_final_condition_conjunction_binds_tighter():
     assert cond.items[1] == LocEq("x", 1)
 
 
+def test_deeply_nested_final_is_a_litmus_error():
+    deep = "(" * 400 + "T1:r2=1" + ")" * 400
+    src = MP.replace("(T1:r2=1 /\\ T1:r3=0)", f"({deep})")
+    assert deep in src
+    with pytest.raises(LitmusError, match="nested too deeply"):
+        parse_litmus(src)
+
+
 def test_expect_block_parsed():
     src = MP.replace(
         "final exists",
@@ -356,3 +397,35 @@ final exists (T1:r2=1)
     assert set(t.fences["dmb"].pairs()) == {(2, 3)}
     assert set(t.fences["dmb.st"].pairs()) == {(4, 5)}
     assert not t.fences["sync"]
+
+
+# Every suite test's projection, recorded before dependencies were computed
+# by register taint instead of a micro-event graph.  Frozen: a frontend
+# change that moves any entry here is a behaviour change, not a refactor.
+SNAPSHOT = Path(__file__).with_name("projection_snapshot.json")
+
+
+def projection_record(t) -> dict:
+    """Everything project() computes, as plain JSON data."""
+    return {
+        "events": [
+            [e.thread, e.po_index, type(e.action).__name__, e.action.loc, e.action.value]
+            for e in t.events
+        ],
+        "names": [t.names[e.id] for e in t.events],
+        "po": t.po.pairs(),
+        "deps": {k: r.pairs() for k, r in sorted(t.deps.items())},
+        "fences": {k: r.pairs() for k, r in sorted(t.fences.items())},
+        "reg_sources": {
+            f"{thread}:{reg}": list(src)
+            for (thread, reg), src in sorted(t.reg_sources.items())
+        },
+    }
+
+
+def test_suite_projections_match_snapshot():
+    want = json.loads(SNAPSHOT.read_text())
+    assert sorted(want) == suite.names()
+    for name in suite.names():
+        got = json.loads(json.dumps(projection_record(suite.load(name))))
+        assert got == want[name], name

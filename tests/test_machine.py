@@ -1,5 +1,7 @@
 """Operational machine: acceptance, witness paths, path derivation."""
 
+from dataclasses import replace
+
 import pytest
 
 from memcat import suite
@@ -23,11 +25,10 @@ def power():
     return load_builtin("power")
 
 
-def contexts(name, power, **kw):
-    t = suite.load(name)
-    for cand in enumerate_candidates(t):
-        env = run_model(power, cand).env
-        yield cand, machine_context(cand, env, **kw), run_model(power, cand).passed
+def contexts(name, power):
+    for cand in enumerate_candidates(suite.load(name)):
+        result = run_model(power, cand)
+        yield cand, machine_context(cand, result.env), result.passed
 
 
 def test_machine_matches_model_on_mp(power):
@@ -52,16 +53,17 @@ def test_machine_blocks_stale_second_read(power):
 
 
 def test_corr_strengthening_is_load_bearing(power):
-    # with the check off, the machine commits the reads out of order and
-    # wrongly accepts the execution the model forbids
+    # with cr:visible forced true, the machine commits the reads out of
+    # order and wrongly accepts the execution the model forbids
     t = suite.load("coRR")
     weak_accepts = []
     for cand in enumerate_candidates(t):
-        env = run_model(power, cand).env
-        model_ok = run_model(power, cand).passed
-        ctx = machine_context(cand, env, strengthen_coRR=False)
-        if not model_ok and evaluate_final(cand):
-            weak_accepts.append(machine_accepts(ctx))
+        result = run_model(power, cand)
+        ctx = machine_context(cand, result.env)
+        if not result.passed and evaluate_final(cand):
+            assert not machine_accepts(ctx)
+            weak = replace(ctx, visible_ok={r: True for r in ctx.read_ids})
+            weak_accepts.append(machine_accepts(weak))
     assert weak_accepts == [True]
 
 

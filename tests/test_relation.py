@@ -171,10 +171,10 @@ def test_acyclic_iff_closure_irreflexive(r):
 
 def _sb_like_events():
     evs = (
-        Event(0, "T0", 0, MemWrite("x", 1), 0),
-        Event(1, "T0", 1, MemRead("y", 0), 1),
-        Event(2, "T1", 0, MemWrite("y", 1), 2),
-        Event(3, "T1", 1, MemRead("x", 0), 3),
+        Event(0, "T0", 0, MemWrite("x", 1)),
+        Event(1, "T0", 1, MemRead("y", 0)),
+        Event(2, "T1", 0, MemWrite("y", 1)),
+        Event(3, "T1", 1, MemRead("x", 0)),
     )
     return evs
 
