@@ -15,7 +15,7 @@ a model is always one flat statement list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -91,11 +91,13 @@ class DirFilter:
 class Let:
     name: str
     expr: object
+    pos: str = field(compare=False)  # keyword's file:line:col, for errors
 
 
 @dataclass(frozen=True)
 class LetRec:
     bindings: tuple  # ((name, expr), ...)
+    pos: str = field(compare=False)  # keyword's file:line:col, for errors
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ class Check:
     kind: str  # "acyclic" | "irreflexive"
     expr: object
     name: Optional[str]
+    pos: str = field(compare=False)  # keyword's file:line:col, for errors
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,14 @@ _TOKEN = re.compile(
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
-def _error(text: str, path, offset: int, msg: str) -> CatError:
+def _position(text: str, path, offset: int) -> str:
     line = text.count("\n", 0, offset) + 1
     col = offset - text.rfind("\n", 0, offset)
-    return CatError(f"{path or '<model>'}:{line}:{col}: {msg}")
+    return f"{path or '<model>'}:{line}:{col}"
+
+
+def _error(text: str, path, offset: int, msg: str) -> CatError:
+    return CatError(f"{_position(text, path, offset)}: {msg}")
 
 
 def _lex(text: str, path=None):
@@ -179,6 +186,9 @@ class _Parser:
 
     def error(self, tok, msg) -> CatError:
         return _error(self.text, self.path, tok[2], msg)
+
+    def position(self, tok) -> str:
+        return _position(self.text, self.path, tok[2])
 
     def peek(self):
         while self.tokens[self.pos][0] == "comment":
@@ -263,7 +273,7 @@ class _Parser:
                 break
             if kind == "kw" and value == "let":
                 self.next()
-                out.append(self.let_tail())
+                out.append(self.let_tail(self.position(tok)))
             elif kind == "kw" and value == "include":
                 self.next()
                 out.extend(self.include(self.expect("string")))
@@ -283,7 +293,7 @@ class _Parser:
                     name = re.sub(r"\s+", "-", comment.lower())
                 if name is None:
                     name = f"check-{check_index}"
-                out.append(Check(value, expr, name))
+                out.append(Check(value, expr, name, self.position(tok)))
             else:
                 raise self.error(tok, f"unexpected {_describe(tok)} at statement level")
         return out
@@ -304,21 +314,21 @@ class _Parser:
             raise self.error(tok, f"cannot read include {str(path)!r}: {exc}")
         return _Parser(text, path, self.include_dirs, self.including | {key}).statements()
 
-    def let_tail(self):
+    def let_tail(self, pos):
         if self.peek()[:2] == ("kw", "rec"):
             start = self.next()
             bindings = [self.binding()]
             while self.peek()[:2] == ("kw", "and"):
                 self.next()
                 bindings.append(self.binding())
-            stmt = LetRec(tuple(bindings))
+            stmt = LetRec(tuple(bindings), pos)
             try:
                 _check_monotone(stmt)
             except CatError as exc:
                 raise self.error(start, str(exc)) from None
             return stmt
         name, expr = self.binding()
-        return Let(name, expr)
+        return Let(name, expr, pos)
 
     def binding(self):
         name = self.expect("name")[1]
@@ -447,38 +457,40 @@ def _bind(env: dict, name: str, value: Relation):
 
 
 def run_model(model: Model, cand: Candidate) -> ModelResult:
-    try:
-        return _run(model, cand)
-    except RecursionError:
-        raise CatError("expression nested too deeply to evaluate") from None
-
-
-def _run(model: Model, cand: Candidate) -> ModelResult:
     env = builtin_env(cand)
     checks = []
     for stmt in model.statements:
-        if isinstance(stmt, Let):
-            _bind(env, stmt.name, eval_expr(stmt.expr, env, cand))
-        elif isinstance(stmt, LetRec):
-            for name, _ in stmt.bindings:
-                _bind(env, name, Relation.empty(cand.n))
-            # chaotic iteration to the least fixpoint; all operators that
-            # may see recursive names are monotone, so this terminates
-            changed = True
-            while changed:
-                changed = False
-                for name, expr in stmt.bindings:
-                    new = eval_expr(expr, env, cand)
-                    if new != env[name]:
-                        env[name] = new
-                        changed = True
-        elif isinstance(stmt, Check):
-            r = eval_expr(stmt.expr, env, cand)
-            if stmt.kind == "acyclic":
-                witness = check_acyclic(r)
-            else:
-                witness = check_irreflexive(r)
-            checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
-        else:  # pragma: no cover
-            raise CatError(f"unknown statement {stmt!r}")
+        try:
+            _execute(stmt, env, cand, checks)
+        except CatError as exc:
+            raise CatError(f"{stmt.pos}: {exc}") from None
+        except RecursionError:
+            raise CatError(f"{stmt.pos}: expression nested too deeply to evaluate") from None
     return ModelResult(all(c.ok for c in checks), tuple(checks), env)
+
+
+def _execute(stmt, env: dict, cand: Candidate, checks: list):
+    if isinstance(stmt, Let):
+        _bind(env, stmt.name, eval_expr(stmt.expr, env, cand))
+    elif isinstance(stmt, LetRec):
+        for name, _ in stmt.bindings:
+            _bind(env, name, Relation.empty(cand.n))
+        # chaotic iteration to the least fixpoint; all operators that
+        # may see recursive names are monotone, so this terminates
+        changed = True
+        while changed:
+            changed = False
+            for name, expr in stmt.bindings:
+                new = eval_expr(expr, env, cand)
+                if new != env[name]:
+                    env[name] = new
+                    changed = True
+    elif isinstance(stmt, Check):
+        r = eval_expr(stmt.expr, env, cand)
+        if stmt.kind == "acyclic":
+            witness = check_acyclic(r)
+        else:
+            witness = check_irreflexive(r)
+        checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
+    else:  # pragma: no cover
+        raise CatError(f"unknown statement {stmt!r}")

@@ -88,8 +88,8 @@ def _load_tests(args):
 def _evaluate(t, model, spec, **kw):
     try:
         return evaluate_test(t, model, _model_label(spec), **kw)
-    except CatError as exc:
-        raise click.UsageError(f"{spec}: {exc}")
+    except CatError as exc:  # names the failing statement's file:line:col
+        raise click.UsageError(str(exc))
 
 
 def _table(headers, rows) -> str:

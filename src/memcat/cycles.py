@@ -3,12 +3,12 @@
 Works on the program text alone, no enumeration: accesses compete when
 they hit the same location from different threads and one of them
 writes.  Cycles alternating program order with competing accesses are
-mined from the (cmp | po) digraph, filtered by the two minimality
-restrictions (at most two accesses per thread, on distinct locations;
-at most three accesses per location, from distinct threads), reduced
-by collapsing communication chains to their extremities, named by
-per-thread access digrams, and attributed to the axiom that would have
-to fail for the cycle to run.
+mined from the (cmp | po) digraph by a search that stops a path at the
+first access breaking either minimality restriction (at most two
+accesses per thread, on distinct locations; at most three accesses per
+location, from distinct threads), reduced by collapsing communication
+chains to their extremities, named by per-thread access digrams, and
+attributed to the axiom that would have to fail for the cycle to run.
 
 Competing edges are resolved by their endpoints: write-to-read is a
 read-from, read-to-write a from-read, write-to-write a coherence edge.
@@ -266,28 +266,29 @@ def find_critical_cycles(program: Program) -> list:
                     succs[b.uid].append(a.uid)
 
     found = []
-    for nodes in _simple_cycles(succs, 2 * len(threads)):
-        accs = [by_uid[u] for u in nodes]
+    for accs in _simple_cycles(succs, by_uid):
+        if len({a.location for a in accs}) < 2:
+            continue
         edges = [
             _edge_between(accs[i], accs[(i + 1) % len(accs)], program)
             for i in range(len(accs))
         ]
         # each cycle starts at its least uid, so it is already canonical
-        cyc = LabeledCycle(tuple(accs), tuple(edges), True)
-        if (
-            len({a.location for a in cyc.accesses}) >= 2
-            and thread_condition(cyc)
-            and location_condition(cyc)
-        ):
-            found.append(cyc)
+        found.append(LabeledCycle(tuple(accs), tuple(edges), True))
     found.sort(key=_sort_key)
     return found + _coherence_shapes(program, threads, by_loc)
 
 
-def _simple_cycles(succs: dict, bound: int):
-    """Each simple cycle of at most bound nodes once, from its least node."""
+def _simple_cycles(succs: dict, by_uid: dict):
+    """Each simple cycle that keeps both minimality conditions once.
+
+    A cycle comes out as its accesses, from its least uid.  A path stops
+    growing at the first access that breaks the thread or the location
+    condition: every prefix of a cycle that keeps them keeps them too,
+    so no cycle is lost, and a path holds at most two accesses a thread.
+    """
     for start in sorted(succs):
-        path, todo = [start], [iter(succs[start])]
+        path, todo = [by_uid[start]], [iter(succs[start])]
         while todo:
             v = next(todo[-1], None)
             if v is None:
@@ -295,9 +296,22 @@ def _simple_cycles(succs: dict, bound: int):
                 path.pop()
             elif v == start:
                 yield list(path)
-            elif v > start and v not in path and len(path) < bound:
-                path.append(v)
+            elif v > start and _extends(path, by_uid[v]):
+                path.append(by_uid[v])
                 todo.append(iter(succs[v]))
+
+
+def _extends(path: list, a: StaticAccess) -> bool:
+    """path + [a] keeps the thread and the location conditions."""
+    same_thread = same_loc = 0
+    for x in path:
+        if x.thread == a.thread:
+            if x.location == a.location:
+                return False
+            same_thread += 1
+        elif x.location == a.location:
+            same_loc += 1
+    return same_thread < 2 and same_loc < 3
 
 
 def _coherence_shapes(program: Program, threads: dict, by_loc: dict) -> list:

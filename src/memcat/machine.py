@@ -4,34 +4,42 @@ The machine runs one candidate execution at a time.  Per-thread program
 order feeds a global pool of pending labels: each program write w carries
 a commit label c(w) and a coherence-point label cp(w); each read r carries
 a satisfy label s(w,r) and a commit label c(w,r), where w is the write the
-candidate's rf picked for r.  Initial-state writes are treated as already
-committed and already past coherence point.
+candidate's rf picked for r.
 
 The premises consult Power's ppo, fence, prop and hb, taken from the
 caller's one evaluation of Power on the candidate; cross_check feeds that
 result's env to the machine and its verdict to the axiomatic side.
 
-A candidate is accepted when some interleaving of its labels discharges
-every premise below.  Premise identifiers (reported by replay_path when a
-step is illegal):
+A candidate is accepted when some interleaving fires every label.
+machine_context turns each label's premises into two label bitmasks over
+the done set: need, the labels that must already be done, and block, the
+labels whose being done wedges it.  A label fires when it is not done,
+all of its need is done and none of its block is.  The premises:
 
-  c(w)    cw:coWW     no po-loc-later write already committed
-          cw:prop     no prop-later write already committed
-          cw:fences   no fence-later read already satisfied
-  cp(w)   cpw:buff    w itself committed
-          cpw:co      every co-predecessor already at coherence point
-          cpw:order   no po-loc- or prop-later write already at coherence
-          cpw:prop-rw every prop-earlier read already satisfied
-  s(w,r)  sr:source   w is po-loc-before r or already committed
-          sr:ppo      no ppo/fence-later read already satisfied
-          sr:obs      no co-successor of w propagates to r ahead of it
-          sr:prop-rr  no prop-later read already satisfied
-          sr:prop-wr  every prop-earlier write has reached coherence
-  c(w,r)  cr:satisfied  r was satisfied
-          cr:visible    w lies between r's po-loc neighbours (and no
-                        po-loc-earlier read saw a co-later write)
-          cr:ppo-write  no ppo/fence-later write already committed
-          cr:ppo-read   no ppo/fence-later read already satisfied
+  c(w)    block  cw:coWW      commits of po-loc-later writes
+                 cw:prop      commits of prop-later writes
+                 cw:fences    satisfactions of fence-later reads
+  cp(w)   need   cpw:buff     c(w)
+                 cpw:co       coherence points of co-predecessors
+                 cpw:prop-rw  satisfactions of prop-earlier reads
+          block  cpw:order    coherence points of po-loc- or prop-later writes
+  s(w,r)  need   sr:source    c(w), unless w is po-loc-before r
+                 sr:prop-wr   coherence points of prop-earlier writes
+          block  sr:ppo       satisfactions of ppo/fence-later reads
+                 sr:prop-rr   satisfactions of prop-later reads
+          never  sr:obs       a co-successor of w propagates to r ahead of it
+  c(w,r)  need   cr:satisfied s(w,r)
+          block  cr:ppo-write commits of ppo/fence-later writes
+                 cr:ppo-read  satisfactions of ppo/fence-later reads
+          never  cr:visible   w lies outside r's po-loc neighbours (or a
+                              po-loc-earlier read saw a co-later write)
+
+Initial-state writes have no labels: they are committed and past
+coherence point from the start, so they drop out of every need, and an
+init write among those that would wedge a label wedges it for good.  A
+label that can never fire, wedged so or failing sr:obs or cr:visible,
+gets the need NEVER, which no done set covers, and machine_accepts
+rejects the candidate at once.
 
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
@@ -41,11 +49,11 @@ against coherence points: sr:prop-rr, sr:prop-wr and cpw:prop-rw above.
 Any co|prop cycle then maps onto a cycle of label orderings, so no
 interleaving discharges it.
 
-The stuck-style premises never un-block: once violated the path is dead,
-so the search simply abandons it.  The wait-style ones (cpw:co,
-sr:prop-wr, cpw:prop-rw) merely postpone a label.  State is four monotone
-sets (committed writes, coherence-done writes, satisfied reads, committed
-reads), which makes the done-label bitmask a complete state key.
+A block never lifts: labels only become done, so once a path wedges a
+label the search abandons it.  A need merely postpones a label.  Every
+premise reads the done set alone, so the done-label bitmask is the whole
+state.  replay_path runs a given path and reports the index of the
+first step that cannot fire.
 """
 
 from __future__ import annotations
@@ -100,89 +108,39 @@ class MachineContext:
     cand: Candidate
     labels: tuple  # all pending labels, index = label id
     label_index: dict  # label -> id
-    init_mask: int
     write_ids: tuple
     read_ids: tuple
     rf_src: dict  # read id -> write id
-    # event-id bitmasks, indexed by event id
-    block_cw_buff: dict  # w -> writes whose early commit wedges c(w)
-    block_cw_sr: dict  # w -> reads whose early satisfaction wedges c(w)
-    co_preds: dict  # w -> writes that must reach coherence first
-    later_reads: dict  # r -> ppo/fence-later reads
-    later_writes: dict  # r -> ppo/fence-later writes
-    local_fwd: dict  # r -> rf source sits po-loc-before r
-    sr_obs_ok: dict  # r -> bool, sr:obs holds
-    visible_ok: dict  # r -> bool, cr:visible holds
-    prop_rr_later: dict  # r -> prop-later reads
-    prop_wr_preds: dict  # r -> prop-earlier writes (must be past coherence)
-    prop_rw_preds: dict  # w -> prop-earlier reads (must be satisfied)
+    # label bitmasks, indexed by label id
+    need: tuple  # labels that must already be done; NEVER if it cannot fire
+    block: tuple  # labels whose being done wedges it
     ppo: Relation = field(repr=False, default=None)
     fence: Relation = field(repr=False, default=None)
     prop: Relation = field(repr=False, default=None)
 
 
+# a need no done set covers
+NEVER = -1
+
+
 def machine_context(cand, env):
-    """Precompute premise tables for one candidate.
+    """Turn every premise of one candidate into label bitmasks.
 
     env supplies the ppo/fence/prop/hb bindings the machine consults: the
     env of the caller's evaluation of Power on cand, run_model(power, cand).env.
     """
     ppo, fence, prop, hb = env["ppo"], env["fence"], env["prop"], env["hb"]
     ppo_fence = ppo | fence
+    order = cand.po_loc | prop
     prop_hb_star = compose(prop, closure(hb, reflexive=True))
-    po_loc, co, rf = cand.po_loc, cand.co, cand.rf
+    co, co_before, prop_before = cand.co, cand.co.inverse(), prop.inverse()
 
-    init_ids = [e.id for e in cand.events if e.thread == "init"]
-    init_mask = 0
-    for i in init_ids:
-        init_mask |= 1 << i
+    init_mask = sum(1 << e.id for e in cand.events if e.thread == "init")
     write_ids = tuple(
         e.id for e in cand.events if is_write(e) and e.thread != "init"
     )
     read_ids = tuple(e.id for e in cand.events if is_read(e))
-    rf_src = {r: w for (w, r) in rf.pairs()}
-    write_flag = {e.id: is_write(e) for e in cand.events}
-    read_flag = {e.id: is_read(e) for e in cand.events}
-
-    def mask(ids):
-        m = 0
-        for i in ids:
-            m |= 1 << i
-        return m
-
-    order_block = po_loc | prop
-    prop_preds = {e.id: [] for e in cand.events}
-    for (x, y) in prop.pairs():
-        prop_preds[y].append(x)
-    block_cw_buff = {}
-    block_cw_sr = {}
-    co_preds = {}
-    prop_rw_preds = {}
-    for w in write_ids:
-        block_cw_buff[w] = mask(x for x in order_block.successors(w) if write_flag[x])
-        block_cw_sr[w] = mask(x for x in fence.successors(w) if read_flag[x])
-        co_preds[w] = mask(x for (x, y) in co.pairs() if y == w)
-        prop_rw_preds[w] = mask(x for x in prop_preds[w] if read_flag[x])
-
-    events_by_id = {e.id: e for e in cand.events}
-    later_reads = {}
-    later_writes = {}
-    local_fwd = {}
-    sr_obs_ok = {}
-    visible_ok = {}
-    prop_rr_later = {}
-    prop_wr_preds = {}
-    for r in read_ids:
-        later_reads[r] = mask(x for x in ppo_fence.successors(r) if read_flag[x])
-        later_writes[r] = mask(x for x in ppo_fence.successors(r) if write_flag[x])
-        prop_rr_later[r] = mask(x for x in prop.successors(r) if read_flag[x])
-        prop_wr_preds[r] = mask(x for x in prop_preds[r] if write_flag[x])
-        w = rf_src[r]
-        local_fwd[r] = (w, r) in po_loc
-        sr_obs_ok[r] = not any(
-            (w2, r) in prop_hb_star for w2 in co.successors(w)
-        )
-        visible_ok[r] = _visible(cand, events_by_id, rf_src, w, r)
+    rf_src = {r: w for (w, r) in cand.rf.pairs()}
 
     labels = []
     for w in write_ids:
@@ -194,25 +152,47 @@ def machine_context(cand, env):
     labels = tuple(labels)
     label_index = {l: i for i, l in enumerate(labels)}
 
+    # event id -> bit of the label that commits a write (cw), brings it to
+    # coherence (cpw) or satisfies a read (sr); init writes have none
+    cw = {w: 1 << label_index[("cw", w)] for w in write_ids}
+    cpw = {w: 1 << label_index[("cpw", w)] for w in write_ids}
+    sr = {r: 1 << label_index[("sr", rf_src[r], r)] for r in read_ids}
+
+    def bits(table, events):
+        """The table's label bits for the events of an event bitmask."""
+        return sum(b for x, b in table.items() if events >> x & 1)
+
+    events_by_id = {e.id: e for e in cand.events}
+    need, block = [], []
+    for w in write_ids:
+        later = order.row(w)  # cw:coWW, cw:prop and cpw:order
+        # cpw:buff, cpw:co and cpw:prop-rw
+        wait = cw[w] | bits(cpw, co_before.row(w)) | bits(sr, prop_before.row(w))
+        # an init write is done from the start, so it wedges for good
+        wedged = later & init_mask
+        need += [NEVER if wedged else 0, NEVER if wedged else wait]
+        block += [bits(cw, later) | bits(sr, fence.row(w)), bits(cpw, later)]
+    for r in read_ids:
+        w = rf_src[r]
+        later = ppo_fence.row(r)  # sr:ppo, cr:ppo-write and cr:ppo-read
+        source = 0 if (w, r) in cand.po_loc else cw.get(w, 0)  # sr:source
+        obs = not any((w2, r) in prop_hb_star for w2 in co.successors(w))
+        visible = _visible(cand, events_by_id, rf_src, w, r)
+        need += [
+            source | bits(cpw, prop_before.row(r)) if obs else NEVER,
+            sr[r] if visible and not later & init_mask else NEVER,
+        ]
+        block += [bits(sr, later | prop.row(r)), bits(cw, later) | bits(sr, later)]
+
     return MachineContext(
         cand=cand,
         labels=labels,
         label_index=label_index,
-        init_mask=init_mask,
         write_ids=write_ids,
         read_ids=read_ids,
         rf_src=rf_src,
-        block_cw_buff=block_cw_buff,
-        block_cw_sr=block_cw_sr,
-        co_preds=co_preds,
-        later_reads=later_reads,
-        later_writes=later_writes,
-        local_fwd=local_fwd,
-        sr_obs_ok=sr_obs_ok,
-        visible_ok=visible_ok,
-        prop_rr_later=prop_rr_later,
-        prop_wr_preds=prop_wr_preds,
-        prop_rw_preds=prop_rw_preds,
+        need=tuple(need),
+        block=tuple(block),
         ppo=ppo,
         fence=fence,
         prop=prop,
@@ -249,91 +229,41 @@ def _visible(cand, events_by_id, rf_src, w, r):
     return True
 
 
-def _enabled(ctx, label, done, buff, cpd, sr):
-    kind = label[0]
-    if kind == "cw":
-        w = label[1]
-        return (
-            not buff & ctx.block_cw_buff[w]
-            and not sr & ctx.block_cw_sr[w]
-        )
-    if kind == "cpw":
-        w = label[1]
-        return (
-            bool(buff & (1 << w))
-            and ctx.co_preds[w] & ~cpd == 0
-            and not cpd & ctx.block_cw_buff[w]
-            and ctx.prop_rw_preds[w] & ~sr == 0
-        )
-    if kind == "sr":
-        _, w, r = label
-        return (
-            (ctx.local_fwd[r] or bool(buff & (1 << w)))
-            and not sr & ctx.later_reads[r]
-            and ctx.sr_obs_ok[r]
-            and not sr & ctx.prop_rr_later[r]
-            and ctx.prop_wr_preds[r] & ~cpd == 0
-        )
-    _, w, r = label
-    return (
-        bool(sr & (1 << r))
-        and ctx.visible_ok[r]
-        and not buff & ctx.later_writes[r]
-        and not sr & ctx.later_reads[r]
-    )
-
-
-def _apply(label, buff, cpd, sr, cr):
-    kind = label[0]
-    if kind == "cw":
-        buff |= 1 << label[1]
-    elif kind == "cpw":
-        cpd |= 1 << label[1]
-    elif kind == "sr":
-        sr |= 1 << label[2]
-    else:
-        cr |= 1 << label[2]
-    return buff, cpd, sr, cr
+def _fires(ctx, i, done):
+    """Label i can fire from the done set: not done, needs met, unwedged."""
+    return not (done >> i & 1 or ctx.need[i] & ~done or ctx.block[i] & done)
 
 
 def machine_accepts(ctx):
-    """True when some interleaving discharges every label of the candidate."""
-    labels = ctx.labels
-    nlab = len(labels)
+    """True when some interleaving fires every label of the candidate."""
+    if NEVER in ctx.need:
+        return False
+    nlab = len(ctx.labels)
     full = (1 << nlab) - 1
     dead = set()
 
-    def search(done, buff, cpd, sr, cr):
+    def search(done):
         if done == full:
             return True
         if done in dead:
             return False
         for i in range(nlab):
-            bit = 1 << i
-            if done & bit:
-                continue
-            if not _enabled(ctx, labels[i], done, buff, cpd, sr):
-                continue
-            if search(done | bit, *_apply(labels[i], buff, cpd, sr, cr)):
+            if _fires(ctx, i, done) and search(done | 1 << i):
                 return True
         dead.add(done)
         return False
 
-    return search(0, ctx.init_mask, ctx.init_mask, 0, 0)
+    return search(0)
 
 
 def replay_path(ctx, path):
     """Run path label by label.  Returns (accepted, first_blocked_index)."""
     done = 0
-    buff, cpd, sr, cr = ctx.init_mask, ctx.init_mask, 0, 0
-    for i, label in enumerate(path):
-        idx = ctx.label_index.get(label)
-        if idx is None or done & (1 << idx):
-            return False, i
-        if not _enabled(ctx, label, done, buff, cpd, sr):
-            return False, i
-        done |= 1 << idx
-        buff, cpd, sr, cr = _apply(label, buff, cpd, sr, cr)
+    for step, label in enumerate(path):
+        i = ctx.label_index.get(label)
+        if i is None or not _fires(ctx, i, done):
+            return False, step
+        done |= 1 << i
     return done == (1 << len(ctx.labels)) - 1, None
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +44,7 @@ def _drop_dynamic_ppo(model: Model) -> Model:
     # is derivable from the program text
     return Model(
         tuple(
-            Let(s.name, Empty())
+            replace(s, expr=Empty())
             if isinstance(s, Let) and s.name in ("rdw", "detour")
             else s
             for s in model.statements

@@ -330,9 +330,19 @@ def test_unreadable_input_is_usage_error(tmp_path, name, args):
 
 
 @pytest.mark.parametrize(
-    "body", ["let x = pox\n", "let x = po\nlet x = rf\n"], ids=["unbound", "rebound"]
+    "body, where",
+    [
+        ("let x = pox\n", "broken.cat:1:1: unbound name 'pox'"),
+        ("let x = po\nlet x = rf\n", "broken.cat:2:1: name 'x' is already bound"),
+        # one fragment reached through two others binds x twice
+        ('include "_a.cat"\ninclude "_b.cat"\n', "_x.cat:2:1: name 'x' is already bound"),
+    ],
+    ids=["unbound", "rebound", "fragment-included-twice"],
 )
-def test_model_evaluation_error_is_usage_error(tmp_path, body):
+def test_model_evaluation_error_is_usage_error(tmp_path, body, where):
+    (tmp_path / "_a.cat").write_text('include "_x.cat"\n')
+    (tmp_path / "_b.cat").write_text('include "_x.cat"\n')
+    (tmp_path / "_x.cat").write_text("(* x *)\nlet x = po\n")
     f = tmp_path / "broken.cat"
     f.write_text(body + "acyclic x\n")
     for args in (
@@ -342,7 +352,7 @@ def test_model_evaluation_error_is_usage_error(tmp_path, body):
         res = invoke(*args)
         assert res.exit_code == 2, args
         err = getattr(res, "stderr", "") or res.output
-        assert "broken.cat" in err
+        assert where in err
 
 
 @pytest.mark.parametrize(

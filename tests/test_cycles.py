@@ -1,6 +1,7 @@
 """Static cycle mining: parsing, enumeration, reduction, naming, axioms."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,20 @@ def test_conditions_hold_on_seeded_random_programs():
                 assert thread_condition(c), lines
                 assert location_condition(c), lines
                 assert len({a.location for a in c.accesses}) >= 2, lines
+
+
+def test_alternating_threads_mine_in_bounded_time():
+    # threads alternating Wx Ry / Wy Rx: the search stops at the first
+    # access that breaks a minimality condition, so 10 threads stay fast;
+    # the 6-thread count matches the search that filtered only at the end
+    def alternating(n):
+        return prog(*(f"T{i}: " + ("Wx Ry" if i % 2 else "Wy Rx") for i in range(n)))
+
+    assert len(mine(alternating(6))) == 81
+    start = time.perf_counter()
+    records = mine(alternating(10))
+    assert time.perf_counter() - start < 5
+    assert len(records) == 625
 
 
 # ------------------------------------------------------------------ reduction
