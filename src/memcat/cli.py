@@ -276,6 +276,8 @@ def machine(bound, trace, fmt, tests):
             accepted, axiomatic, first = cross_check(t, power, bound)
         except BoundError as exc:
             return {**base, "skipped": True, "warning": str(exc)}
+        except CatError as exc:  # an unbound name, or no ppo/fence/prop/hb
+            raise click.UsageError(str(exc))
         rec = {
             **base,
             "skipped": False,

@@ -38,8 +38,8 @@ Initial-state writes have no labels: they are committed and past
 coherence point from the start, so they drop out of every need, and an
 init write among those that would wedge a label wedges it for good.  A
 label that can never fire, wedged so or failing sr:obs or cr:visible,
-gets the need NEVER, which no done set covers, and machine_accepts
-rejects the candidate at once.
+gets the need NEVER, which no done set covers, so it never fires and
+machine_accepts rejects the candidate.
 
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
@@ -49,17 +49,19 @@ against coherence points: sr:prop-rr, sr:prop-wr and cpw:prop-rw above.
 Any co|prop cycle then maps onto a cycle of label orderings, so no
 interleaving discharges it.
 
-A block never lifts: labels only become done, so once a path wedges a
-label the search abandons it.  A need merely postpones a label.  Every
-premise reads the done set alone, so the done-label bitmask is the whole
-state.  replay_path runs a given path and reports the index of the
-first step that cannot fire.
+Every label fires once, so j in need[i] puts j before i and j in
+block[i] puts i before j.  A full path exists exactly when that
+precedence graph is acyclic, and machine_accepts sorts it topologically;
+witness_path sorts its own, independently built edges the same way.
+replay_path runs a given path and reports the index of the first step
+that cannot fire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cat import CatError
 from .relation import (
     Candidate,
     Relation,
@@ -129,7 +131,10 @@ def machine_context(cand, env):
     env supplies the ppo/fence/prop/hb bindings the machine consults: the
     env of the caller's evaluation of Power on cand, run_model(power, cand).env.
     """
-    ppo, fence, prop, hb = env["ppo"], env["fence"], env["prop"], env["hb"]
+    names = ("ppo", "fence", "prop", "hb")
+    if missing := [k for k in names if k not in env]:
+        raise CatError(f"power model binds no {', '.join(missing)}")
+    ppo, fence, prop, hb = (env[k] for k in names)
     ppo_fence = ppo | fence
     order = cand.po_loc | prop
     prop_hb_star = compose(prop, closure(hb, reflexive=True))
@@ -234,26 +239,31 @@ def _fires(ctx, i, done):
     return not (done >> i & 1 or ctx.need[i] & ~done or ctx.block[i] & done)
 
 
+def _linearise(preds):
+    """Fire the lowest-index label whose preds are all done, while one is.
+
+    Returns (order, stuck): the lexicographically least topological order
+    and the labels never fired, which hold a cycle of preds.
+    """
+    done, order, i = 0, [], 0
+    while i < len(preds):
+        if done >> i & 1 or preds[i] & ~done:
+            i += 1
+        else:
+            done |= 1 << i
+            order.append(i)
+            i = 0
+    return order, [i for i in range(len(preds)) if not done >> i & 1]
+
+
 def machine_accepts(ctx):
     """True when some interleaving fires every label of the candidate."""
-    if NEVER in ctx.need:
-        return False
-    nlab = len(ctx.labels)
-    full = (1 << nlab) - 1
-    dead = set()
-
-    def search(done):
-        if done == full:
-            return True
-        if done in dead:
-            return False
-        for i in range(nlab):
-            if _fires(ctx, i, done) and search(done | 1 << i):
-                return True
-        dead.add(done)
-        return False
-
-    return search(0)
+    preds = list(ctx.need)  # a NEVER keeps bits no done set covers
+    for i, block in enumerate(ctx.block):
+        for j in range(len(preds)):
+            if block >> j & 1 and j != i:  # a label never wedges itself
+                preds[j] |= 1 << i
+    return not _linearise(preds)[1]
 
 
 def replay_path(ctx, path):
@@ -277,12 +287,11 @@ def witness_path(ctx):
     cand = ctx.cand
     labels = ctx.labels
     index = ctx.label_index
-    n = len(labels)
-    succs = [set() for _ in range(n)]
+    preds = [0] * len(labels)
 
     def edge(a, b):
         if a in index and b in index:
-            succs[index[a]].add(index[b])
+            preds[index[b]] |= 1 << index[a]
 
     for r in ctx.read_ids:
         w = ctx.rf_src[r]
@@ -323,29 +332,13 @@ def witness_path(ctx):
         else:
             edge(("cr", ctx.rf_src[r], r), ("cw", e))
 
-    indeg = [0] * n
-    for i in range(n):
-        for j in succs[i]:
-            indeg[j] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    out = []
-    while ready:
-        i = ready.pop(0)
-        out.append(labels[i])
-        opened = []
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                opened.append(j)
-        ready = sorted(ready + opened)
-    if len(out) != n:
-        stuck = sorted(
-            label_str(ctx, labels[i]) for i in range(n) if indeg[i] > 0
-        )
+    order, stuck = _linearise(preds)
+    if stuck:
         raise WitnessCycleError(
-            "witness order is cyclic through: " + ", ".join(stuck)
+            "witness order is cyclic through: "
+            + ", ".join(sorted(label_str(ctx, labels[i]) for i in stuck))
         )
-    return out
+    return [labels[i] for i in order]
 
 
 def derive_from_path(cand, path):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -167,6 +168,17 @@ def test_run_model_from_file_and_models_dir_override(tmp_path):
     assert res.exit_code == 2
     err = getattr(res, "stderr", "") or res.output
     assert "no model 'power'" in err
+    # a power.cat that fails to evaluate, or lacks what the machine reads
+    for body, want in (
+        ("let x = pox\nacyclic x\n", "power.cat:1:1: unbound name 'pox'"),
+        ("acyclic po\n", "power model binds no ppo, fence, prop, hb\n"),
+    ):
+        (tmp_path / "power.cat").write_text(body)
+        res = invoke("machine", "mp", env=env)
+        assert res.exit_code == 2, body
+        err = getattr(res, "stderr", "") or res.output
+        assert want in err
+        assert "Traceback" not in err
 
 
 def test_run_fragment_name_is_not_a_model():
@@ -382,6 +394,20 @@ def test_machine_matches_power_on_whole_suite_at_bound_10():
     default = invoke("machine", "--format", "jsonl", *suite.names())
     assert default.exit_code == 0, default.output
     assert jsonl(default) == recs
+
+
+@pytest.mark.parametrize("bound", ["10", "8"])
+def test_machine_trace_records_match_snapshot(bound):
+    # recorded before the machine's label search became a topological
+    # sort; frozen, it pins verdicts, behavior sets, skips and witness order
+    snapshot = json.loads(
+        Path(__file__).with_name("machine_snapshot.json").read_text()
+    )
+    res = invoke(
+        "machine", "--bound", bound, "--trace", "--format", "jsonl", *suite.names()
+    )
+    assert res.exit_code == 0, res.output
+    assert jsonl(res) == snapshot[bound]
 
 
 def test_machine_evaluates_power_once_per_candidate(monkeypatch):

@@ -6,11 +6,14 @@ from memcat import machine, suite
 from memcat.cat import run_model
 from memcat.executions import enumerate_candidates, evaluate_final
 from memcat.machine import (
+    NEVER,
+    MachineContext,
     WitnessCycleError,
     derive_from_path,
     label_str,
     machine_accepts,
     machine_context,
+    _fires,
     replay_path,
     trace_lines,
     witness_path,
@@ -80,6 +83,58 @@ def test_machine_equivalence_on_assorted_tests(power):
             assert machine_accepts(ctx) == model_ok, (name, cand.rf.pairs())
             checked += 1
     assert checked == 296
+
+
+def reference_accepts(ctx):
+    """The exhaustive search over done sets that machine_accepts replaced."""
+    full = (1 << len(ctx.labels)) - 1
+    dead = set()
+
+    def search(done):
+        if done == full:
+            return True
+        if done not in dead:
+            for i in range(len(ctx.labels)):
+                if _fires(ctx, i, done) and search(done | 1 << i):
+                    return True
+            dead.add(done)
+        return False
+
+    return search(0)
+
+
+def test_machine_accepts_agrees_with_reference_search(power):
+    checked = 0
+    for name in suite.names():
+        for cand, ctx, _ in contexts(name, power):
+            assert machine_accepts(ctx) is reference_accepts(ctx), name
+            checked += 1
+    assert checked == 296
+
+
+def hand_built(need, block):
+    labels = tuple(range(len(need)))
+    return MachineContext(
+        None, labels, {l: l for l in labels}, (), (), {}, tuple(need), tuple(block)
+    )
+
+
+@pytest.mark.parametrize(
+    "need, block, accepted",
+    [
+        # 0 needs 1 needs 2: fires against index order
+        ((0b010, 0b100, 0), (0, 0, 0), True),
+        # 1 needs 0, 2 needs 1, but 0 being done wedges 2
+        ((0, 0b001, 0b010), (0, 0, 0b001), False),
+        ((0, NEVER), (0, 0), False),
+        # a label is not done when it fires, so its own bit never wedges it
+        ((0, 0b001), (0b001, 0b010), True),
+    ],
+    ids=["need-chain", "need-against-block", "never", "self-block"],
+)
+def test_machine_accepts_hand_built_premises(need, block, accepted):
+    ctx = hand_built(need, block)
+    assert machine_accepts(ctx) is reference_accepts(ctx) is accepted
 
 
 def test_witness_path_replays_for_every_passing_candidate(power):
