@@ -376,8 +376,6 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 
 
 def builtin_env(cand: Candidate) -> dict:
-    from .litmus import ALL_FENCE_KINDS  # cycle-free: litmus imports relation only
-
     n = cand.n
     env = {
         "po": cand.po,
@@ -395,10 +393,8 @@ def builtin_env(cand: Candidate) -> dict:
         "0": Relation.empty(n),
         "id": Relation.identity(n),
     }
-    for name, r in cand.deps.items():
-        env[name] = r
-    for kind in ALL_FENCE_KINDS:
-        env[kind] = cand.fences.get(kind, Relation.empty(n))
+    env.update(cand.deps)
+    env.update(cand.fences)
     return env
 
 

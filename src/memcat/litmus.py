@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .relation import Event, MemRead, MemWrite, Relation
+from .relation import Event, MemRead, MemWrite, Relation, same_loc, same_thread
 
 
 ARCH_FENCES = {
@@ -418,6 +418,8 @@ class ProjectedTest:
     arch: str
     events: tuple
     po: Relation
+    po_loc: Relation
+    same_thread: Relation  # splits rf, co and fr into internal and external
     deps: dict
     fences: dict
     final: Final
@@ -619,11 +621,14 @@ def project(test: LitmusTest) -> ProjectedTest:
     n = len(events)
     deps = {k: Relation.from_pairs(n, pairs[k]) for k in dep_kinds}
     deps["ctrl+cfence"] = deps["ctrl+isync"] | deps["ctrl+isb"]
+    po = Relation.from_pairs(n, pairs["po"])
     projected = ProjectedTest(
         name=test.name,
         arch=test.arch,
         events=tuple(events),
-        po=Relation.from_pairs(n, pairs["po"]),
+        po=po,
+        po_loc=po & same_loc(events),
+        same_thread=same_thread(events),
         deps=deps,
         fences={k: Relation.from_pairs(n, pairs[k]) for k in ALL_FENCE_KINDS},
         final=test.final,

@@ -67,7 +67,6 @@ from .relation import (
     Relation,
     closure,
     compose,
-    is_mem,
     is_read,
     is_write,
     restrict,
@@ -350,7 +349,7 @@ def derive_from_path(cand, path):
             rf.add((label[1], label[2]))
         elif label[0] == "cpw":
             rcp.append(label[1])
-    loc_of = {e.id: e.action.loc for e in cand.events if is_mem(e)}
+    loc_of = {e.id: e.action.loc for e in cand.events}
     co = set()
     for i, w1 in enumerate(rcp):
         for w2 in rcp[i + 1 :]:

@@ -1,17 +1,21 @@
-"""Finite binary relations over dense event ids, stored as bitset rows.
+"""Finite binary relations over dense event ids, stored as one int.
 
 Everything downstream (execution enumeration, model evaluation, the
 operational machine) works on relations over a fixed universe
-{0, ..., n-1} of event ids, so the representation is a tuple of n ints
-where bit j of row i encodes membership of (i, j).  All operations
-return fresh relations; instances are immutable and hashable.
+{0, ..., n-1} of event ids, so a relation is one n*n-bit int whose bit
+i*n+j encodes membership of (i, j): row i is bits i*n ... i*n+n-1.  The
+layout stays inside this module.  All operations return fresh
+relations; instances are immutable and hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from .litmus import ProjectedTest
 
 
 # --------------------------------------------------------------------- events
@@ -50,56 +54,63 @@ def is_write(event: Event) -> bool:
     return isinstance(event.action, MemWrite)
 
 
-def is_mem(event: Event) -> bool:
-    return isinstance(event.action, (MemRead, MemWrite))
-
-
 # ------------------------------------------------------------------ relations
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> tuple[int, int]:
+    """(column 0, diagonal) of the n x n universe: bits i*n and i*n+i."""
+    return sum(1 << i * n for i in range(n)), sum(1 << i * (n + 1) for i in range(n))
+
+
+def _universe(r1: "Relation", r2: "Relation") -> int:
+    if r1.n != r2.n:
+        raise ValueError("relations over different universes")
+    return r1.n
 
 
 class Relation:
     """Immutable binary relation over {0, ..., n-1}."""
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "bits")
 
-    def __init__(self, n: int, rows: Sequence[int]):
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
+    def __init__(self, n: int, bits: int):
+        if bits < 0 or bits >> n * n:
+            raise ValueError(f"bits outside the universe of size {n}")
         self.n = n
-        self._rows = tuple(rows)
+        self.bits = bits
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        return cls(n, (0,) * n)
+        return cls(n, 0)
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
-        return cls(n, tuple(1 << i for i in range(n)))
+        return cls(n, _masks(n)[1])
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
-        rows = [0] * n
+        bits = 0
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) outside universe of size {n}")
-            rows[i] |= 1 << j
-        return cls(n, rows)
+            bits |= 1 << i * n + j
+        return cls(n, bits)
 
     def row(self, i: int) -> int:
-        return self._rows[i]
+        return self.bits >> i * self.n & (1 << self.n) - 1
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i, row in enumerate(self._rows):
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length() - 1))
-                row ^= low
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(divmod(low.bit_length() - 1, self.n))
+            bits ^= low
         return out
 
     def successors(self, i: int) -> list[int]:
         out = []
-        row = self._rows[i]
+        row = self.row(i)
         while row:
             low = row & -row
             out.append(low.bit_length() - 1)
@@ -107,46 +118,41 @@ class Relation:
         return out
 
     def inverse(self) -> "Relation":
-        rows = [0] * self.n
+        bits = 0
         for i, j in self.pairs():
-            rows[j] |= 1 << i
-        return Relation(self.n, rows)
-
-    def _zip(self, other: "Relation", op) -> "Relation":
-        if not isinstance(other, Relation):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("relations over different universes")
-        return Relation(self.n, tuple(op(a, b) for a, b in zip(self._rows, other._rows)))
+            bits |= 1 << j * self.n + i
+        return Relation(self.n, bits)
 
     def __or__(self, other: "Relation") -> "Relation":
-        return self._zip(other, lambda a, b: a | b)
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return Relation(_universe(self, other), self.bits | other.bits)
 
     def __and__(self, other: "Relation") -> "Relation":
-        return self._zip(other, lambda a, b: a & b)
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return Relation(_universe(self, other), self.bits & other.bits)
 
     def __sub__(self, other: "Relation") -> "Relation":
-        return self._zip(other, lambda a, b: a & ~b)
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return Relation(_universe(self, other), self.bits & ~other.bits)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair
-        return 0 <= i < self.n and 0 <= j < self.n and bool(self._rows[i] >> j & 1)
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self.bits >> i * self.n + j & 1)
 
     def __bool__(self) -> bool:
-        return any(self._rows)
+        return bool(self.bits)
 
     def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._rows)
+        return self.bits.bit_count()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Relation)
-            and self.n == other.n
-            and self._rows == other._rows
-        )
+        return isinstance(other, Relation) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self._rows))
+        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         return f"Relation({self.n}, {self.pairs()!r})"
@@ -154,33 +160,26 @@ class Relation:
 
 def compose(r1: Relation, r2: Relation) -> Relation:
     """Relational composition r1;r2."""
-    if r1.n != r2.n:
-        raise ValueError("relations over different universes")
-    rows = []
-    for i in range(r1.n):
-        row, acc = r1.row(i), 0
-        while row:
-            low = row & -row
-            acc |= r2.row(low.bit_length() - 1)
-            row ^= low
-        rows.append(acc)
-    return Relation(r1.n, rows)
+    n, a, b = _universe(r1, r2), r1.bits, r2.bits
+    col0, full = _masks(n)[0], (1 << n) - 1
+    acc = 0
+    for k in range(n):
+        row = b >> k * n & full
+        if row:  # copy row k of r2 into every row of r1 that has bit k
+            acc |= (a >> k & col0) * row
+    return Relation(n, acc)
 
 
 def closure(r: Relation, reflexive: bool = False) -> Relation:
     """Transitive closure r+; with reflexive=True, r*."""
-    rows = list(r._rows)
-    n = r.n
-    for k in range(n):
-        bit = 1 << k
-        rk = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
+    n, bits = r.n, r.bits
+    col0, diag = _masks(n)
+    full = (1 << n) - 1
+    for k in range(n):  # Warshall: every row with bit k gains row k
+        bits |= (bits >> k & col0) * (bits >> k * n & full)
     if reflexive:
-        for i in range(n):
-            rows[i] |= 1 << i
-    return Relation(n, rows)
+        bits |= diag
+    return Relation(n, bits)
 
 
 def check_acyclic(r: Relation) -> Optional[list[int]]:
@@ -210,10 +209,10 @@ def check_acyclic(r: Relation) -> Optional[list[int]]:
 
 def check_irreflexive(r: Relation) -> Optional[int]:
     """None if no (x, x) is in r, else the least such x."""
-    for i in range(r.n):
-        if r.row(i) >> i & 1:
-            return i
-    return None
+    loops = r.bits & _masks(r.n)[1]
+    if not loops:
+        return None
+    return ((loops & -loops).bit_length() - 1) // (r.n + 1)
 
 
 _SCOPE_KINDS = {
@@ -234,12 +233,12 @@ def scope_mask(events: Sequence[Event], letter: str) -> int:
 
 def restrict(r: Relation, src: str, tgt: str, events: Sequence[Event]) -> Relation:
     """Keep pairs whose endpoints match the scope letters (R, W or M)."""
-    smask = scope_mask(events, src)
-    tmask = scope_mask(events, tgt)
-    rows = tuple(
-        (r.row(i) & tmask) if smask >> i & 1 else 0 for i in range(r.n)
-    )
-    return Relation(r.n, rows)
+    kinds, tmask = _SCOPE_KINDS[src], scope_mask(events, tgt)
+    mask = 0
+    for e in events:
+        if isinstance(e.action, kinds):
+            mask |= tmask << e.id * r.n
+    return Relation(r.n, r.bits & mask)
 
 
 def derive_fr(rf: Relation, co: Relation) -> Relation:
@@ -247,30 +246,32 @@ def derive_fr(rf: Relation, co: Relation) -> Relation:
     return compose(rf.inverse(), co)
 
 
+def same_thread(events: Sequence[Event]) -> Relation:
+    """All pairs of events on the same thread, (e, e) included."""
+    threads: dict[str, int] = {}
+    for e in events:
+        threads[e.thread] = threads.get(e.thread, 0) | 1 << e.id
+    n, bits = len(events), 0
+    for e in events:
+        bits |= threads[e.thread] << e.id * n
+    return Relation(n, bits)
+
+
 def split_scope(r: Relation, events: Sequence[Event]) -> tuple[Relation, Relation]:
     """Split into (internal, external) by thread of the endpoints."""
-    thread_ids: dict[str, int] = {}
-    for e in events:
-        thread_ids[e.thread] = thread_ids.get(e.thread, 0) | (1 << e.id)
-    mask_of = [0] * r.n
-    for e in events:
-        mask_of[e.id] = thread_ids[e.thread]
-    internal = Relation(r.n, tuple(r.row(i) & mask_of[i] for i in range(r.n)))
+    internal = r & same_thread(events)
     return internal, r - internal
 
 
 def same_loc(events: Sequence[Event]) -> Relation:
-    """All pairs of distinct memory events on the same location."""
+    """All pairs of distinct events on the same location."""
     groups: dict[str, int] = {}
     for e in events:
-        if is_mem(e):
-            groups.setdefault(e.action.loc, 0)
-            groups[e.action.loc] |= 1 << e.id
-    rows = [0] * len(events)
+        groups[e.action.loc] = groups.get(e.action.loc, 0) | 1 << e.id
+    n, bits = len(events), 0
     for e in events:
-        if is_mem(e):
-            rows[e.id] = groups[e.action.loc] & ~(1 << e.id)
-    return Relation(len(events), rows)
+        bits |= (groups[e.action.loc] & ~(1 << e.id)) << e.id * n
+    return Relation(n, bits)
 
 
 # ------------------------------------------------------------------ candidate
@@ -282,7 +283,10 @@ class Candidate:
 
     deps maps dependency names (addr, data, ctrl, ctrl+isync, ...) and
     fences maps fence kinds (sync, mfence, ...) to relations over the
-    same universe.  Derived relations are cached on first use.
+    same universe.  source is the projected test; po-loc and the
+    same-thread relation that splits rf, co and fr into internal and
+    external parts are its fields, built once per test.  fr and com are
+    computed on first use.
     """
 
     events: tuple[Event, ...]
@@ -291,7 +295,7 @@ class Candidate:
     co: Relation
     deps: Mapping[str, Relation]
     fences: Mapping[str, Relation]
-    source: Any = None
+    source: "ProjectedTest"
 
     @property
     def n(self) -> int:
@@ -301,46 +305,34 @@ class Candidate:
     def fr(self) -> Relation:
         return derive_fr(self.rf, self.co)
 
-    @cached_property
+    @property
     def po_loc(self) -> Relation:
-        return self.po & same_loc(self.events)
+        return self.source.po_loc
 
     @cached_property
     def com(self) -> Relation:
         return self.co | self.rf | self.fr
 
-    @cached_property
-    def _rf_split(self) -> tuple[Relation, Relation]:
-        return split_scope(self.rf, self.events)
-
-    @cached_property
-    def _co_split(self) -> tuple[Relation, Relation]:
-        return split_scope(self.co, self.events)
-
-    @cached_property
-    def _fr_split(self) -> tuple[Relation, Relation]:
-        return split_scope(self.fr, self.events)
-
     @property
     def rfi(self) -> Relation:
-        return self._rf_split[0]
+        return self.rf & self.source.same_thread
 
     @property
     def rfe(self) -> Relation:
-        return self._rf_split[1]
+        return self.rf - self.source.same_thread
 
     @property
     def coi(self) -> Relation:
-        return self._co_split[0]
+        return self.co & self.source.same_thread
 
     @property
     def coe(self) -> Relation:
-        return self._co_split[1]
+        return self.co - self.source.same_thread
 
     @property
     def fri(self) -> Relation:
-        return self._fr_split[0]
+        return self.fr & self.source.same_thread
 
     @property
     def fre(self) -> Relation:
-        return self._fr_split[1]
+        return self.fr - self.source.same_thread

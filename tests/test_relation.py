@@ -1,12 +1,14 @@
 """Relational algebra unit tests. Derived expectations come from oracles.py."""
 
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memcat.cat import DIRS
 from memcat.relation import (
     Candidate,
     Event,
@@ -19,6 +21,7 @@ from memcat.relation import (
     compose,
     derive_fr,
     restrict,
+    same_loc,
     split_scope,
 )
 
@@ -29,16 +32,35 @@ def rel(n, *pairs):
     return Relation.from_pairs(n, pairs)
 
 
-def small_relations(max_n=8):
+def pair_sets(n):
+    return st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n
+    )
+
+
+# up to 14 events, so that rows end past bit 64 and bit 128 of the int
+def small_relations(max_n=14):
     return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.builds(
-            lambda ps: Relation.from_pairs(n, ps),
-            st.sets(
-                st.tuples(
-                    st.integers(0, n - 1), st.integers(0, n - 1)
-                ),
-                max_size=n * n,
-            ),
+        lambda n: st.builds(lambda ps: Relation.from_pairs(n, ps), pair_sets(n))
+    )
+
+
+def _event(i):
+    return st.builds(
+        lambda thread, loc, write: Event(
+            i, thread, 0, MemWrite(loc, 0) if write else MemRead(loc)
+        ),
+        st.sampled_from(("init", "T0", "T1")),
+        st.sampled_from("xy"),
+        st.booleans(),
+    )
+
+
+def events_and_pair_sets(count, max_n=14):
+    """(events, pair set, ...) over one universe of 1..max_n random events."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*(_event(i) for i in range(n))), *[pair_sets(n)] * count
         )
     )
 
@@ -257,3 +279,78 @@ def test_compose_associative_union_intersection_laws(a, b, c):
     assert ((a & b) & c) == (a & (b & c))
     assert (a | a) == a
     assert (a & a) == a
+
+
+# ------------------------------------------- against a pairs-set reference
+
+@given(events_and_pair_sets(2))
+@settings(max_examples=120, deadline=None)
+def test_operators_match_pair_sets(case):
+    events, p, q = case
+    n = len(events)
+    a, b = Relation.from_pairs(n, p), Relation.from_pairs(n, q)
+    assert a.pairs() == sorted(p)
+    assert set((a | b).pairs()) == p | q
+    assert set((a & b).pairs()) == p & q
+    assert set((a - b).pairs()) == p - q
+    assert set(compose(a, b).pairs()) == compose_pairs(p, q)
+    assert set(a.inverse().pairs()) == {(y, x) for x, y in p}
+    assert len(a) == len(p)
+    assert bool(a) == bool(p)
+    for x in range(-1, n + 1):
+        for y in range(-1, n + 1):
+            assert ((x, y) in a) == ((x, y) in p)
+        if 0 <= x < n:
+            assert a.successors(x) == sorted(y for x_, y in p if x_ == x)
+    assert (a == b) == (p == q)
+    same = Relation.from_pairs(n, sorted(p, reverse=True))
+    assert same == a and hash(same) == hash(a)
+    assert check_irreflexive(a) == min((x for x, y in p if x == y), default=None)
+
+
+@given(events_and_pair_sets(1))
+@settings(max_examples=120, deadline=None)
+def test_restrict_matches_pair_sets_for_every_direction(case):
+    events, p = case
+    r = Relation.from_pairs(len(events), p)
+    kinds = {"R": (MemRead,), "W": (MemWrite,), "M": (MemRead, MemWrite)}
+    for src, tgt in DIRS.values():
+        assert set(restrict(r, src, tgt, events).pairs()) == {
+            (x, y)
+            for x, y in p
+            if isinstance(events[x].action, kinds[src])
+            and isinstance(events[y].action, kinds[tgt])
+        }
+
+
+@given(events_and_pair_sets(1))
+@settings(max_examples=120, deadline=None)
+def test_split_scope_and_same_loc_match_pair_sets(case):
+    events, p = case
+    n = len(events)
+    internal, external = split_scope(Relation.from_pairs(n, p), events)
+    assert set(internal.pairs()) == {
+        (x, y) for x, y in p if events[x].thread == events[y].thread
+    }
+    assert set(external.pairs()) == {
+        (x, y) for x, y in p if events[x].thread != events[y].thread
+    }
+    assert set(same_loc(events).pairs()) == {
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if x != y and events[x].action.loc == events[y].action.loc
+    }
+
+
+def test_set_operators_reject_mismatched_universes():
+    for op in (operator.or_, operator.and_, operator.sub):
+        with pytest.raises(ValueError):
+            op(rel(3, (0, 1)), rel(4, (0, 1)))
+
+
+def test_constructor_rejects_bits_outside_universe():
+    assert set(Relation(2, 0b1111).pairs()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    for bits in (1 << 4, -1):
+        with pytest.raises(ValueError):
+            Relation(2, bits)
