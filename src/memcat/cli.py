@@ -128,7 +128,7 @@ def main():
     "--prune-sc-per-location",
     "prune",
     is_flag=True,
-    help="skip candidates that already violate coherence",
+    help="skip candidates that fail the model's own sc-per-location check",
 )
 @click.option(
     "--static-ppo",
@@ -144,7 +144,7 @@ def run(model_spec, prune, static_ppo, fmt, tests):
     loaded = _load_tests(tests)
 
     def work(t):
-        r = _evaluate(t, model, model_spec, prune_uniproc=prune)
+        r = _evaluate(t, model, model_spec, prune=prune)
         expected = t.expect.get(label)
         return {
             "test": r.name,

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import replace
 from typing import Iterator
 
-from .litmus import And, Final, LocEq, Or, ProjectedTest, RegEq, atoms
-from .relation import Candidate, Relation, check_acyclic, is_read, is_write
+from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
+from .relation import Candidate, Relation, is_read, is_write
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
@@ -64,11 +64,6 @@ def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
             )
 
 
-def passes_uniproc(cand: Candidate) -> bool:
-    """Coherence alone: acyclic(po-loc u com)."""
-    return check_acyclic(cand.po_loc | cand.com) is None
-
-
 def _read_value(cand: Candidate, eid: int) -> int:
     value = cand.events[eid].action.value
     if value is None:
@@ -84,55 +79,43 @@ def _co_max_value(cand: Candidate, loc: str) -> int:
     return top[0].action.value
 
 
-def observed_state(cand: Candidate, final: Final | None = None) -> tuple:
+def _value(cand: Candidate, node) -> int:
+    """The value a final-condition atom's register or location has in cand."""
+    if isinstance(node, RegEq):
+        src = cand.source.reg_sources[(node.thread, node.reg)]
+        return src[1] if src[0] == "const" else _read_value(cand, src[1])
+    if isinstance(node, LocEq):
+        return _co_max_value(cand, node.loc)
+    raise TypeError(f"unexpected final node {node!r}")
+
+
+def observed_state(cand: Candidate) -> tuple:
     """Values of the final condition's observables in this candidate.
 
     Returns assignment strings like ("T1:r2=1", "T1:r3=0"), registers
     sorted before locations, so equal tuples mean equal outcomes as far
     as the test's condition can tell.
     """
-    t: ProjectedTest = cand.source
-    if final is None:
-        final = t.final
-    regs, locs = set(), set()
-    for node in atoms(final.cond):
+    regs, locs = {}, {}
+    for node in atoms(cand.source.final.cond):
         if isinstance(node, RegEq):
-            regs.add((node.thread, node.reg))
-        elif isinstance(node, LocEq):
-            locs.add(node.loc)
+            regs[(node.thread, node.reg)] = node
         else:
-            raise TypeError(f"unexpected final node {node!r}")
-    parts = []
-    for thread, reg in sorted(regs):
-        src = t.reg_sources[(thread, reg)]
-        value = src[1] if src[0] == "const" else _read_value(cand, src[1])
-        parts.append(f"{thread}:{reg}={value}")
-    for loc in sorted(locs):
-        parts.append(f"{loc}={_co_max_value(cand, loc)}")
-    return tuple(parts)
+            locs[node.loc] = node
+    return tuple(
+        [f"{th}:{reg}={_value(cand, node)}" for (th, reg), node in sorted(regs.items())]
+        + [f"{loc}={_value(cand, node)}" for loc, node in sorted(locs.items())]
+    )
 
 
-def evaluate_final(cand: Candidate, final: Final | None = None) -> bool:
+def evaluate_final(cand: Candidate) -> bool:
     """Truth of the final condition in this candidate."""
-    t: ProjectedTest = cand.source
-    if final is None:
-        final = t.final
-
-    def atom(node) -> bool:
-        if isinstance(node, RegEq):
-            src = t.reg_sources[(node.thread, node.reg)]
-            if src[0] == "const":
-                return src[1] == node.value
-            return _read_value(cand, src[1]) == node.value
-        if isinstance(node, LocEq):
-            return _co_max_value(cand, node.loc) == node.value
-        raise TypeError(f"unexpected final node {node!r}")
 
     def walk(node) -> bool:
         if isinstance(node, And):
             return all(walk(x) for x in node.items)
         if isinstance(node, Or):
             return any(walk(x) for x in node.items)
-        return atom(node)
+        return _value(cand, node) == node.value
 
-    return walk(final.cond)
+    return walk(cand.source.final.cond)

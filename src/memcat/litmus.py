@@ -5,6 +5,13 @@ register contents (addresses and stored values must be compile-time
 constants), follows each register's taint (the loads whose values flow
 into it) to recover dependencies, and projects everything down to the
 memory events and relations the enumerator works on.
+
+After comments ('#' not followed by a digit or '-') are stripped, a
+file is a '<name> <arch>' header line followed by a stream of sections
+separated only by whitespace: 'init {...}', 'thread <name> {...}',
+'expect {...}' and one 'final <quant> (...)', which ends its line.  The
+entries of a brace block end at ';' or a newline.  Text that is not a
+section is an error, never skipped.
 """
 
 from __future__ import annotations
@@ -160,7 +167,17 @@ _RE_BR = re.compile(r"^(bne|beq)\s+(\w+)$")
 _RE_LABEL = re.compile(r"^(\w+):$")
 _RE_FENCE = re.compile(r"^([a-z]+(?:\.[a-z]+)?)$")
 _RE_EXPECT = re.compile(r"^([\w.+-]+)\s*=\s*(allowed|forbidden)$")
-_RE_ATOM = re.compile(r"(?:(\w+):)?([A-Za-z_]\w*)=(-?\d+)")
+# final condition tokens: an operator, an atom, whitespace, or a bad character
+_COND_TOKEN = re.compile(r"(/\\|\\/|[()])|(?:(\w+):)?([A-Za-z_]\w*)=(-?\d+)|\s+|(.)")
+_RE_COMMENT = re.compile(r"#(?![-\d]).*")
+_RE_HEADER = re.compile(r"\s*(.*)")
+# one alternative per section kind, then whitespace, then anything else
+_RE_SECTION = re.compile(
+    r"(?:(?P<kind>init|expect)|thread\s+(?P<thread>\w+))\s*\{(?P<body>[^}]*)\}"
+    r"|final[^\S\n]+(?P<quant>exists|forall|observed)[^\S\n]*\((?P<cond>.*)\)[^\S\n]*$"
+    r"|\s+|(?P<junk>.+)",
+    re.M,
+)
 
 
 def _is_reg(name: str) -> bool:
@@ -197,34 +214,18 @@ def _parse_instr(text: str, arch: str, line: int) -> Instr:
 
 def _tokenize_cond(text: str, line: int):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith("/\\", i):
-            tokens.append("/\\")
-            i += 2
-        elif text.startswith("\\/", i):
-            tokens.append("\\/")
-            i += 2
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            m = _RE_ATOM.match(text, i)
-            if not m:
-                raise LitmusError(f"bad final condition near {text[i:]!r}", line)
-            thread, name, value = m.group(1), m.group(2), int(m.group(3))
-            if thread is not None:
-                tokens.append(RegEq(thread, name, value))
-            elif _is_reg(name):
-                raise LitmusError(
-                    f"register {name} in final must be thread-qualified", line
-                )
-            else:
-                tokens.append(LocEq(name, value))
-            i = m.end()
+    for m in _COND_TOKEN.finditer(text):
+        op, thread, name, value, bad = m.groups()
+        if bad is not None:
+            raise LitmusError(f"bad final condition near {text[m.start():]!r}", line)
+        if op is not None:
+            tokens.append(op)
+        elif thread is not None:
+            tokens.append(RegEq(thread, name, int(value)))
+        elif name is not None:
+            if _is_reg(name):
+                raise LitmusError(f"register {name} in final must be thread-qualified", line)
+            tokens.append(LocEq(name, int(value)))
     return tokens
 
 
@@ -273,132 +274,88 @@ def _parse_cond(tokens: list, line: int):
     return node
 
 
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def _entries(text: str, start: int, end: int):
+    # (line, entry) for each non-blank entry of text[start:end]; entries end at ';' or '\n'
+    line = _line(text, start)
+    for row in text[start:end].split("\n"):
+        for entry in row.split(";"):
+            if entry.strip():
+                yield line, entry.strip()
+        line += 1
+
+
 def parse_litmus(text: str) -> LitmusTest:
     # '#' starts a comment unless it introduces an immediate like #1 or #-1
-    raw = [
-        (no, re.sub(r"#(?![-\d]).*$", "", ln).rstrip())
-        for no, ln in enumerate(text.splitlines(), 1)
-    ]
-    lines = [(no, ln) for no, ln in raw if ln.strip()]
-    if not lines:
+    text = _RE_COMMENT.sub("", text)
+    head = _RE_HEADER.match(text)
+    if not head.group(1):
         raise LitmusError("empty litmus source")
-
-    no, header = lines[0]
-    parts = header.split()
+    no = _line(text, head.start(1))
+    parts = head.group(1).split()
     if len(parts) != 2:
         raise LitmusError("header must be '<name> <arch>'", no)
     name, arch = parts[0], parts[1].lower()
     if arch not in ARCH_FENCES:
         raise LitmusError(f"unknown architecture {arch!r}", no)
 
-    init_locs: dict = {}
-    init_regs: dict = {}
-    threads: dict = {}
+    init_locs, init_regs, threads, expect = {}, {}, {}, {}
     final: Optional[Final] = None
-    expect: dict = {}
-
-    def collect_block(i):
-        # lines[i] holds the '{'; returns ([(line_no, content)], next_index)
-        no, ln = lines[i]
-        after = ln.split("{", 1)[1]
-        acc = []
-        if "}" in after:
-            inner = after.split("}", 1)[0]
-            if inner.strip():
-                acc.append((no, inner))
-            return acc, i + 1
-        if after.strip():
-            acc.append((no, after))
-        j = i + 1
-        while j < len(lines):
-            no2, ln2 = lines[j]
-            if "}" in ln2:
-                inner = ln2.split("}", 1)[0]
-                if inner.strip():
-                    acc.append((no2, inner))
-                return acc, j + 1
-            acc.append((no2, ln2))
-            j += 1
-        raise LitmusError("unterminated block", no)
-
-    i = 1
-    while i < len(lines):
-        no, ln = lines[i]
-        stripped = ln.strip()
-        if stripped.startswith("init"):
-            if "{" not in ln:
-                raise LitmusError("init needs a brace block", no)
-            block, i = collect_block(i)
-            for bno, content in block:
-                for entry in content.split(";"):
-                    entry = entry.strip()
-                    if not entry:
-                        continue
-                    m = _RE_INIT.match(entry)
-                    if not m:
-                        raise LitmusError(f"bad init entry {entry!r}", bno)
-                    thread, lhs, loc, num = m.groups()
-                    if loc is not None:
-                        if not _is_reg(lhs):
-                            raise LitmusError(
-                                f"{lhs} holds an address but is not a register", bno
-                            )
-                        if _is_reg(loc):
-                            raise LitmusError(
-                                f"location names must not start with 'r': {loc}", bno
-                            )
-                        init_regs[(thread, lhs)] = ("loc", loc)
-                    elif _is_reg(lhs):
-                        init_regs[(thread, lhs)] = ("int", int(num))
-                    else:
-                        if thread is not None:
-                            raise LitmusError(
-                                f"location {lhs} cannot be thread-qualified", bno
-                            )
-                        init_locs[lhs] = int(num)
-        elif stripped.startswith("thread"):
-            m = re.match(r"^thread\s+(\w+)\s*\{", stripped)
-            if not m:
-                raise LitmusError("bad thread header", no)
-            tname = m.group(1)
+    for m in _RE_SECTION.finditer(text, head.end()):
+        if m.lastgroup is None:  # whitespace between sections
+            continue
+        no = _line(text, m.start())
+        if m.lastgroup == "junk":
+            raise LitmusError(f"text outside any section: {m.group('junk').strip()!r}", no)
+        if m.lastgroup == "cond":
+            if final is not None:
+                raise LitmusError("duplicate final condition", no)
+            cond = _parse_cond(_tokenize_cond(m.group("cond"), no), no)
+            final = Final(m.group("quant"), cond)
+            continue
+        entries = _entries(text, *m.span("body"))
+        if m.group("kind") == "init":
+            for bno, entry in entries:
+                e = _RE_INIT.match(entry)
+                if not e:
+                    raise LitmusError(f"bad init entry {entry!r}", bno)
+                thread, lhs, loc, num = e.groups()
+                if loc is not None:
+                    if not _is_reg(lhs):
+                        raise LitmusError(
+                            f"{lhs} holds an address but is not a register", bno
+                        )
+                    if _is_reg(loc):
+                        raise LitmusError(
+                            f"location names must not start with 'r': {loc}", bno
+                        )
+                    init_regs[(thread, lhs)] = ("loc", loc)
+                elif _is_reg(lhs):
+                    init_regs[(thread, lhs)] = ("int", int(num))
+                elif thread is not None:
+                    raise LitmusError(f"location {lhs} cannot be thread-qualified", bno)
+                else:
+                    init_locs[lhs] = int(num)
+        elif m.group("kind") == "expect":
+            for bno, entry in entries:
+                e = _RE_EXPECT.match(entry)
+                if not e:
+                    raise LitmusError(f"bad expect entry {entry!r}", bno)
+                expect[e.group(1)] = e.group(2)
+        else:
+            tname = m.group("thread")
             if tname in threads:
                 raise LitmusError(f"duplicate thread {tname}", no)
-            block, i = collect_block(i)
-            instrs = []
-            for bno, content in block:
-                parts = content.split(";") if ";" in content else [content]
-                for part in parts:
-                    part = part.strip()
-                    if part:
-                        instrs.append(_parse_instr(part, arch, bno))
-            for k, ins in enumerate(instrs):
-                if isinstance(ins, Branch):
-                    nxt = instrs[k + 1] if k + 1 < len(instrs) else None
-                    if not (isinstance(nxt, LabelDef) and nxt.name == ins.label):
-                        raise LitmusError(
-                            f"branch target {ins.label} must label the next instruction",
-                            no,
-                        )
+            instrs = [_parse_instr(entry, arch, bno) for bno, entry in entries]
+            for ins, nxt in zip(instrs, instrs[1:] + [None]):
+                if isinstance(ins, Branch) and nxt != LabelDef(ins.label):
+                    raise LitmusError(
+                        f"branch target {ins.label} must label the next instruction", no
+                    )
             threads[tname] = instrs
-        elif stripped.startswith("expect"):
-            block, i = collect_block(i)
-            for bno, content in block:
-                for entry in content.split(";"):
-                    entry = entry.strip()
-                    if not entry:
-                        continue
-                    m = _RE_EXPECT.match(entry)
-                    if not m:
-                        raise LitmusError(f"bad expect entry {entry!r}", bno)
-                    expect[m.group(1)] = m.group(2)
-        elif stripped.startswith("final"):
-            m = re.match(r"^final\s+(exists|forall|observed)\s*\((.*)\)\s*$", stripped)
-            if not m:
-                raise LitmusError("final must be 'final <quant> ( ... )'", no)
-            final = Final(m.group(1), _parse_cond(_tokenize_cond(m.group(2), no), no))
-            i += 1
-        else:
-            raise LitmusError(f"unexpected line {stripped!r}", no)
 
     if final is None:
         raise LitmusError("missing final condition")

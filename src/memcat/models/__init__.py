@@ -8,16 +8,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from ..cat import Empty, Let, Model, parse_cat, run_model
-from ..executions import (
-    enumerate_candidates,
-    evaluate_final,
-    observed_state,
-    passes_uniproc,
-)
+from ..cat import CatError, Check, Empty, Let, Model, parse_cat, run_model
+from ..executions import enumerate_candidates, evaluate_final, observed_state
 from ..litmus import ProjectedTest
 
 BUILTIN_MODELS = ("sc", "tso", "cpp-ra", "power", "power-as-arm", "arm", "arm-llh")
+
+# the model's own coherence check, which pruning skips candidates on
+PRUNE_CHECK = "sc-per-location"
 
 MODELS_DIR_VAR = "MEMCAT_MODELS_DIR"
 
@@ -95,8 +93,20 @@ def evaluate_test(
     t: ProjectedTest,
     model: Model,
     model_name: str = "?",
-    prune_uniproc: bool = False,
+    prune: bool = False,
 ) -> TestResult:
+    """Judge every candidate of t by model.
+
+    With prune, a candidate that fails the model's own PRUNE_CHECK counts
+    among the candidates and is otherwise skipped, its failed checks
+    included; it could never pass, so only those counts change.
+    """
+    if prune and not any(
+        isinstance(s, Check) and s.name == PRUNE_CHECK for s in model.statements
+    ):
+        raise CatError(
+            f"model {model_name} has no check named {PRUNE_CHECK!r} to prune on"
+        )
     total = passing = satisfying = 0
     witness = None
     all_passing_satisfy = True
@@ -104,9 +114,9 @@ def evaluate_test(
     failures: dict = {}
     for cand in enumerate_candidates(t):
         total += 1
-        if prune_uniproc and not passes_uniproc(cand):
-            continue
         result = run_model(model, cand)
+        if prune and any(c.name == PRUNE_CHECK and not c.ok for c in result.checks):
+            continue
         for check in result.checks:
             if not check.ok:
                 key = check.name or check.kind
@@ -138,5 +148,5 @@ def evaluate_test(
     )
 
 
-def verdict(t: ProjectedTest, model: Model, prune_uniproc: bool = False) -> str:
-    return evaluate_test(t, model, prune_uniproc=prune_uniproc).verdict
+def verdict(t: ProjectedTest, model: Model) -> str:
+    return evaluate_test(t, model).verdict

@@ -183,28 +183,31 @@ def closure(r: Relation, reflexive: bool = False) -> Relation:
 
 
 def check_acyclic(r: Relation) -> Optional[list[int]]:
-    """None if r is acyclic, else a cycle as a node list (edges wrap around)."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * r.n
-    for root in range(r.n):
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        path = [root]
-        iters = [iter(r.successors(root))]
-        while iters:
-            nxt = next(iters[-1], None)
-            if nxt is None:
-                color[path.pop()] = BLACK
-                iters.pop()
-                continue
-            if color[nxt] == GREY:
-                return path[path.index(nxt):]
-            if color[nxt] == WHITE:
-                color[nxt] = GREY
-                path.append(nxt)
-                iters.append(iter(r.successors(nxt)))
-    return None
+    """None if r is acyclic, else a shortest cycle through the least node
+    on any cycle, as a node list starting there (edges wrap around)."""
+    start = check_irreflexive(closure(r))
+    if start is None:
+        return None
+    n, bits, full = r.n, r.bits, (1 << r.n) - 1
+    parent = {start: start}
+    frontier, seen = [start], 1 << start
+    while True:  # breadth first; start is on a cycle, so a row reaches it
+        ahead = []
+        for u in frontier:
+            row = bits >> u * n & full
+            if row >> start & 1:
+                cycle = [u]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                return cycle[::-1]
+            row &= ~seen
+            seen |= row
+            while row:
+                v = (row & -row).bit_length() - 1
+                row &= row - 1
+                parent[v] = u
+                ahead.append(v)
+        frontier = ahead
 
 
 def check_irreflexive(r: Relation) -> Optional[int]:

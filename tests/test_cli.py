@@ -11,6 +11,8 @@ from memcat.cli import main
 from memcat.executions import enumerate_candidates
 from memcat.models import models_dir
 
+from test_litmus import REJECTED
+
 
 def invoke(*args, env=None):
     try:
@@ -144,6 +146,37 @@ def test_run_flag_variants_keep_verdict():
     assert b["verdict"] == p["verdict"] == s["verdict"] == "forbidden"
     assert b["candidates"] == p["candidates"]
     assert b["passing"] == p["passing"]
+
+
+@pytest.mark.parametrize("src, line", REJECTED)
+def test_text_outside_any_litmus_section_is_usage_error(tmp_path, src, line):
+    f = tmp_path / "bad.litmus"
+    f.write_text(src)
+    res = invoke("run", "-m", "sc", str(f))
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert f"line {line}: " in err
+    assert "Traceback" not in err
+
+
+def test_prune_follows_the_models_own_sc_per_location_check():
+    # arm-llh's sc-per-location drops read-read pairs, so coRR passes it
+    base = invoke("run", "-m", "arm-llh", "--format", "jsonl", "coRR")
+    pruned = invoke(
+        "run", "-m", "arm-llh", "--format", "jsonl", "--prune-sc-per-location", "coRR"
+    )
+    assert jsonl(pruned) == jsonl(base)
+    assert jsonl(base)[0]["verdict"] == "allowed"
+
+
+def test_prune_without_sc_per_location_check_is_usage_error(tmp_path):
+    f = tmp_path / "coherence.cat"
+    f.write_text("(* coherence *)\nacyclic po-loc | rf | co | fr\n")
+    res = invoke("run", "-m", str(f), "--prune-sc-per-location", "mp")
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "no check named 'sc-per-location'" in err
+    assert "Traceback" not in err
 
 
 def test_run_model_from_file_and_models_dir_override(tmp_path):

@@ -2,12 +2,10 @@
 
 import pytest
 
-from memcat.executions import (
-    enumerate_candidates,
-    evaluate_final,
-    passes_uniproc,
-)
+from memcat.cat import run_model
+from memcat.executions import enumerate_candidates, evaluate_final
 from memcat.litmus import parse_litmus, project
+from memcat.models import PRUNE_CHECK, load_builtin
 from memcat.relation import MemRead, MemWrite
 
 from oracles import candidate_pairs, count_expected_candidates, is_acyclic_pairs
@@ -136,9 +134,15 @@ final exists (x=2)
     assert len(hits) == 1
 
 
+def _passes_sc_per_location(model, cand):
+    (check,) = [c for c in run_model(model, cand).checks if c.name == PRUNE_CHECK]
+    return check.ok
+
+
 def test_uniproc_filter_discards_po_co_contradiction():
+    power = load_builtin("power")
     cands = _cands(COWW)
-    kept = [c for c in cands if passes_uniproc(c)]
+    kept = [c for c in cands if _passes_sc_per_location(power, c)]
     assert len(cands) == 2
     assert len(kept) == 1
     p = candidate_pairs(kept[0])
@@ -147,8 +151,9 @@ def test_uniproc_filter_discards_po_co_contradiction():
 
 
 def test_uniproc_filter_agrees_with_oracle_on_mp():
+    power = load_builtin("power")
     for cand in _cands(MP):
         p = candidate_pairs(cand)
-        assert passes_uniproc(cand) == is_acyclic_pairs(
+        assert _passes_sc_per_location(power, cand) == is_acyclic_pairs(
             p["po_loc"] | p["com"], p["nodes"]
         )

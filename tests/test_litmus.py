@@ -399,6 +399,46 @@ final exists (T1:r2=1)
     assert not t.fences["sync"]
 
 
+def test_sections_may_share_a_line():
+    one_line = MP.replace(
+        MP[MP.index("thread T0"):MP.index("final")],
+        "thread T0 { st [rx], r1; st [ry], r1 } thread T1 { ld r2, [ry]; ld r3, [rx] }\n",
+    )
+    t = parse_litmus(one_line)
+    assert t.threads == parse_litmus(MP).threads
+    assert projection_record(project(t)) == projection_record(project(parse_litmus(MP)))
+
+
+def test_entries_end_at_semicolons_and_newlines_in_every_block():
+    src = MP.replace(
+        "init { x=0; y=0; rx=&x; ry=&y; r1=1; }",
+        "init {\n x=0\n y=0; rx=&x\n ry=&y; r1=1 }",
+    )
+    src = src.replace("final", "expect { power = allowed\n sc = forbidden }\nfinal")
+    t = parse_litmus(src)
+    assert t.init_locs == parse_litmus(MP).init_locs
+    assert t.init_regs == parse_litmus(MP).init_regs
+    assert t.expect == {"power": "allowed", "sc": "forbidden"}
+
+
+# text the reader once dropped or crashed on, and the line it is reported on
+REJECTED = [
+    pytest.param(MP.replace("init {", "init x=5 {"), 3, id="init-prefix"),
+    pytest.param(MP.replace("init {", "initialise {"), 3, id="initialise"),
+    pytest.param(MP + "expect power=allowed { sc = forbidden }\n", 16, id="expect-prefix"),
+    pytest.param(MP + "expect\n", 16, id="bare-expect"),
+    pytest.param(MP + "final exists (T1:r2=0)\n", 16, id="second-final"),
+    pytest.param(MP.replace("  st [ry], r1\n}", "  st [ry], r1\n} junk"), 8, id="after-brace"),
+    pytest.param(MP.replace("  ld r3, [rx]\n}", "  ld r3, [rx]"), 10, id="unterminated"),
+]
+
+
+@pytest.mark.parametrize("src, line", REJECTED)
+def test_text_outside_any_section_is_rejected_with_its_line(src, line):
+    with pytest.raises(LitmusError, match=rf"^line {line}: "):
+        parse_litmus(src)
+
+
 # Every suite test's projection, recorded before dependencies were computed
 # by register taint instead of a micro-event graph.  Frozen: a frontend
 # change that moves any entry here is a behaviour change, not a refactor.

@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 from memcat import suite
-from memcat.cat import Check, parse_cat, run_model
+from memcat.cat import CatError, Check, parse_cat, run_model
 from memcat.executions import enumerate_candidates
 from memcat.litmus import parse_litmus, project
 from memcat.models import (
     BUILTIN_MODELS,
     BUNDLED_DIR,
     MODELS_DIR_VAR,
+    PRUNE_CHECK,
     available_models,
     evaluate_test,
     golden_table,
@@ -83,6 +84,30 @@ def test_check_names_and_order_match_snapshot(models, snapshot):
     for m in BUILTIN_MODELS:
         names = [s.name for s in models[m].statements if isinstance(s, Check)]
         assert names == snapshot["checks"][m], m
+
+
+def test_pruning_keeps_every_outcome(tests, models, snapshot):
+    # a pruned candidate fails the model's own sc-per-location check, so
+    # it could never pass: only the failed-check counts may change
+    for m in BUILTIN_MODELS:
+        for name, t in tests.items():
+            r = evaluate_test(t, models[m], m, prune=True)
+            want = snapshot["outcomes"][m][name]
+            got = (r.verdict, r.candidates, r.passing, r.satisfying, list(r.states))
+            assert got == (
+                want["verdict"],
+                want["candidates"],
+                want["passing"],
+                want["satisfying"],
+                want["states"],
+            ), (m, name)
+            assert PRUNE_CHECK not in r.check_failures, (m, name)
+
+
+def test_pruning_needs_the_models_own_check(tests):
+    model = parse_cat("(* coherence *)\nacyclic po-loc | rf | co | fr\n")
+    with pytest.raises(CatError, match="sc-per-location"):
+        evaluate_test(tests["mp"], model, "coherence-only", prune=True)
 
 
 def test_all_builtin_models_present(monkeypatch):

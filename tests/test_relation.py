@@ -161,6 +161,9 @@ def test_cycle_witness_is_genuine():
             assert is_acyclic_pairs(pairs, range(n))
         else:
             assert len(cyc) >= 1
+            assert len(set(cyc)) == len(cyc)  # simple: no node repeats
+            plus = closure_pairs(pairs, range(n))
+            assert cyc[0] == min(x for x in range(n) if (x, x) in plus)
             for i, x in enumerate(cyc):
                 assert (x, cyc[(i + 1) % len(cyc)]) in pairs
 
