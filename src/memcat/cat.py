@@ -10,23 +10,31 @@ before them (lowercased, spaces to hyphens), else positionally.
 
 `include "f.cat"` splices another file's statements in at load time, so
 a model is always one flat statement list.
+
+A model is bound to a test once (bind): the names every candidate of
+the test shares (po, po-loc, deps, fences, 0, id) and each let built
+only from them are evaluated there, and the rest compiles to functions
+that run per candidate on relations held as int bitsets.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
+from .litmus import ProjectedTest
 from .relation import (
     Candidate,
     Relation,
     check_acyclic,
     check_irreflexive,
-    closure,
-    compose,
-    restrict,
+    closure_bits,
+    compose_bits,
+    direction_mask,
 )
 
 
@@ -375,53 +383,13 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 # ---------------------------------------------------------------- evaluation
 
 
+# the builtin names whose value differs between candidates of one test
+_CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
+_TOO_DEEP = "expression nested too deeply to evaluate"
+
+
 def builtin_env(cand: Candidate) -> dict:
-    n = cand.n
-    env = {
-        "po": cand.po,
-        "po-loc": cand.po_loc,
-        "rf": cand.rf,
-        "rfe": cand.rfe,
-        "rfi": cand.rfi,
-        "co": cand.co,
-        "coe": cand.coe,
-        "coi": cand.coi,
-        "fr": cand.fr,
-        "fre": cand.fre,
-        "fri": cand.fri,
-        "com": cand.com,
-        "0": Relation.empty(n),
-        "id": Relation.identity(n),
-    }
-    env.update(cand.deps)
-    env.update(cand.fences)
-    return env
-
-
-def eval_expr(node, env: dict, cand: Candidate) -> Relation:
-    if isinstance(node, Name):
-        try:
-            return env[node.value]
-        except KeyError:
-            raise CatError(f"unbound name {node.value!r}") from None
-    if isinstance(node, Empty):
-        return Relation.empty(cand.n)
-    if isinstance(node, Union):
-        return eval_expr(node.left, env, cand) | eval_expr(node.right, env, cand)
-    if isinstance(node, Inter):
-        return eval_expr(node.left, env, cand) & eval_expr(node.right, env, cand)
-    if isinstance(node, Diff):
-        return eval_expr(node.left, env, cand) - eval_expr(node.right, env, cand)
-    if isinstance(node, Seq):
-        return compose(eval_expr(node.left, env, cand), eval_expr(node.right, env, cand))
-    if isinstance(node, Plus):
-        return closure(eval_expr(node.expr, env, cand))
-    if isinstance(node, Star):
-        return closure(eval_expr(node.expr, env, cand), reflexive=True)
-    if isinstance(node, DirFilter):
-        src, tgt = DIRS[node.dir]
-        return restrict(eval_expr(node.expr, env, cand), src, tgt, cand.events)
-    raise CatError(f"cannot evaluate {node!r}")
+    return run_model(Model(()), cand).env
 
 
 @dataclass(frozen=True)
@@ -446,47 +414,128 @@ class ModelResult:
         return None
 
 
-def _bind(env: dict, name: str, value: Relation):
-    if name in env:
-        raise CatError(f"name {name!r} is already bound")
-    env[name] = value
+def _as_fn(f):  # a compiled operand as a function of the env
+    return (lambda env: f) if isinstance(f, int) else f
 
 
-def run_model(model: Model, cand: Candidate) -> ModelResult:
-    env = builtin_env(cand)
-    checks = []
+def _lift(op, f, g):
+    """op over two compiled operands: its bits now if both are bits."""
+    if isinstance(g, int):
+        return op(f, g) if isinstance(f, int) else lambda env: op(f(env), g)
+    if isinstance(f, int):
+        return lambda env: op(f, g(env))
+    return lambda env: op(f(env), g(env))
+
+
+def _fixpoint(env: dict, group: list):
+    # chaotic iteration to the least fixpoint; all operators that may
+    # see recursive names are monotone, so this terminates
+    env.update((name, 0) for name, _ in group)
+    changed = True
+    while changed:
+        changed = False
+        for name, f in group:
+            new = f(env)
+            if new != env[name]:
+                env[name] = new
+                changed = True
+
+
+def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
+    """Compile model into a function judging one candidate of t.
+
+    Every let, let rec and subexpression whose names all candidates of t
+    share (po, po-loc, deps, fences, 0, id and lets built from them) is
+    evaluated here, as is each direction filter's mask.  The rest becomes
+    functions from a candidate's env of bits to bits.
+    """
+    n = t.n
+    # a bound name's Relation if all candidates share it, else None
+    scope = {"po": t.po, "po-loc": t.po_loc, "0": Relation.empty(n), "id": Relation.identity(n),
+             **t.deps, **t.fences, **dict.fromkeys(_CANDIDATE_NAMES)}
+    read = set()  # per-candidate names compiled since the last clear
+    ops = {Union: operator.or_, Inter: operator.and_, Diff: lambda a, b: a & ~b,
+           Seq: partial(compose_bits, n)}
+
+    def compile_expr(node):
+        if isinstance(node, Name):
+            if node.value not in scope:
+                raise CatError(f"unbound name {node.value!r}")
+            if scope[node.value] is not None:
+                return scope[node.value].bits
+            read.add(node.value)
+            return operator.itemgetter(node.value)
+        if isinstance(node, Empty):
+            return 0
+        if isinstance(node, DirFilter):
+            mask = direction_mask(n, t.events, *DIRS[node.dir])
+            return _lift(operator.and_, compile_expr(node.expr), mask)
+        if isinstance(node, (Plus, Star)):
+            return _lift(partial(closure_bits, n), compile_expr(node.expr), isinstance(node, Star))
+        return _lift(ops[type(node)], compile_expr(node.left), compile_expr(node.right))
+
+    def declare(name, f):
+        if name in scope:
+            raise CatError(f"name {name!r} is already bound")
+        scope[name] = Relation(n, f) if isinstance(f, int) else None
+
+    def step(stmt):
+        """Bind stmt's names; its work per candidate as step(env, checks), if any."""
+        if isinstance(stmt, Check):
+            f = _as_fn(compile_expr(stmt.expr))
+            test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
+
+            def check(env, checks):
+                witness = test(Relation(n, f(env)))
+                checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
+
+            return check
+        if isinstance(stmt, Let):
+            f = compile_expr(stmt.expr)
+            declare(stmt.name, f)
+            if not isinstance(f, int):
+                return lambda env, _: operator.setitem(env, stmt.name, f(env))
+            return None
+        for name, _ in stmt.bindings:
+            declare(name, None)
+        read.clear()
+        group = [(name, _as_fn(compile_expr(expr))) for name, expr in stmt.bindings]
+        if read - {name for name, _ in group}:
+            return lambda env, _: _fixpoint(env, group)
+        env = {}  # it reads no per-candidate name: solve it now
+        _fixpoint(env, group)
+        scope.update((name, Relation(n, bits)) for name, bits in env.items())
+        return None
+
+    steps = []  # (statement position, step)
     for stmt in model.statements:
         try:
-            _execute(stmt, env, cand, checks)
+            if (f := step(stmt)) is not None:
+                steps.append((stmt.pos, f))
         except CatError as exc:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
-            raise CatError(f"{stmt.pos}: expression nested too deeply to evaluate") from None
-    return ModelResult(all(c.ok for c in checks), tuple(checks), env)
+            raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
+    statics = {k: v for k, v in scope.items() if v is not None}
+
+    def judge(cand: Candidate) -> ModelResult:
+        if cand.source is not t:
+            raise ValueError(f"model bound to {t.name}, candidate of {cand.source.name}")
+        same, checks, pos = t.same_thread.bits, [], None
+        rf, co, fr = cand.rf.bits, cand.co.bits, cand.fr.bits
+        env = {"rf": rf, "rfe": rf & ~same, "rfi": rf & same, "co": co, "coe": co & ~same,
+               "coi": co & same, "fr": fr, "fre": fr & ~same, "fri": fr & same, "com": co | rf | fr}
+        try:
+            for pos, f in steps:
+                f(env, checks)
+        except RecursionError:
+            raise CatError(f"{pos}: {_TOO_DEEP}") from None
+        full = {**statics, **{k: Relation(n, v) for k, v in env.items()}}
+        return ModelResult(all(c.ok for c in checks), tuple(checks), full)
+
+    return judge
 
 
-def _execute(stmt, env: dict, cand: Candidate, checks: list):
-    if isinstance(stmt, Let):
-        _bind(env, stmt.name, eval_expr(stmt.expr, env, cand))
-    elif isinstance(stmt, LetRec):
-        for name, _ in stmt.bindings:
-            _bind(env, name, Relation.empty(cand.n))
-        # chaotic iteration to the least fixpoint; all operators that
-        # may see recursive names are monotone, so this terminates
-        changed = True
-        while changed:
-            changed = False
-            for name, expr in stmt.bindings:
-                new = eval_expr(expr, env, cand)
-                if new != env[name]:
-                    env[name] = new
-                    changed = True
-    elif isinstance(stmt, Check):
-        r = eval_expr(stmt.expr, env, cand)
-        if stmt.kind == "acyclic":
-            witness = check_acyclic(r)
-        else:
-            witness = check_irreflexive(r)
-        checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
-    else:  # pragma: no cover
-        raise CatError(f"unknown statement {stmt!r}")
+def run_model(model, cand: Candidate) -> ModelResult:
+    """Judge cand by model: a Model, or the result of binding one to cand's test."""
+    return (bind(model, cand.source) if isinstance(model, Model) else model)(cand)

@@ -10,11 +10,10 @@ coherence choices in the outer loop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Iterator
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
-from .relation import Candidate, Relation, is_read, is_write
+from .relation import Candidate, Event, MemRead, Relation, is_read, is_write
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
@@ -28,36 +27,26 @@ def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
     co_orders_per_loc = []
     for loc in t.locations:
         init, *rest = writes_by_loc[loc]  # init write has the smallest id
-        orders = [
-            [init, *perm] for perm in itertools.permutations(sorted(rest))
-        ]
-        co_orders_per_loc.append(orders)
-
-    rf_choices_per_read = [
-        sorted(writes_by_loc[t.events[r].action.loc]) for r in reads
-    ]
+        co_orders_per_loc.append([[init, *p] for p in itertools.permutations(sorted(rest))])
+    rf_choices_per_read = [sorted(writes_by_loc[t.events[r].action.loc]) for r in reads]
 
     for co_pick in itertools.product(*co_orders_per_loc):
-        co_pairs = [
-            (order[i], order[j])
-            for order in co_pick
-            for i in range(len(order))
-            for j in range(i + 1, len(order))
-        ]
-        co = Relation.from_pairs(n, co_pairs)
+        pairs = (p for order in co_pick for p in itertools.combinations(order, 2))
+        co = Relation.from_pairs(n, pairs)
         for rf_pick in itertools.product(*rf_choices_per_read):
-            rf = Relation.from_pairs(n, zip(rf_pick, reads))
             events = list(t.events)
+            rf = fr = 0
             for src, r in zip(rf_pick, reads):
-                ev = events[r]
-                events[r] = replace(
-                    ev, action=replace(ev.action, value=events[src].action.value)
-                )
+                ev, value = t.events[r], t.events[src].action.value
+                events[r] = Event(r, ev.thread, ev.po_index, MemRead(ev.action.loc, value))
+                rf |= 1 << src * n + r
+                fr |= co.row(src) << r * n  # r reads before every write co-after src
             yield Candidate(
                 events=tuple(events),
                 po=t.po,
-                rf=rf,
+                rf=Relation(n, rf),
                 co=co,
+                fr=Relation(n, fr),
                 deps=t.deps,
                 fences=t.fences,
                 source=t,

@@ -180,6 +180,13 @@ _RE_SECTION = re.compile(
 )
 
 
+def _int(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise LitmusError(f"integer of {len(digits)} characters is too long", line) from None
+
+
 def _is_reg(name: str) -> bool:
     return name.startswith("r")
 
@@ -187,7 +194,7 @@ def _is_reg(name: str) -> bool:
 def _parse_instr(text: str, arch: str, line: int) -> Instr:
     text = text.strip()
     if m := _RE_MOV.match(text):
-        return MovConst(m.group(1), int(m.group(2)))
+        return MovConst(m.group(1), _int(m.group(2), line))
     if m := _RE_LD.match(text):
         return Load(m.group(1), m.group(2))
     if m := _RE_ST.match(text):
@@ -195,10 +202,10 @@ def _parse_instr(text: str, arch: str, line: int) -> Instr:
     if m := _RE_XOR.match(text):
         return Xor(m.group(1), m.group(2), m.group(3))
     if m := _RE_ADD.match(text):
-        b = int(m.group(3)) if m.group(3) is not None else m.group(4)
+        b = _int(m.group(3), line) if m.group(3) is not None else m.group(4)
         return Add(m.group(1), m.group(2), b)
     if m := _RE_CMP.match(text):
-        return Cmp(m.group(1), int(m.group(2)))
+        return Cmp(m.group(1), _int(m.group(2), line))
     if m := _RE_BR.match(text):
         return Branch(m.group(1), m.group(2))
     if m := _RE_LABEL.match(text):
@@ -221,11 +228,11 @@ def _tokenize_cond(text: str, line: int):
         if op is not None:
             tokens.append(op)
         elif thread is not None:
-            tokens.append(RegEq(thread, name, int(value)))
+            tokens.append(RegEq(thread, name, _int(value, line)))
         elif name is not None:
             if _is_reg(name):
                 raise LitmusError(f"register {name} in final must be thread-qualified", line)
-            tokens.append(LocEq(name, int(value)))
+            tokens.append(LocEq(name, _int(value, line)))
     return tokens
 
 
@@ -334,11 +341,11 @@ def parse_litmus(text: str) -> LitmusTest:
                         )
                     init_regs[(thread, lhs)] = ("loc", loc)
                 elif _is_reg(lhs):
-                    init_regs[(thread, lhs)] = ("int", int(num))
+                    init_regs[(thread, lhs)] = ("int", _int(num, bno))
                 elif thread is not None:
                     raise LitmusError(f"location {lhs} cannot be thread-qualified", bno)
                 else:
-                    init_locs[lhs] = int(num)
+                    init_locs[lhs] = _int(num, bno)
         elif m.group("kind") == "expect":
             for bno, entry in entries:
                 e = _RE_EXPECT.match(entry)

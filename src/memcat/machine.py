@@ -397,7 +397,7 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     Returns (machine behaviors, model behaviors, context of the first
     machine-accepted candidate or None); the model's env feeds the machine.
     """
-    from .cat import run_model
+    from .cat import bind, run_model
     from .executions import enumerate_candidates
 
     if len(t.events) > bound:
@@ -405,8 +405,9 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
             f"{t.name}: {len(t.events)} memory events exceed bound {bound}"
         )
     accepted, allowed, first = set(), set(), None
+    judge = bind(model, t)
     for cand in enumerate_candidates(t):
-        result = run_model(model, cand)
+        result = run_model(judge, cand)
         ctx = machine_context(cand, result.env)
         if machine_accepts(ctx):
             accepted.add(_behavior(cand))
@@ -425,11 +426,8 @@ def enumerate_accepted(t, bound: int = DEFAULT_BOUND):
 
 def model_behaviors(t, model):
     """Behaviors the axiomatic model allows; same shape as enumerate_accepted."""
-    from .cat import run_model
+    from .cat import bind, run_model
     from .executions import enumerate_candidates
 
-    behaviors = set()
-    for cand in enumerate_candidates(t):
-        if run_model(model, cand).passed:
-            behaviors.add(_behavior(cand))
-    return behaviors
+    judge = bind(model, t)
+    return {_behavior(c) for c in enumerate_candidates(t) if run_model(judge, c).passed}

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from ..cat import CatError, Check, Empty, Let, Model, parse_cat, run_model
+from ..cat import CatError, Check, Empty, Let, Model, bind, parse_cat, run_model
 from ..executions import enumerate_candidates, evaluate_final, observed_state
 from ..litmus import ProjectedTest
 
@@ -112,9 +112,10 @@ def evaluate_test(
     all_passing_satisfy = True
     states = set()
     failures: dict = {}
+    judge = bind(model, t)
     for cand in enumerate_candidates(t):
         total += 1
-        result = run_model(model, cand)
+        result = run_model(judge, cand)
         if prune and any(c.name == PRUNE_CHECK and not c.ok for c in result.checks):
             continue
         for check in result.checks:

@@ -11,7 +11,7 @@ relations; instances are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -158,28 +158,36 @@ class Relation:
         return f"Relation({self.n}, {self.pairs()!r})"
 
 
-def compose(r1: Relation, r2: Relation) -> Relation:
-    """Relational composition r1;r2."""
-    n, a, b = _universe(r1, r2), r1.bits, r2.bits
+def compose_bits(n: int, a: int, b: int) -> int:
+    """Bits of a;b, for relations over {0, ..., n-1} given by their bits."""
+    if not a or not b:
+        return 0
     col0, full = _masks(n)[0], (1 << n) - 1
     acc = 0
     for k in range(n):
         row = b >> k * n & full
-        if row:  # copy row k of r2 into every row of r1 that has bit k
+        if row:  # copy row k of b into every row of a that has bit k
             acc |= (a >> k & col0) * row
-    return Relation(n, acc)
+    return acc
+
+
+def closure_bits(n: int, bits: int, reflexive: bool = False) -> int:
+    """Bits of r+ (with reflexive=True, r*) for r given by its bits."""
+    col0, diag = _masks(n)
+    full = (1 << n) - 1
+    for k in range(n if bits else 0):  # Warshall: every row with bit k gains row k
+        bits |= (bits >> k & col0) * (bits >> k * n & full)
+    return bits | diag if reflexive else bits
+
+
+def compose(r1: Relation, r2: Relation) -> Relation:
+    """Relational composition r1;r2."""
+    return Relation(_universe(r1, r2), compose_bits(r1.n, r1.bits, r2.bits))
 
 
 def closure(r: Relation, reflexive: bool = False) -> Relation:
     """Transitive closure r+; with reflexive=True, r*."""
-    n, bits = r.n, r.bits
-    col0, diag = _masks(n)
-    full = (1 << n) - 1
-    for k in range(n):  # Warshall: every row with bit k gains row k
-        bits |= (bits >> k & col0) * (bits >> k * n & full)
-    if reflexive:
-        bits |= diag
-    return Relation(n, bits)
+    return Relation(r.n, closure_bits(r.n, r.bits, reflexive))
 
 
 def check_acyclic(r: Relation) -> Optional[list[int]]:
@@ -225,23 +233,16 @@ _SCOPE_KINDS = {
 }
 
 
-def scope_mask(events: Sequence[Event], letter: str) -> int:
-    kinds = _SCOPE_KINDS[letter]
-    mask = 0
-    for e in events:
-        if isinstance(e.action, kinds):
-            mask |= 1 << e.id
-    return mask
+def direction_mask(n: int, events: Sequence[Event], src: str, tgt: str) -> int:
+    """Bits of every pair whose endpoints match the scope letters (R, W or M)."""
+    srcs, tgts = _SCOPE_KINDS[src], _SCOPE_KINDS[tgt]
+    tmask = sum(1 << e.id for e in events if isinstance(e.action, tgts))
+    return sum(tmask << e.id * n for e in events if isinstance(e.action, srcs))
 
 
 def restrict(r: Relation, src: str, tgt: str, events: Sequence[Event]) -> Relation:
     """Keep pairs whose endpoints match the scope letters (R, W or M)."""
-    kinds, tmask = _SCOPE_KINDS[src], scope_mask(events, tgt)
-    mask = 0
-    for e in events:
-        if isinstance(e.action, kinds):
-            mask |= tmask << e.id * r.n
-    return Relation(r.n, r.bits & mask)
+    return Relation(r.n, r.bits & direction_mask(r.n, events, src, tgt))
 
 
 def derive_fr(rf: Relation, co: Relation) -> Relation:
@@ -282,20 +283,20 @@ def same_loc(events: Sequence[Event]) -> Relation:
 
 @dataclass(eq=False)
 class Candidate:
-    """A candidate execution: events plus po, rf, co and static relations.
+    """A candidate execution: events plus po, rf, co, fr and static relations.
 
     deps maps dependency names (addr, data, ctrl, ctrl+isync, ...) and
     fences maps fence kinds (sync, mfence, ...) to relations over the
     same universe.  source is the projected test; po-loc and the
     same-thread relation that splits rf, co and fr into internal and
-    external parts are its fields, built once per test.  fr and com are
-    computed on first use.
+    external parts are its fields, built once per test.
     """
 
     events: tuple[Event, ...]
     po: Relation
     rf: Relation
     co: Relation
+    fr: Relation
     deps: Mapping[str, Relation]
     fences: Mapping[str, Relation]
     source: "ProjectedTest"
@@ -304,38 +305,10 @@ class Candidate:
     def n(self) -> int:
         return len(self.events)
 
-    @cached_property
-    def fr(self) -> Relation:
-        return derive_fr(self.rf, self.co)
-
     @property
     def po_loc(self) -> Relation:
         return self.source.po_loc
 
-    @cached_property
-    def com(self) -> Relation:
-        return self.co | self.rf | self.fr
-
-    @property
-    def rfi(self) -> Relation:
-        return self.rf & self.source.same_thread
-
     @property
     def rfe(self) -> Relation:
         return self.rf - self.source.same_thread
-
-    @property
-    def coi(self) -> Relation:
-        return self.co & self.source.same_thread
-
-    @property
-    def coe(self) -> Relation:
-        return self.co - self.source.same_thread
-
-    @property
-    def fri(self) -> Relation:
-        return self.fr & self.source.same_thread
-
-    @property
-    def fre(self) -> Relation:
-        return self.fr - self.source.same_thread

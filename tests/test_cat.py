@@ -1,9 +1,16 @@
 """Model language: lexer, parser, evaluator."""
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memcat import cat, machine, models, suite
 from memcat.cat import (
+    DIRS,
     CatError,
+    CheckResult,
     Check,
     Diff,
     DirFilter,
@@ -11,17 +18,29 @@ from memcat.cat import (
     Inter,
     Let,
     LetRec,
+    Model,
+    ModelResult,
     Name,
     Plus,
     Seq,
     Star,
     Union,
+    bind,
     builtin_env,
     parse_cat,
     run_model,
 )
 from memcat.executions import enumerate_candidates
 from memcat.litmus import parse_litmus, project
+from memcat.relation import (
+    Relation,
+    check_acyclic,
+    check_irreflexive,
+    closure,
+    compose,
+    derive_fr,
+    restrict,
+)
 
 from oracles import candidate_pairs, closure_pairs, sc_allowed
 
@@ -271,3 +290,256 @@ def test_one_line_sc_model_matches_oracle_on_mp():
     model = parse_cat("(* sc *) acyclic po | rf | fr | co")
     for cand in mp_candidates():
         assert run_model(model, cand).passed == sc_allowed(cand)
+
+
+# ------------------------------------------------------ reference evaluator
+# The tree-walking evaluator run_model replaced: every candidate evaluates
+# every node through the Relation algebra.  Kept as the oracle.
+
+
+def reference_env(cand):
+    same, fr = cand.source.same_thread, derive_fr(cand.rf, cand.co)
+    env = {
+        "po": cand.po, "po-loc": cand.po_loc,
+        "rf": cand.rf, "rfe": cand.rf - same, "rfi": cand.rf & same,
+        "co": cand.co, "coe": cand.co - same, "coi": cand.co & same,
+        "fr": fr, "fre": fr - same, "fri": fr & same,
+        "com": cand.co | cand.rf | fr,
+        "0": Relation.empty(cand.n), "id": Relation.identity(cand.n),
+    }
+    env.update(cand.deps)
+    env.update(cand.fences)
+    return env
+
+
+def reference_eval(node, env, cand):
+    if isinstance(node, Name):
+        try:
+            return env[node.value]
+        except KeyError:
+            raise CatError(f"unbound name {node.value!r}") from None
+    if isinstance(node, Empty):
+        return Relation.empty(cand.n)
+    if isinstance(node, Union):
+        return reference_eval(node.left, env, cand) | reference_eval(node.right, env, cand)
+    if isinstance(node, Inter):
+        return reference_eval(node.left, env, cand) & reference_eval(node.right, env, cand)
+    if isinstance(node, Diff):
+        return reference_eval(node.left, env, cand) - reference_eval(node.right, env, cand)
+    if isinstance(node, Seq):
+        return compose(reference_eval(node.left, env, cand), reference_eval(node.right, env, cand))
+    if isinstance(node, (Plus, Star)):
+        return closure(reference_eval(node.expr, env, cand), reflexive=isinstance(node, Star))
+    if isinstance(node, DirFilter):
+        return restrict(reference_eval(node.expr, env, cand), *DIRS[node.dir], cand.events)
+    raise CatError(f"cannot evaluate {node!r}")
+
+
+def reference_bind(env, name, value):
+    if name in env:
+        raise CatError(f"name {name!r} is already bound")
+    env[name] = value
+
+
+def reference_execute(stmt, env, cand, checks):
+    if isinstance(stmt, Let):
+        reference_bind(env, stmt.name, reference_eval(stmt.expr, env, cand))
+    elif isinstance(stmt, LetRec):
+        for name, _ in stmt.bindings:
+            reference_bind(env, name, Relation.empty(cand.n))
+        changed = True
+        while changed:  # chaotic iteration to the least fixpoint
+            changed = False
+            for name, expr in stmt.bindings:
+                new = reference_eval(expr, env, cand)
+                if new != env[name]:
+                    env[name] = new
+                    changed = True
+    else:
+        r = reference_eval(stmt.expr, env, cand)
+        witness = check_acyclic(r) if stmt.kind == "acyclic" else check_irreflexive(r)
+        checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
+
+
+def reference_run(model, cand):
+    env, checks = reference_env(cand), []
+    for stmt in model.statements:
+        try:
+            reference_execute(stmt, env, cand, checks)
+        except CatError as exc:
+            raise CatError(f"{stmt.pos}: {exc}") from None
+        except RecursionError:
+            raise CatError(f"{stmt.pos}: expression nested too deeply to evaluate") from None
+    return ModelResult(all(c.ok for c in checks), tuple(checks), env)
+
+
+def test_builtin_env_matches_reference_env():
+    for name in ("mp", "isa2+lwsync+addrs", "mp+dmb+fri-rfi-ctrlisb"):
+        for cand in enumerate_candidates(suite.load(name)):
+            assert builtin_env(cand) == reference_env(cand), name
+
+
+# The names every candidate of a test shares, and those that differ
+STATIC = [
+    "po", "po-loc", "0", "id", "addr", "data", "ctrl", "ctrl+isync", "ctrl+isb",
+    "sync", "lwsync", "eieio", "dmb", "dmb.st", "mfence",
+]
+DYNAMIC = ["rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com"]
+POS = "gen.cat:1:1"
+
+
+def expressions(names, subtrahends=None):
+    """Every node type over names; a difference subtracts subtrahends."""
+    leaves = st.sampled_from(names).map(Name) | st.just(Empty())
+
+    def extend(sub):
+        right = sub if subtrahends is None else subtrahends
+        return st.one_of(
+            st.builds(Union, sub, sub),
+            st.builds(Inter, sub, sub),
+            st.builds(Diff, sub, right),
+            st.builds(Seq, sub, sub),
+            st.builds(Plus, sub),
+            st.builds(Star, sub),
+            st.builds(DirFilter, st.sampled_from(sorted(DIRS)), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+NAMED = STATIC + DYNAMIC + ["s", "d"]
+STATIC_EXPRESSIONS = expressions(STATIC)
+MIXED_EXPRESSIONS = expressions(STATIC + DYNAMIC + ["s"])
+STATIC_REC_EXPRESSIONS = expressions(STATIC + ["s", "sr"], STATIC_EXPRESSIONS)
+REC_EXPRESSIONS = expressions(NAMED + ["a", "b"], expressions(NAMED))
+CHECKED_EXPRESSIONS = expressions(NAMED + ["sr", "a", "b"])
+
+
+@st.composite
+def generated_models(draw):
+    """A static let, a mixed let, a static and a mixed let rec, two checks."""
+    return Model((
+        Let("s", draw(STATIC_EXPRESSIONS), POS),
+        Let("d", draw(MIXED_EXPRESSIONS), POS),
+        LetRec((("sr", draw(STATIC_REC_EXPRESSIONS)),), POS),
+        LetRec((("a", draw(REC_EXPRESSIONS)), ("b", draw(REC_EXPRESSIONS))), POS),
+        Check("acyclic", draw(CHECKED_EXPRESSIONS), "first", POS),
+        Check("irreflexive", draw(CHECKED_EXPRESSIONS), "second", POS),
+    ))
+
+
+ORACLE_TESTS = [suite.load(name) for name in ("mp", "isa2+lwsync+addrs", "w+rw+2w+lwsyncs")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(generated_models())
+def test_run_model_matches_reference_evaluator(model):
+    for t in ORACLE_TESTS:
+        judge = bind(model, t)
+        for cand in enumerate_candidates(t):
+            want, got = reference_run(model, cand), run_model(judge, cand)
+            assert got.env == want.env
+            assert got.checks == want.checks
+            assert got.passed == want.passed
+
+
+def test_bundled_models_match_reference_evaluator():
+    for name in models.BUILTIN_MODELS:
+        model = models.load_builtin(name)
+        for t in ORACLE_TESTS + [suite.load("mp+dmb+fri-rfi-ctrlisb")]:
+            judge = bind(model, t)
+            for cand in enumerate_candidates(t):
+                want, got = reference_run(model, cand), run_model(judge, cand)
+                assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
+
+
+def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):
+    bound = []
+
+    def counted(model, t):
+        bound.append(t.name)
+        return bind(model, t)
+
+    monkeypatch.setattr(models, "bind", counted)
+    monkeypatch.setattr(cat, "bind", counted)
+    power, names = models.load_builtin("power"), ["mp", "iriw", "coRR"]
+    for name in names:
+        models.evaluate_test(suite.load(name), power, prune=True)
+        machine.cross_check(suite.load(name), power)
+    assert bound == [name for name in names for _ in "ab"]
+
+
+def test_bound_model_rejects_a_candidate_of_another_test():
+    judge = bind(parse_cat("acyclic po"), suite.load("sb"))
+    with pytest.raises(ValueError, match="bound to sb"):
+        run_model(judge, mp_candidates()[0])
+
+
+# each error inside a statement whose names all candidates share, one
+# that depends on the candidate, and a let rec
+NAME_ERRORS = [
+    ("let a = po\nlet b = a | mystery", "m.cat:2:1: unbound name 'mystery'"),
+    ("let a = po\nlet b = a | rf | mystery", "m.cat:2:1: unbound name 'mystery'"),
+    ("let a = po\nlet rec b = a | (b;rf) | mystery", "m.cat:2:1: unbound name 'mystery'"),
+    ("let a = po\nlet a = id", "m.cat:2:1: name 'a' is already bound"),
+    ("let a = rf\nlet a = co", "m.cat:2:1: name 'a' is already bound"),
+    ("let a = rf\nlet rec a = a | co", "m.cat:2:1: name 'a' is already bound"),
+    ("acyclic po\nlet rec id = po", "m.cat:2:1: name 'id' is already bound"),
+]
+
+
+@pytest.mark.parametrize("src, msg", NAME_ERRORS)
+def test_name_errors_name_their_statement(src, msg):
+    model, t = parse_cat(src, path="m.cat"), suite.load("mp")
+    for attempt in (lambda: bind(model, t), lambda: run_model(model, mp_candidates()[0])):
+        with pytest.raises(CatError) as exc:
+            attempt()
+        assert str(exc.value) == msg
+        assert str(exc.value) == str(_reference_error(model))
+
+
+def _reference_error(model):
+    try:
+        reference_run(model, mp_candidates()[0])
+    except CatError as exc:
+        return exc
+    raise AssertionError("reference evaluator accepted the model")
+
+
+def _nested(depth, name):
+    node = Name(name)
+    for _ in range(depth):
+        node = Union(node, Name(name))
+    return node
+
+
+def _at_depth(frames, fn):
+    """fn() called with frames more Python frames on the stack."""
+    return _at_depth(frames - 1, fn) if frames else fn()
+
+
+TOO_DEEP = "m.cat:1:1: expression nested too deeply to evaluate"
+STATEMENTS = {
+    "static-let": lambda e: Let("x", e, "m.cat:1:1"),
+    "let": lambda e: Let("x", e, "m.cat:1:1"),
+    "let-rec": lambda e: LetRec((("x", e),), "m.cat:1:1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATEMENTS))
+def test_too_deep_to_bind_names_its_statement(kind):
+    depth = sys.getrecursionlimit() + 100
+    expr = _nested(depth, "po" if kind == "static-let" else "rf")
+    model = Model((STATEMENTS[kind](expr),))
+    with pytest.raises(CatError, match=f"^{TOO_DEEP}$"):
+        bind(model, suite.load("mp"))
+
+
+@pytest.mark.parametrize("kind", ["let", "let-rec"])
+def test_too_deep_to_run_names_its_statement(kind):
+    # bound near the bottom of the stack, run near its top: the
+    # candidate's functions recurse once per node and overflow
+    model, t = Model((STATEMENTS[kind](_nested(300, "rf")),)), suite.load("mp")
+    judge, cand = bind(model, t), next(enumerate_candidates(t))
+    with pytest.raises(CatError, match=f"^{TOO_DEEP}$"):
+        _at_depth(sys.getrecursionlimit() - 250, lambda: run_model(judge, cand))

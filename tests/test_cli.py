@@ -11,7 +11,7 @@ from memcat.cli import main
 from memcat.executions import enumerate_candidates
 from memcat.models import models_dir
 
-from test_litmus import REJECTED
+from test_litmus import HUGE_INTEGERS, REJECTED
 
 
 def invoke(*args, env=None):
@@ -156,6 +156,16 @@ def test_text_outside_any_litmus_section_is_usage_error(tmp_path, src, line):
     assert res.exit_code == 2
     err = getattr(res, "stderr", "") or res.output
     assert f"line {line}: " in err
+    assert "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_is_usage_error(tmp_path):
+    f = tmp_path / "big.litmus"
+    f.write_text(HUGE_INTEGERS[0].values[0])
+    res = invoke("run", "-m", "sc", str(f))
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "line 3: integer of 5000 characters is too long" in err
     assert "Traceback" not in err
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from memcat import suite
 from memcat.cat import run_model
 from memcat.executions import enumerate_candidates, evaluate_final
 from memcat.litmus import parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
-from memcat.relation import MemRead, MemWrite
+from memcat.relation import MemRead, MemWrite, derive_fr
 
 from oracles import candidate_pairs, count_expected_candidates, is_acyclic_pairs
 
@@ -78,6 +79,13 @@ def test_read_values_are_filled_from_their_source():
     for cand in _cands(MP):
         for w, r in cand.rf.pairs():
             assert cand.events[r].action.value == cand.events[w].action.value
+
+
+def test_fr_matches_rf_inverse_then_co():
+    # enumeration builds fr row by row from each read's source
+    for name in suite.names():
+        for cand in enumerate_candidates(suite.load(name)):
+            assert cand.fr == derive_fr(cand.rf, cand.co), name
 
 
 def test_co_is_per_location_total_order_with_init_first():

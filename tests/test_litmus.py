@@ -439,6 +439,26 @@ def test_text_outside_any_section_is_rejected_with_its_line(src, line):
         parse_litmus(src)
 
 
+BIG = "7" * 5000  # past the interpreter's limit on the digits int() converts
+
+HUGE_INTEGERS = [
+    pytest.param(MP.replace("r1=1;", f"r1={BIG};"), 3, id="init-register"),
+    pytest.param(MP.replace("x=0;", f"x={BIG};"), 3, id="init-location"),
+    pytest.param(MP.replace("  ld r3", f"  mov r9, #{BIG}\n  ld r3"), 12, id="mov"),
+    pytest.param(MP.replace("  ld r3", f"  add r9, r2, #{BIG}\n  ld r3"), 12, id="add"),
+    pytest.param(MP.replace("  ld r3", f"  cmp r2, #-{BIG}\n  ld r3"), 12, id="cmp"),
+    pytest.param(MP.replace("T1:r3=0", f"T1:r3={BIG}"), 15, id="final-register"),
+    pytest.param(MP.replace("T1:r2=1", f"x={BIG}"), 15, id="final-location"),
+]
+
+
+@pytest.mark.parametrize("src, line", HUGE_INTEGERS)
+def test_integer_past_the_digit_limit_is_a_litmus_error(src, line):
+    msg = rf"^line {line}: integer of 500[01] characters is too long$"
+    with pytest.raises(LitmusError, match=msg):
+        parse_litmus(src)
+
+
 # Every suite test's projection, recorded before dependencies were computed
 # by register taint instead of a micro-event graph.  Frozen: a frontend
 # change that moves any entry here is a behaviour change, not a refactor.
