@@ -14,13 +14,18 @@ a model is always one flat statement list.
 A model is bound to a test once (bind): the names every candidate of
 the test shares (po, po-loc, deps, fences, 0, id) and each let built
 only from them are evaluated there, and the rest compiles to functions
-that run per candidate on relations held as int bitsets.
+that run per candidate on relations held as int bitsets.  Each of those
+is memoised on the values of the per-candidate names it reads, for as
+long as the bound model lives (one test), so a statement runs once per
+distinct input, not once per candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -389,7 +394,7 @@ _TOO_DEEP = "expression nested too deeply to evaluate"
 
 
 def builtin_env(cand: Candidate) -> dict:
-    return run_model(Model(()), cand).env
+    return dict(run_model(Model(()), cand).env)
 
 
 @dataclass(frozen=True)
@@ -400,11 +405,29 @@ class CheckResult:
     witness: object
 
 
+class _Env(Mapping):
+    """A candidate's names, read-only: the Relations all candidates of its
+    test share, then its own bits, each wrapped in a Relation when read."""
+
+    def __init__(self, n: int, statics: dict, bits: dict):
+        self._n, self._statics, self._bits = n, statics, bits
+
+    def __getitem__(self, name: str) -> Relation:
+        bits = self._bits.get(name)
+        return self._statics[name] if bits is None else Relation(self._n, bits)
+
+    def __iter__(self):
+        return itertools.chain(self._statics, self._bits)
+
+    def __len__(self) -> int:
+        return len(self._statics) + len(self._bits)
+
+
 @dataclass(frozen=True)
 class ModelResult:
     passed: bool
     checks: tuple
-    env: dict
+    env: Mapping  # name -> Relation
 
     @property
     def failed(self) -> Optional[str]:
@@ -427,9 +450,10 @@ def _lift(op, f, g):
     return lambda env: op(f(env), g(env))
 
 
-def _fixpoint(env: dict, group: list):
-    # chaotic iteration to the least fixpoint; all operators that may
-    # see recursive names are monotone, so this terminates
+def _fixpoint(env: dict, group: list) -> tuple:
+    """The group's least fixpoint, set in env and returned in group order."""
+    # chaotic iteration; all operators that may see recursive names are
+    # monotone, so this terminates
     env.update((name, 0) for name, _ in group)
     changed = True
     while changed:
@@ -439,6 +463,24 @@ def _fixpoint(env: dict, group: list):
             if new != env[name]:
                 env[name] = new
                 changed = True
+    return tuple(env[name] for name, _ in group)
+
+
+def _memoised(names, f):
+    """f over an env, run once per distinct value of the names it reads."""
+    if not names:  # it reads no per-candidate name: decide it now
+        value = f({})
+        return lambda env: value
+    key, memo = operator.itemgetter(*sorted(names)), {}
+
+    def g(env):
+        k = key(env)
+        value = memo.get(k)  # never None: f gives bits, a tuple or a CheckResult
+        if value is None:
+            value = memo[k] = f(env)
+        return value
+
+    return g
 
 
 def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
@@ -446,8 +488,14 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
 
     Every let, let rec and subexpression whose names all candidates of t
     share (po, po-loc, deps, fences, 0, id and lets built from them) is
-    evaluated here, as is each direction filter's mask.  The rest becomes
-    functions from a candidate's env of bits to bits.
+    evaluated here, as is each direction filter's mask and each check of
+    such a relation.  The rest becomes functions from a candidate's env
+    of bits to bits, each memoised on the bits of the per-candidate names
+    it reads: a let keeps its bits, a let rec group the tuple of its
+    solved values (keyed on the names it reads outside the group) and a
+    check its CheckResult.  The memos belong to the returned function and
+    go when it does.  A result's env wraps bits in a Relation only when
+    a name is read.
     """
     n = t.n
     # a bound name's Relation if all candidates share it, else None
@@ -480,31 +528,34 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
         scope[name] = Relation(n, f) if isinstance(f, int) else None
 
     def step(stmt):
-        """Bind stmt's names; its work per candidate as step(env, checks), if any."""
+        """Bind stmt's names; its memoised work per candidate as step(env, checks), if any."""
+        read.clear()
         if isinstance(stmt, Check):
             f = _as_fn(compile_expr(stmt.expr))
             test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
 
-            def check(env, checks):
+            def check(env):
                 witness = test(Relation(n, f(env)))
-                checks.append(CheckResult(stmt.name, stmt.kind, witness is None, witness))
+                return CheckResult(stmt.name, stmt.kind, witness is None, witness)
 
-            return check
+            check = _memoised(read, check)
+            return lambda env, checks: checks.append(check(env))
         if isinstance(stmt, Let):
             f = compile_expr(stmt.expr)
             declare(stmt.name, f)
-            if not isinstance(f, int):
-                return lambda env, _: operator.setitem(env, stmt.name, f(env))
-            return None
-        for name, _ in stmt.bindings:
+            if isinstance(f, int):
+                return None
+            f = _memoised(read, f)
+            return lambda env, _: operator.setitem(env, stmt.name, f(env))
+        names = [name for name, _ in stmt.bindings]
+        for name in names:
             declare(name, None)
-        read.clear()
         group = [(name, _as_fn(compile_expr(expr))) for name, expr in stmt.bindings]
-        if read - {name for name, _ in group}:
-            return lambda env, _: _fixpoint(env, group)
-        env = {}  # it reads no per-candidate name: solve it now
-        _fixpoint(env, group)
-        scope.update((name, Relation(n, bits)) for name, bits in env.items())
+        if inputs := read.difference(names):
+            solved = _memoised(inputs, lambda env: _fixpoint(env, group))
+            return lambda env, _: env.update(zip(names, solved(env)))
+        # it reads no per-candidate name: solve it now
+        scope.update(zip(names, map(partial(Relation, n), _fixpoint({}, group))))
         return None
 
     steps = []  # (statement position, step)
@@ -530,8 +581,7 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
                 f(env, checks)
         except RecursionError:
             raise CatError(f"{pos}: {_TOO_DEEP}") from None
-        full = {**statics, **{k: Relation(n, v) for k, v in env.items()}}
-        return ModelResult(all(c.ok for c in checks), tuple(checks), full)
+        return ModelResult(all(c.ok for c in checks), tuple(checks), _Env(n, statics, env))
 
     return judge
 

@@ -30,21 +30,25 @@ def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
         co_orders_per_loc.append([[init, *p] for p in itertools.permutations(sorted(rest))])
     rf_choices_per_read = [sorted(writes_by_loc[t.events[r].action.loc]) for r in reads]
 
+    choices = []  # per rf choice: its events, rf and (source, read) links
+    for rf_pick in itertools.product(*rf_choices_per_read):
+        events, rf, links = list(t.events), 0, tuple(zip(rf_pick, reads))
+        for src, r in links:
+            ev, value = t.events[r], t.events[src].action.value
+            events[r] = Event(r, ev.thread, ev.po_index, MemRead(ev.action.loc, value))
+            rf |= 1 << src * n + r
+        choices.append((tuple(events), Relation(n, rf), links))
+
     for co_pick in itertools.product(*co_orders_per_loc):
         pairs = (p for order in co_pick for p in itertools.combinations(order, 2))
         co = Relation.from_pairs(n, pairs)
-        for rf_pick in itertools.product(*rf_choices_per_read):
-            events = list(t.events)
-            rf = fr = 0
-            for src, r in zip(rf_pick, reads):
-                ev, value = t.events[r], t.events[src].action.value
-                events[r] = Event(r, ev.thread, ev.po_index, MemRead(ev.action.loc, value))
-                rf |= 1 << src * n + r
-                fr |= co.row(src) << r * n  # r reads before every write co-after src
+        for events, rf, links in choices:
+            # row r of fr is row src of co: r reads before every write co-after src
+            fr = sum(co.row(src) << r * n for src, r in links)
             yield Candidate(
-                events=tuple(events),
+                events=events,
                 po=t.po,
-                rf=Relation(n, rf),
+                rf=rf,
                 co=co,
                 fr=Relation(n, fr),
                 deps=t.deps,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .relation import Event, MemRead, MemWrite, Relation, same_loc, same_thread
@@ -75,6 +75,7 @@ class Xor:
     dst: str
     a: str
     b: str
+    line: int = field(compare=False)  # for errors in the value it computes
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ class Add:
     dst: str
     a: str
     b: Union[str, int]
+    line: int = field(compare=False)  # for errors in the value it computes
 
 
 @dataclass(frozen=True)
@@ -200,10 +202,10 @@ def _parse_instr(text: str, arch: str, line: int) -> Instr:
     if m := _RE_ST.match(text):
         return Store(m.group(1), m.group(2))
     if m := _RE_XOR.match(text):
-        return Xor(m.group(1), m.group(2), m.group(3))
+        return Xor(m.group(1), m.group(2), m.group(3), line)
     if m := _RE_ADD.match(text):
         b = _int(m.group(3), line) if m.group(3) is not None else m.group(4)
-        return Add(m.group(1), m.group(2), b)
+        return Add(m.group(1), m.group(2), b, line)
     if m := _RE_CMP.match(text):
         return Cmp(m.group(1), _int(m.group(2), line))
     if m := _RE_BR.match(text):
@@ -455,7 +457,12 @@ class _ThreadSim:
     def _taint(self, *regs):
         return frozenset().union(*(self.taint.get(r, ()) for r in regs))
 
-    def _set(self, reg, val, taint):
+    def _set(self, reg, val, taint, line=None):
+        if val[0] == "int":
+            try:
+                str(val[1])  # observed states print it
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise LitmusError(f"{self.tname}: value of {reg} is too long", line) from None
         self.regs[reg] = val
         self.taint[reg] = taint
         self.reg_last[reg] = ("const", val[1]) if val[0] == "int" else ("unknown",)
@@ -485,7 +492,7 @@ class _ThreadSim:
                 out = ("int", va[1] ^ vb[1])
             else:
                 out = ("unknown",)
-            self._set(ins.dst, out, self._taint(ins.a, ins.b))
+            self._set(ins.dst, out, self._taint(ins.a, ins.b), ins.line)
         elif isinstance(ins, Add):
             va = self.regs.get(ins.a, ("unknown",))
             if isinstance(ins.b, str):
@@ -494,7 +501,7 @@ class _ThreadSim:
             else:
                 vb = ("int", ins.b)
                 srcs = self._taint(ins.a)
-            self._set(ins.dst, self._add_vals(va, vb), srcs)
+            self._set(ins.dst, self._add_vals(va, vb), srcs, ins.line)
         elif isinstance(ins, Cmp):
             self.regs["cr0"] = ("unknown",)
             self.taint["cr0"] = self._taint(ins.reg)

@@ -435,8 +435,9 @@ ORACLE_TESTS = [suite.load(name) for name in ("mp", "isa2+lwsync+addrs", "w+rw+2
 @given(generated_models())
 def test_run_model_matches_reference_evaluator(model):
     for t in ORACLE_TESTS:
-        judge = bind(model, t)
-        for cand in enumerate_candidates(t):
+        judge, cands = bind(model, t), list(enumerate_candidates(t))
+        # the reverse sweep hits the memo in another order than it was filled
+        for cand in cands + cands[::-1]:
             want, got = reference_run(model, cand), run_model(judge, cand)
             assert got.env == want.env
             assert got.checks == want.checks
@@ -447,10 +448,32 @@ def test_bundled_models_match_reference_evaluator():
     for name in models.BUILTIN_MODELS:
         model = models.load_builtin(name)
         for t in ORACLE_TESTS + [suite.load("mp+dmb+fri-rfi-ctrlisb")]:
-            judge = bind(model, t)
-            for cand in enumerate_candidates(t):
+            judge, cands = bind(model, t), list(enumerate_candidates(t))
+            for cand in cands + cands[::-1]:  # then hit the memo in reverse
                 want, got = reference_run(model, cand), run_model(judge, cand)
                 assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
+
+
+def test_let_rec_is_solved_once_per_distinct_input(monkeypatch):
+    # power's group reads two per-candidate names, ii0 and ci0
+    solved = []
+
+    def counted(env, group):
+        solved.append(tuple(name for name, _ in group))
+        return fixpoint(env, group)
+
+    fixpoint = cat._fixpoint
+    monkeypatch.setattr(cat, "_fixpoint", counted)
+    t = suite.load("isa2+lwsync+addrs")
+    judge = bind(models.load_builtin("power"), t)
+    solved.clear()  # drop the let recs solved once while binding, if any
+    cands = list(enumerate_candidates(t))
+    inputs = set()
+    for cand in cands:
+        env = run_model(judge, cand).env
+        inputs.add((env["ii0"], env["ci0"]))
+    assert solved == [("ii", "ic", "ci", "cc")] * len(inputs)
+    assert len(inputs) < len(cands)
 
 
 def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):

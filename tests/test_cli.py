@@ -11,7 +11,7 @@ from memcat.cli import main
 from memcat.executions import enumerate_candidates
 from memcat.models import models_dir
 
-from test_litmus import HUGE_INTEGERS, REJECTED
+from test_litmus import COMPUTED_HUGE_INTEGERS, HUGE_INTEGERS, REJECTED
 
 
 def invoke(*args, env=None):
@@ -166,6 +166,16 @@ def test_integer_past_the_digit_limit_is_usage_error(tmp_path):
     assert res.exit_code == 2
     err = getattr(res, "stderr", "") or res.output
     assert "line 3: integer of 5000 characters is too long" in err
+    assert "Traceback" not in err
+
+
+def test_value_computed_past_the_digit_limit_is_usage_error(tmp_path):
+    f = tmp_path / "big.litmus"
+    f.write_text(COMPUTED_HUGE_INTEGERS[0].values[0])
+    res = invoke("run", "-m", "sc", str(f))
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "line 4: T0: value of r2 is too long" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
 """Candidate enumeration tests."""
 
+import itertools
+
 import pytest
 
 from memcat import suite
@@ -7,7 +9,7 @@ from memcat.cat import run_model
 from memcat.executions import enumerate_candidates, evaluate_final
 from memcat.litmus import parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
-from memcat.relation import MemRead, MemWrite, derive_fr
+from memcat.relation import Event, MemRead, MemWrite, derive_fr, is_read, is_write
 
 from oracles import candidate_pairs, count_expected_candidates, is_acyclic_pairs
 
@@ -86,6 +88,39 @@ def test_fr_matches_rf_inverse_then_co():
     for name in suite.names():
         for cand in enumerate_candidates(suite.load(name)):
             assert cand.fr == derive_fr(cand.rf, cand.co), name
+
+
+def reference_candidates(t):
+    """(events, rf, co, fr) of every candidate of t: co orders outer, rf
+    choices inner, locations sorted, writes and sources by ascending id."""
+    writes = {loc: [e.id for e in t.events if is_write(e) and e.action.loc == loc]
+              for loc in t.locations}
+    co_orders = [[(init, *p) for p in itertools.permutations(rest)]
+                 for init, *rest in writes.values()]
+    reads = [e for e in t.events if is_read(e)]
+    sources = [writes[r.action.loc] for r in reads]
+    for co_pick, rf_pick in itertools.product(
+        itertools.product(*co_orders), itertools.product(*sources)
+    ):
+        events = list(t.events)
+        for src, r in zip(rf_pick, reads):
+            value = t.events[src].action.value
+            events[r.id] = Event(r.id, r.thread, r.po_index, MemRead(r.action.loc, value))
+        co = {pair for order in co_pick for pair in itertools.combinations(order, 2)}
+        rf = {(src, r.id) for src, r in zip(rf_pick, reads)}
+        fr = {(r, w) for src, r in rf for a, w in co if a == src}
+        yield tuple(events), rf, co, fr
+
+
+def test_enumeration_order_is_co_outer_rf_inner():
+    # a test's witness and machine --trace take its first candidate
+    for name in suite.names():
+        t = suite.load(name)
+        got = [
+            (c.events, set(c.rf.pairs()), set(c.co.pairs()), set(c.fr.pairs()))
+            for c in enumerate_candidates(t)
+        ]
+        assert got == list(reference_candidates(t)), name
 
 
 def test_co_is_per_location_total_order_with_init_first():

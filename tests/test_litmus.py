@@ -459,6 +459,32 @@ def test_integer_past_the_digit_limit_is_a_litmus_error(src, line):
         parse_litmus(src)
 
 
+NINES = 10**4300 - 1  # the most digits int() converts back and forth
+# a value of 4,300 digits whose xor with NINES has 4,301
+XOR_MATE = NINES ^ (1 << NINES.bit_length()) - 1
+
+
+def computed(init: str, instr: str) -> str:
+    """A test whose T0 computes r2 from r1 = NINES and stores it to x."""
+    return (
+        f"big power\ninit {{ x=0; rx=&x; r1={NINES}; {init} }}\n"
+        f"thread T0 {{\n  {instr}\n  st [rx], r2\n}}\nfinal exists (x=0)\n"
+    )
+
+
+COMPUTED_HUGE_INTEGERS = [
+    pytest.param(computed("", "add r2, r1, r1"), id="add"),
+    pytest.param(computed(f"r3={XOR_MATE};", "xor r2, r1, r3"), id="xor"),
+]
+
+
+@pytest.mark.parametrize("src", COMPUTED_HUGE_INTEGERS)
+def test_value_computed_past_the_digit_limit_is_a_litmus_error(src):
+    test = parse_litmus(src)
+    with pytest.raises(LitmusError, match=r"^line 4: T0: value of r2 is too long$"):
+        project(test)
+
+
 # Every suite test's projection, recorded before dependencies were computed
 # by register taint instead of a micro-event graph.  Frozen: a frontend
 # change that moves any entry here is a behaviour change, not a refactor.
