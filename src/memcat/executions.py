@@ -5,11 +5,16 @@ location (init write first) and one reads-from choice per read.  The
 enumeration is exhaustive and deterministic: locations in sorted order,
 write permutations lexicographically, rf sources in ascending event id,
 coherence choices in the outer loop.
+
+A test's final condition is compiled once per test: each atom resolves
+to a constant, a read or a location's writes, so a candidate pays only
+for its read values and co-last writes.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterator
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
@@ -57,6 +62,24 @@ def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
             )
 
 
+def per_test(build):
+    """Memoise build(t) on the last test it was called with, by identity.
+
+    Candidates come test by test, so one entry serves every candidate of
+    a test; the pair is replaced whole, so a reader never sees a test
+    with another test's value.
+    """
+    last = [(None, None)]
+
+    def cached(t):
+        pair = last[0]
+        if pair[0] is not t:
+            pair = last[0] = (t, build(t))
+        return pair[1]
+
+    return cached
+
+
 def _read_value(cand: Candidate, eid: int) -> int:
     value = cand.events[eid].action.value
     if value is None:
@@ -64,22 +87,50 @@ def _read_value(cand: Candidate, eid: int) -> int:
     return value
 
 
-def _co_max_value(cand: Candidate, loc: str) -> int:
-    writes = [e for e in cand.events if is_write(e) and e.action.loc == loc]
-    top = [e for e in writes if not cand.co.successors(e.id)]
+def _co_last_value(cand: Candidate, loc: str, writes: tuple) -> int:
+    top = [w for w in writes if not cand.co.row(w)]
     if len(top) != 1:
         raise ValueError(f"co on {loc} is not a total order")
-    return top[0].action.value
+    return cand.events[top[0]].action.value
 
 
-def _value(cand: Candidate, node) -> int:
-    """The value a final-condition atom's register or location has in cand."""
+def _atom(t: ProjectedTest, node):
+    """A function giving a final atom's register or location value in a
+    candidate of t: a constant, a read's value or the co-last write's."""
     if isinstance(node, RegEq):
-        src = cand.source.reg_sources[(node.thread, node.reg)]
-        return src[1] if src[0] == "const" else _read_value(cand, src[1])
+        kind, arg = t.reg_sources[(node.thread, node.reg)]
+        return (lambda cand: arg) if kind == "const" else partial(_read_value, eid=arg)
     if isinstance(node, LocEq):
-        return _co_max_value(cand, node.loc)
+        writes = tuple(e.id for e in t.events if is_write(e) and e.action.loc == node.loc)
+        return partial(_co_last_value, loc=node.loc, writes=writes)
     raise TypeError(f"unexpected final node {node!r}")
+
+
+@per_test
+def _final(t: ProjectedTest):
+    """(observed state, truth) of t's final condition, as functions of a
+    candidate; each atom is resolved once per test."""
+    regs, locs = {}, {}
+    for node in atoms(t.final.cond):
+        if isinstance(node, RegEq):
+            regs[(node.thread, node.reg)] = node
+        else:
+            locs[node.loc] = node
+    shown = [(f"{th}:{reg}=", _atom(t, node)) for (th, reg), node in sorted(regs.items())]
+    shown += [(f"{loc}=", _atom(t, node)) for loc, node in sorted(locs.items())]
+
+    def compile_cond(node):
+        if isinstance(node, (And, Or)):
+            quant = all if isinstance(node, And) else any
+            items = [compile_cond(x) for x in node.items]
+            return lambda cand: quant(item(cand) for item in items)
+        value, want = _atom(t, node), node.value
+        return lambda cand: value(cand) == want
+
+    return (
+        lambda cand: tuple(f"{key}{value(cand)}" for key, value in shown),
+        compile_cond(t.final.cond),
+    )
 
 
 def observed_state(cand: Candidate) -> tuple:
@@ -89,26 +140,9 @@ def observed_state(cand: Candidate) -> tuple:
     sorted before locations, so equal tuples mean equal outcomes as far
     as the test's condition can tell.
     """
-    regs, locs = {}, {}
-    for node in atoms(cand.source.final.cond):
-        if isinstance(node, RegEq):
-            regs[(node.thread, node.reg)] = node
-        else:
-            locs[node.loc] = node
-    return tuple(
-        [f"{th}:{reg}={_value(cand, node)}" for (th, reg), node in sorted(regs.items())]
-        + [f"{loc}={_value(cand, node)}" for loc, node in sorted(locs.items())]
-    )
+    return _final(cand.source)[0](cand)
 
 
 def evaluate_final(cand: Candidate) -> bool:
     """Truth of the final condition in this candidate."""
-
-    def walk(node) -> bool:
-        if isinstance(node, And):
-            return all(walk(x) for x in node.items)
-        if isinstance(node, Or):
-            return any(walk(x) for x in node.items)
-        return _value(cand, node) == node.value
-
-    return walk(cand.source.final.cond)
+    return _final(cand.source)[1](cand)

@@ -41,6 +41,11 @@ label that can never fire, wedged so or failing sr:obs or cr:visible,
 gets the need NEVER, which no done set covers, so it never fires and
 machine_accepts rejects the candidate.
 
+What depends on the test alone is fixed once per test: label positions
+(a read's labels sit at one index whatever its rf source; only the label
+tuples name the source), which label bit each event has, and each read's
+po-loc neighbours.  A candidate pays only for its rf, co and Power env.
+
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
 or end at a read (the cumulative fence chains, e.g. both directions of
@@ -62,11 +67,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cat import CatError
+from .executions import observed_state, per_test
 from .relation import (
     Candidate,
     Relation,
     closure,
-    compose,
+    closure_bits,
+    compose_bits,
     is_read,
     is_write,
     restrict,
@@ -124,113 +131,112 @@ class MachineContext:
 NEVER = -1
 
 
+@per_test
+def _layout(t):
+    """What the premises take from t's events and po-loc alone: write and
+    read ids, write labels, init, write and read event masks, slot and
+    each read's po-loc neighbours.
+
+    slot[e] is the bit of event e's first label, c(w) or s(w,r), at the
+    same index whatever r's rf source; cp(w) is the next bit, and init
+    writes have none.  neighbours[r] is (the mask of r's po-loc-earlier
+    events, its last po-loc-earlier write, its first po-loc-later write,
+    its po-loc-earlier reads); an absent write is None.
+    """
+    events, po_loc = t.events, t.po_loc
+    writes = [e for e in events if is_write(e) and e.thread != "init"]
+    reads = [e for e in events if is_read(e)]
+    slot = [0] * t.n
+    for k, e in enumerate(writes + reads):
+        slot[e.id] = 1 << 2 * k
+    neighbours = {}
+    for r in reads:
+        before = [e for e in events if (e.id, r.id) in po_loc]
+        after = [e for e in events if is_write(e) and (r.id, e.id) in po_loc]
+        last = max((e for e in before if is_write(e)), key=lambda e: e.po_index, default=None)
+        first = min(after, key=lambda e: e.po_index, default=None)
+        neighbours[r.id] = (_mask(before), last and last.id, first and first.id,
+                            tuple(e.id for e in before if is_read(e)))
+    write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
+    init = _mask(e for e in events if e.thread == "init")
+    return (tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
+            init, _mask(writes), _mask(reads), slot, neighbours)
+
+
+def _mask(events):
+    return sum(1 << e.id for e in events)
+
+
 def machine_context(cand, env):
     """Turn every premise of one candidate into label bitmasks.
 
     env supplies the ppo/fence/prop/hb bindings the machine consults: the
     env of the caller's evaluation of Power on cand, run_model(power, cand).env.
+    Label positions, the event-to-label table and each read's po-loc
+    neighbours come from _layout, once per test; per candidate it reads
+    only rf, co and Power's relations, as ints.
     """
     names = ("ppo", "fence", "prop", "hb")
     if missing := [k for k in names if k not in env]:
         raise CatError(f"power model binds no {', '.join(missing)}")
     ppo, fence, prop, hb = (env[k] for k in names)
-    ppo_fence = ppo | fence
-    order = cand.po_loc | prop
-    prop_hb_star = compose(prop, closure(hb, reflexive=True))
-    co, co_before, prop_before = cand.co, cand.co.inverse(), prop.inverse()
-
-    init_mask = sum(1 << e.id for e in cand.events if e.thread == "init")
-    write_ids = tuple(
-        e.id for e in cand.events if is_write(e) and e.thread != "init"
-    )
-    read_ids = tuple(e.id for e in cand.events if is_read(e))
+    write_ids, read_ids, labels, init, writes, reads, slot, neighbours = _layout(cand.source)
+    n, full, co = cand.n, (1 << cand.n) - 1, cand.co
+    order, ppo_fence = cand.po_loc.bits | prop.bits, ppo.bits | fence.bits
+    # (w, r): a co-successor of w reaches r by prop;hb*, which fails sr:obs
+    hidden = compose_bits(n, co.bits, compose_bits(n, prop.bits, closure_bits(n, hb.bits, True)))
     rf_src = {r: w for (w, r) in cand.rf.pairs()}
 
-    labels = []
+    def bits(events):
+        """The first-label bits of an event bitmask's events."""
+        out = 0
+        while events:
+            low = events & -events
+            out |= slot[low.bit_length() - 1]
+            events ^= low
+        return out
+
+    # cpw:co, cpw:prop-rw and sr:prop-wr: a label's needs along co and prop
+    earlier = [0] * n
+    for a, b in co.pairs():
+        earlier[b] |= slot[a] << 1
+    for x, y in prop.pairs():
+        if (reads >> x ^ reads >> y) & 1:  # a read and a write
+            earlier[y] |= slot[x] << (writes >> x & 1)
+
+    need, block, labels = [], [], list(labels)
     for w in write_ids:
-        labels.append(("cw", w))
-        labels.append(("cpw", w))
-    for r in read_ids:
-        labels.append(("sr", rf_src[r], r))
-        labels.append(("cr", rf_src[r], r))
-    labels = tuple(labels)
-    label_index = {l: i for i, l in enumerate(labels)}
-
-    # event id -> bit of the label that commits a write (cw), brings it to
-    # coherence (cpw) or satisfies a read (sr); init writes have none
-    cw = {w: 1 << label_index[("cw", w)] for w in write_ids}
-    cpw = {w: 1 << label_index[("cpw", w)] for w in write_ids}
-    sr = {r: 1 << label_index[("sr", rf_src[r], r)] for r in read_ids}
-
-    def bits(table, events):
-        """The table's label bits for the events of an event bitmask."""
-        return sum(b for x, b in table.items() if events >> x & 1)
-
-    events_by_id = {e.id: e for e in cand.events}
-    need, block = [], []
-    for w in write_ids:
-        later = order.row(w)  # cw:coWW, cw:prop and cpw:order
-        # cpw:buff, cpw:co and cpw:prop-rw
-        wait = cw[w] | bits(cpw, co_before.row(w)) | bits(sr, prop_before.row(w))
+        later = order >> w * n & full  # cw:coWW, cw:prop and cpw:order
+        later_writes = bits(later & writes)
         # an init write is done from the start, so it wedges for good
-        wedged = later & init_mask
-        need += [NEVER if wedged else 0, NEVER if wedged else wait]
-        block += [bits(cw, later) | bits(sr, fence.row(w)), bits(cpw, later)]
+        need += [NEVER, NEVER] if later & init else [0, slot[w] | earlier[w]]  # cpw:buff
+        block += [later_writes | bits(fence.bits >> w * n & reads), later_writes << 1]
     for r in read_ids:
         w = rf_src[r]
-        later = ppo_fence.row(r)  # sr:ppo, cr:ppo-write and cr:ppo-read
-        source = 0 if (w, r) in cand.po_loc else cw.get(w, 0)  # sr:source
-        obs = not any((w2, r) in prop_hb_star for w2 in co.successors(w))
-        visible = _visible(cand, events_by_id, rf_src, w, r)
+        labels += [("sr", w, r), ("cr", w, r)]
+        later = ppo_fence >> r * n & full  # sr:ppo, cr:ppo-write and cr:ppo-read
+        source = 0 if neighbours[r][0] >> w & 1 else slot[w]  # sr:source
+        visible = _visible(co, rf_src, w, neighbours[r])
         need += [
-            source | bits(cpw, prop_before.row(r)) if obs else NEVER,
-            sr[r] if visible and not later & init_mask else NEVER,
+            NEVER if hidden >> w * n + r & 1 else source | earlier[r],
+            slot[r] if visible and not later & init else NEVER,
         ]
-        block += [bits(sr, later | prop.row(r)), bits(cw, later) | bits(sr, later)]
+        block += [bits((later | prop.bits >> r * n) & reads), bits(later)]
 
-    return MachineContext(
-        cand=cand,
-        labels=labels,
-        label_index=label_index,
-        write_ids=write_ids,
-        read_ids=read_ids,
-        rf_src=rf_src,
-        need=tuple(need),
-        block=tuple(block),
-        ppo=ppo,
-        fence=fence,
-        prop=prop,
-    )
+    label_index = {label: i for i, label in enumerate(labels)}
+    return MachineContext(cand, tuple(labels), label_index, write_ids, read_ids, rf_src,
+                          tuple(need), tuple(block), ppo, fence, prop)
 
 
-def _visible(cand, events_by_id, rf_src, w, r):
-    """w may service r: it lies between r's po-loc write neighbours."""
-    po_loc, co = cand.po_loc, cand.co
-    rev = events_by_id[r]
-    loc = rev.action.loc
-    before = [
-        e
-        for e in cand.events
-        if is_write(e) and e.action.loc == loc and (e.id, r) in po_loc
-    ]
-    after = [
-        e
-        for e in cand.events
-        if is_write(e) and e.action.loc == loc and (r, e.id) in po_loc
-    ]
-    if before:
-        wb = max(before, key=lambda e: e.po_index).id
-        if w != wb and (wb, w) not in co:
-            return False
-    if after:
-        wa = min(after, key=lambda e: e.po_index).id
-        if (w, r) not in po_loc and (w, wa) not in co:
-            return False
-    for e in cand.events:
-        if is_read(e) and e.action.loc == loc and (e.id, r) in po_loc:
-            if (w, rf_src[e.id]) in co:
-                return False
-    return True
+def _visible(co, rf_src, w, neighbours):
+    """w may service its read: it lies between the read's po-loc write
+    neighbours, and no po-loc-earlier read saw a write co-after w."""
+    before, last, first, reads = neighbours
+    if last is not None and w != last and (last, w) not in co:
+        return False
+    if first is not None and not before >> w & 1 and (w, first) not in co:
+        return False
+    return not any((w, rf_src[e]) in co for e in reads)
 
 
 def _fires(ctx, i, done):
@@ -259,9 +265,11 @@ def machine_accepts(ctx):
     """True when some interleaving fires every label of the candidate."""
     preds = list(ctx.need)  # a NEVER keeps bits no done set covers
     for i, block in enumerate(ctx.block):
-        for j in range(len(preds)):
-            if block >> j & 1 and j != i:  # a label never wedges itself
-                preds[j] |= 1 << i
+        block &= ~(1 << i)  # a label never wedges itself
+        while block:
+            low = block & -block
+            preds[low.bit_length() - 1] |= 1 << i
+            block ^= low
     return not _linearise(preds)[1]
 
 
@@ -359,16 +367,11 @@ def derive_from_path(cand, path):
 
 
 def label_str(ctx, label):
-    src = ctx.cand.source
-    names = getattr(src, "names", None) or {}
-    name = {e.id: names.get(e.id, str(e.id)) for e in ctx.cand.events}
-    if label[0] == "cw":
-        return f"c({name[label[1]]})"
-    if label[0] == "cpw":
-        return f"cp({name[label[1]]})"
-    if label[0] == "sr":
-        return f"s({name[label[1]]},{name[label[2]]})"
-    return f"c({name[label[1]]},{name[label[2]]})"
+    """c(w), cp(w), s(w,r) or c(w,r), with the test's event names."""
+    names = getattr(ctx.cand.source, "names", None) or {}
+    kind, *ids = label
+    args = ",".join(names.get(x, str(x)) for x in ids)
+    return f"{'cp' if kind == 'cpw' else kind[0]}({args})"
 
 
 def trace_lines(ctx, path):
@@ -386,8 +389,6 @@ def trace_lines(ctx, path):
 
 
 def _behavior(cand):
-    from .executions import observed_state
-
     return frozenset(cand.rf.pairs()), observed_state(cand)
 
 
@@ -401,9 +402,7 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     from .executions import enumerate_candidates
 
     if len(t.events) > bound:
-        raise BoundError(
-            f"{t.name}: {len(t.events)} memory events exceed bound {bound}"
-        )
+        raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
     accepted, allowed, first = set(), set(), None
     judge = bind(model, t)
     for cand in enumerate_candidates(t):

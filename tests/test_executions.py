@@ -6,8 +6,8 @@ import pytest
 
 from memcat import suite
 from memcat.cat import run_model
-from memcat.executions import enumerate_candidates, evaluate_final
-from memcat.litmus import parse_litmus, project
+from memcat.executions import enumerate_candidates, evaluate_final, observed_state
+from memcat.litmus import And, LocEq, Or, RegEq, atoms, parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
 from memcat.relation import Event, MemRead, MemWrite, derive_fr, is_read, is_write
 
@@ -200,3 +200,82 @@ def test_uniproc_filter_agrees_with_oracle_on_mp():
         assert _passes_sc_per_location(power, cand) == is_acyclic_pairs(
             p["po_loc"] | p["com"], p["nodes"]
         )
+
+
+def reference_value(cand, node):
+    """The per-candidate walk the compiled final replaced: look the atom's
+    register source up, or scan the location's writes for the co-last."""
+    if isinstance(node, RegEq):
+        src = cand.source.reg_sources[(node.thread, node.reg)]
+        return src[1] if src[0] == "const" else cand.events[src[1]].action.value
+    writes = [e for e in cand.events if is_write(e) and e.action.loc == node.loc]
+    (top,) = [e for e in writes if not cand.co.successors(e.id)]
+    return top.action.value
+
+
+def reference_state(cand):
+    regs, locs = {}, {}
+    for node in atoms(cand.source.final.cond):
+        if isinstance(node, RegEq):
+            regs[(node.thread, node.reg)] = node
+        else:
+            locs[node.loc] = node
+    return tuple(
+        [f"{th}:{reg}={reference_value(cand, node)}" for (th, reg), node in sorted(regs.items())]
+        + [f"{loc}={reference_value(cand, node)}" for loc, node in sorted(locs.items())]
+    )
+
+
+def reference_final(cand):
+    def walk(node):
+        if isinstance(node, And):
+            return all(walk(x) for x in node.items)
+        if isinstance(node, Or):
+            return any(walk(x) for x in node.items)
+        return reference_value(cand, node) == node.value
+
+    return walk(cand.source.final.cond)
+
+
+def assert_final_matches_reference(cands):
+    for cand in cands:
+        assert observed_state(cand) == reference_state(cand)
+        assert evaluate_final(cand) is reference_final(cand)
+
+
+def test_compiled_final_agrees_with_reference_on_the_suite():
+    checked = 0
+    for name in suite.names():
+        cands = list(enumerate_candidates(suite.load(name)))
+        assert_final_matches_reference(cands)
+        checked += len(cands)
+    assert checked == 296
+
+
+# a forall over a disjunction that names a location, a constant register
+# and a read; two writes to x make the co-last write vary
+FORALL = """\
+fa power
+init { x=0; y=0; rx=&x; ry=&y; r1=1; r2=2; }
+thread T0 {
+  st [rx], r1
+  ld r3, [ry]
+}
+thread T1 {
+  st [rx], r2
+  st [ry], r1
+}
+final forall (x=2 \\/ (T0:r3=0 /\\ T0:r1=1))
+"""
+
+
+def test_compiled_final_agrees_with_reference_on_forall_and_locations():
+    t = project(parse_litmus(FORALL))
+    assert t.final.quant == "forall"
+    assert any(isinstance(node, LocEq) for node in atoms(t.final.cond))
+    cands = list(enumerate_candidates(t))
+    assert_final_matches_reference(cands)
+    assert {evaluate_final(c) for c in cands} == {True, False}
+    assert len({observed_state(c) for c in cands}) == 4
+    # the location final of the three-writer test, fed after another test
+    assert_final_matches_reference(_cands(THREE_WRITES) + cands + _cands(THREE_WRITES))

@@ -5,6 +5,7 @@ import pytest
 from memcat import machine, suite
 from memcat.cat import run_model
 from memcat.executions import enumerate_candidates, evaluate_final
+from memcat.litmus import parse_litmus, project
 from memcat.machine import (
     NEVER,
     MachineContext,
@@ -19,6 +20,7 @@ from memcat.machine import (
     witness_path,
 )
 from memcat.models import load_builtin
+from memcat.relation import closure, compose, is_read, is_write
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +213,143 @@ def test_trace_lines_stop_at_the_replay_block(power):
             f"{names[2]}  blocked"
         ]
         break
+
+
+def reference_context(cand, env):
+    """The per-candidate premise builder machine_context replaced: it
+    scans the events for every read's po-loc neighbours and a dict for
+    every event-to-label step.  Returns (labels, need, block, rf_src)."""
+    ppo, fence, prop, hb = (env[k] for k in ("ppo", "fence", "prop", "hb"))
+    ppo_fence = ppo | fence
+    order = cand.po_loc | prop
+    prop_hb_star = compose(prop, closure(hb, reflexive=True))
+    co, co_before, prop_before = cand.co, cand.co.inverse(), prop.inverse()
+
+    init_mask = sum(1 << e.id for e in cand.events if e.thread == "init")
+    write_ids = tuple(
+        e.id for e in cand.events if is_write(e) and e.thread != "init"
+    )
+    read_ids = tuple(e.id for e in cand.events if is_read(e))
+    rf_src = {r: w for (w, r) in cand.rf.pairs()}
+
+    labels = []
+    for w in write_ids:
+        labels.append(("cw", w))
+        labels.append(("cpw", w))
+    for r in read_ids:
+        labels.append(("sr", rf_src[r], r))
+        labels.append(("cr", rf_src[r], r))
+    labels = tuple(labels)
+    label_index = {l: i for i, l in enumerate(labels)}
+
+    cw = {w: 1 << label_index[("cw", w)] for w in write_ids}
+    cpw = {w: 1 << label_index[("cpw", w)] for w in write_ids}
+    sr = {r: 1 << label_index[("sr", rf_src[r], r)] for r in read_ids}
+
+    def bits(table, events):
+        return sum(b for x, b in table.items() if events >> x & 1)
+
+    events_by_id = {e.id: e for e in cand.events}
+    need, block = [], []
+    for w in write_ids:
+        later = order.row(w)
+        wait = cw[w] | bits(cpw, co_before.row(w)) | bits(sr, prop_before.row(w))
+        wedged = later & init_mask
+        need += [NEVER if wedged else 0, NEVER if wedged else wait]
+        block += [bits(cw, later) | bits(sr, fence.row(w)), bits(cpw, later)]
+    for r in read_ids:
+        w = rf_src[r]
+        later = ppo_fence.row(r)
+        source = 0 if (w, r) in cand.po_loc else cw.get(w, 0)
+        obs = not any((w2, r) in prop_hb_star for w2 in co.successors(w))
+        visible = reference_visible(cand, events_by_id, rf_src, w, r)
+        need += [
+            source | bits(cpw, prop_before.row(r)) if obs else NEVER,
+            sr[r] if visible and not later & init_mask else NEVER,
+        ]
+        block += [bits(sr, later | prop.row(r)), bits(cw, later) | bits(sr, later)]
+    return labels, tuple(need), tuple(block), rf_src
+
+
+def reference_visible(cand, events_by_id, rf_src, w, r):
+    po_loc, co = cand.po_loc, cand.co
+    loc = events_by_id[r].action.loc
+    before = [
+        e for e in cand.events
+        if is_write(e) and e.action.loc == loc and (e.id, r) in po_loc
+    ]
+    after = [
+        e for e in cand.events
+        if is_write(e) and e.action.loc == loc and (r, e.id) in po_loc
+    ]
+    if before:
+        wb = max(before, key=lambda e: e.po_index).id
+        if w != wb and (wb, w) not in co:
+            return False
+    if after:
+        wa = min(after, key=lambda e: e.po_index).id
+        if (w, r) not in po_loc and (w, wa) not in co:
+            return False
+    for e in cand.events:
+        if is_read(e) and e.action.loc == loc and (e.id, r) in po_loc:
+            if (w, rf_src[e.id]) in co:
+                return False
+    return True
+
+
+def assert_matches_reference(cand, env):
+    ctx = machine_context(cand, env)
+    got = (ctx.labels, ctx.need, ctx.block, ctx.rf_src)
+    assert got == reference_context(cand, env), cand.rf.pairs()
+    assert ctx.label_index == {l: i for i, l in enumerate(ctx.labels)}
+
+
+def test_machine_context_agrees_with_reference_on_the_suite(power):
+    checked = 0
+    for name in suite.names():
+        for cand in enumerate_candidates(suite.load(name)):
+            assert_matches_reference(cand, run_model(power, cand).env)
+            checked += 1
+    assert checked == 296
+
+
+# one thread reads x, writes x, then reads x twice: the first read has a
+# po-loc-later write, the last two a po-loc-earlier write, and the last a
+# po-loc-earlier read of x; another thread writes x twice
+NEIGHBOURS = """\
+rwrr power
+init { x=0; rx=&x; r1=1; r2=2; r3=3; }
+thread T0 {
+  ld r4, [rx]
+  st [rx], r1
+  ld r5, [rx]
+  ld r6, [rx]
+}
+thread T1 {
+  st [rx], r2
+  st [rx], r3
+}
+final exists (T0:r5=2 /\\ T0:r6=1)
+"""
+
+
+def test_machine_context_agrees_with_reference_around_po_loc_neighbours(power):
+    t = project(parse_litmus(NEIGHBOURS))
+    cands = list(enumerate_candidates(t))
+    for cand in cands:
+        assert_matches_reference(cand, run_model(power, cand).env)
+    # the read after the write sees T1's writes only when co puts them
+    # after it, and the last read never sees a write co-before the one
+    # the read before it saw
+    assert len(cands) == 6 * 4**3
+    accepted = [
+        c for c in cands if machine_accepts(machine_context(c, run_model(power, c).env))
+    ]
+    assert 0 < len(accepted) < len(cands)
+
+
+def test_machine_context_switches_tests_when_fed_alternately(power):
+    firsts = [list(enumerate_candidates(suite.load(n))) for n in ("coRR", "sb+syncs")]
+    for a, b in zip(*firsts):
+        for cand in (a, b):
+            assert_matches_reference(cand, run_model(power, cand).env)
