@@ -14,10 +14,9 @@ a model is always one flat statement list.
 A model is bound to a test once (bind): the names every candidate of
 the test shares (po, po-loc, deps, fences, 0, id) and each let built
 only from them are evaluated there, and the rest compiles to functions
-that run per candidate on relations held as int bitsets.  Each of those
-is memoised on the values of the per-candidate names it reads, for as
-long as the bound model lives (one test), so a statement runs once per
-distinct input, not once per candidate.
+over a chunk of consecutive candidates, whose relations are packed
+into one int each (a bundle, see relation.Packing).  Each statement
+runs once per chunk, not once per candidate.
 """
 
 from __future__ import annotations
@@ -26,19 +25,19 @@ import itertools
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from .executions import bundles
 from .litmus import ProjectedTest
 from .relation import (
     Candidate,
+    Packing,
     Relation,
     check_acyclic,
     check_irreflexive,
-    closure_bits,
-    compose_bits,
     direction_mask,
 )
 
@@ -391,40 +390,82 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 # the builtin names whose value differs between candidates of one test
 _CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
 _TOO_DEEP = "expression nested too deeply to evaluate"
+# consecutive candidates of a test that a bound model evaluates together
+CHUNK = 256
 
 
 def builtin_env(cand: Candidate) -> dict:
     return dict(run_model(Model(()), cand).env)
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    kind: str
-    ok: bool
-    witness: object
+    """One check on one candidate.  witness is None if ok, else a shortest
+    cycle (acyclic) or the least x with (x, x) (irreflexive); it may be
+    given as a partial, called when witness is first read."""
+
+    __slots__ = ("name", "kind", "ok", "_witness")
+
+    def __init__(self, name: str, kind: str, ok: bool, witness: object):
+        self.name, self.kind, self.ok, self._witness = name, kind, ok, witness
+
+    @property
+    def witness(self) -> object:
+        if isinstance(self._witness, partial):
+            self._witness = self._witness()
+        return self._witness
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CheckResult) and (self.name, self.kind, self.ok, self.witness) == (
+            other.name, other.kind, other.ok, other.witness)
+
+    def __repr__(self) -> str:
+        return f"CheckResult({self.name!r}, {self.kind!r}, {self.ok}, {self.witness!r})"
+
+
+class _Chunk(dict):
+    """Consecutive candidates of one test, packed by pack: each
+    per-candidate name's bundle; per check (its result if ok, bytes whose
+    byte j is nonzero if candidate j fails it, its witness given j); and
+    loops, the union of the relations whose loops fail a check."""
+
+    def __init__(self, pack: Packing):
+        super().__init__()
+        self.pack, self.checks, self.loops, self._blocks = pack, [], 0, {}
+
+    def blocks(self, name: str) -> list:
+        """Each candidate's bits of name."""
+        got = self._blocks.get(name)
+        if got is None:
+            got = self._blocks[name] = self.pack.split(self[name])
+        return got
 
 
 class _Env(Mapping):
     """A candidate's names, read-only: the Relations all candidates of its
-    test share, then its own bits, each wrapped in a Relation when read."""
+    test share, then its block of its chunk's bundles, each wrapped in a
+    Relation when read."""
 
-    def __init__(self, n: int, statics: dict, bits: dict):
-        self._n, self._statics, self._bits = n, statics, bits
+    __slots__ = ("_statics", "_chunk", "_j")
+
+    def __init__(self, statics: dict, chunk: _Chunk, j: int):
+        self._statics, self._chunk, self._j = statics, chunk, j
 
     def __getitem__(self, name: str) -> Relation:
-        bits = self._bits.get(name)
-        return self._statics[name] if bits is None else Relation(self._n, bits)
+        if name in self._chunk:
+            return Relation(self._chunk.pack.n, self._chunk.blocks(name)[self._j])
+        return self._statics[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._chunk or name in self._statics
 
     def __iter__(self):
-        return itertools.chain(self._statics, self._bits)
+        return itertools.chain(self._statics, self._chunk)
 
     def __len__(self) -> int:
-        return len(self._statics) + len(self._bits)
+        return len(self._statics) + len(self._chunk)
 
 
-@dataclass(frozen=True)
-class ModelResult:
+class ModelResult(NamedTuple):
     passed: bool
     checks: tuple
     env: Mapping  # name -> Relation
@@ -437,21 +478,12 @@ class ModelResult:
         return None
 
 
-def _as_fn(f):  # a compiled operand as a function of the env
-    return (lambda env: f) if isinstance(f, int) else f
+def _as_fn(f):  # a compiled operand as a function of a chunk
+    return (lambda c: f * c.pack.rep) if isinstance(f, int) else f
 
 
-def _lift(op, f, g):
-    """op over two compiled operands: its bits now if both are bits."""
-    if isinstance(g, int):
-        return op(f, g) if isinstance(f, int) else lambda env: op(f(env), g)
-    if isinstance(f, int):
-        return lambda env: op(f, g(env))
-    return lambda env: op(f(env), g(env))
-
-
-def _fixpoint(env: dict, group: list) -> tuple:
-    """The group's least fixpoint, set in env and returned in group order."""
+def _fixpoint(env: dict, group: list) -> None:
+    """Set the group's least fixpoint in env."""
     # chaotic iteration; all operators that may see recursive names are
     # monotone, so this terminates
     env.update((name, 0) for name, _ in group)
@@ -463,24 +495,10 @@ def _fixpoint(env: dict, group: list) -> tuple:
             if new != env[name]:
                 env[name] = new
                 changed = True
-    return tuple(env[name] for name, _ in group)
 
 
-def _memoised(names, f):
-    """f over an env, run once per distinct value of the names it reads."""
-    if not names:  # it reads no per-candidate name: decide it now
-        value = f({})
-        return lambda env: value
-    key, memo = operator.itemgetter(*sorted(names)), {}
-
-    def g(env):
-        k = key(env)
-        value = memo.get(k)  # never None: f gives bits, a tuple or a CheckResult
-        if value is None:
-            value = memo[k] = f(env)
-        return value
-
-    return g
+def _witness(test, n: int, pack: Packing, bits: int, j: int):
+    return test(Relation(n, pack.split(bits)[j]))
 
 
 def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
@@ -488,22 +506,30 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
 
     Every let, let rec and subexpression whose names all candidates of t
     share (po, po-loc, deps, fences, 0, id and lets built from them) is
-    evaluated here, as is each direction filter's mask and each check of
-    such a relation.  The rest becomes functions from a candidate's env
-    of bits to bits, each memoised on the bits of the per-candidate names
-    it reads: a let keeps its bits, a let rec group the tuple of its
-    solved values (keyed on the names it reads outside the group) and a
-    check its CheckResult.  The memos belong to the returned function and
-    go when it does.  A result's env wraps bits in a Relation only when
-    a name is read.
+    evaluated here, as is each direction filter's mask.  The rest becomes
+    functions over a chunk of CHUNK consecutive candidates, which pack
+    each relation into one int (a bundle, see Packing) and run each
+    statement once for the whole chunk; a check gives an ok bit per
+    candidate.  Judging a candidate evaluates its chunk if it is not the
+    one last evaluated, then slices out the candidate's block: its checks,
+    and an env that wraps bits in a Relation only when a name is read.
+    A candidate without an index, or whose rf, co and fr are not those
+    at its index, is judged alone as a bundle of one.
     """
-    n = t.n
+    n, one = t.n, Packing.single(t.n)
     # a bound name's Relation if all candidates share it, else None
     scope = {"po": t.po, "po-loc": t.po_loc, "0": Relation.empty(n), "id": Relation.identity(n),
              **t.deps, **t.fences, **dict.fromkeys(_CANDIDATE_NAMES)}
     read = set()  # per-candidate names compiled since the last clear
-    ops = {Union: operator.or_, Inter: operator.and_, Diff: lambda a, b: a & ~b,
-           Seq: partial(compose_bits, n)}
+    ops = {Union: lambda p, a, b: a | b, Inter: lambda p, a, b: a & b,
+           Diff: lambda p, a, b: a & ~b, Seq: Packing.compose}
+
+    def lift(op, f, g):
+        """op over two compiled operands: its bits now if both are bits."""
+        if isinstance(f, int) and isinstance(g, int):
+            return op(one, f, g)
+        f, g = _as_fn(f), _as_fn(g)
+        return lambda c: op(c.pack, f(c), g(c))
 
     def compile_expr(node):
         if isinstance(node, Name):
@@ -517,10 +543,11 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
             return 0
         if isinstance(node, DirFilter):
             mask = direction_mask(n, t.events, *DIRS[node.dir])
-            return _lift(operator.and_, compile_expr(node.expr), mask)
+            return lift(ops[Inter], compile_expr(node.expr), mask)
         if isinstance(node, (Plus, Star)):
-            return _lift(partial(closure_bits, n), compile_expr(node.expr), isinstance(node, Star))
-        return _lift(ops[type(node)], compile_expr(node.left), compile_expr(node.right))
+            f, star = compile_expr(node.expr), isinstance(node, Star)
+            return one.closure(f, star) if isinstance(f, int) else lambda c: c.pack.closure(f(c), star)
+        return lift(ops[type(node)], compile_expr(node.left), compile_expr(node.right))
 
     def declare(name, f):
         if name in scope:
@@ -528,37 +555,37 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
         scope[name] = Relation(n, f) if isinstance(f, int) else None
 
     def step(stmt):
-        """Bind stmt's names; its memoised work per candidate as step(env, checks), if any."""
+        """Bind stmt's names; its work per chunk as a function of the chunk, if any."""
         read.clear()
         if isinstance(stmt, Check):
             f = _as_fn(compile_expr(stmt.expr))
             test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
+            ok = CheckResult(stmt.name, stmt.kind, True, None)
 
-            def check(env):
-                witness = test(Relation(n, f(env)))
-                return CheckResult(stmt.name, stmt.kind, witness is None, witness)
+            def check(c):
+                bits, p = f(c), c.pack
+                loops = p.closure(bits) if test is check_acyclic else bits
+                c.loops |= loops
+                c.checks.append((ok, p.loops(loops), partial(_witness, test, n, p, bits)))
 
-            check = _memoised(read, check)
-            return lambda env, checks: checks.append(check(env))
+            all_ok.append(ok)
+            return check
         if isinstance(stmt, Let):
             f = compile_expr(stmt.expr)
             declare(stmt.name, f)
-            if isinstance(f, int):
-                return None
-            f = _memoised(read, f)
-            return lambda env, _: operator.setitem(env, stmt.name, f(env))
+            return None if isinstance(f, int) else lambda c: operator.setitem(c, stmt.name, f(c))
         names = [name for name, _ in stmt.bindings]
         for name in names:
             declare(name, None)
         group = [(name, _as_fn(compile_expr(expr))) for name, expr in stmt.bindings]
-        if inputs := read.difference(names):
-            solved = _memoised(inputs, lambda env: _fixpoint(env, group))
-            return lambda env, _: env.update(zip(names, solved(env)))
+        if read.difference(names):
+            return lambda c: _fixpoint(c, group)
         # it reads no per-candidate name: solve it now
-        scope.update(zip(names, map(partial(Relation, n), _fixpoint({}, group))))
+        _fixpoint(solved := _Chunk(one), group)
+        scope.update((name, Relation(n, solved[name])) for name in names)
         return None
 
-    steps = []  # (statement position, step)
+    steps, all_ok = [], []  # (statement position, step); each check's result if ok
     for stmt in model.statements:
         try:
             if (f := step(stmt)) is not None:
@@ -567,25 +594,49 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
-    statics = {k: v for k, v in scope.items() if v is not None}
+    statics, all_ok = {k: v for k, v in scope.items() if v is not None}, tuple(all_ok)
+    same, last = t.same_thread.bits, [None, None]  # the chunk evaluated last, its start
+
+    def evaluate(pack, rf, co, fr):
+        c, inner = _Chunk(pack), same * pack.rep
+        c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
+                 fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
+        pos = None
+        try:
+            for pos, f in steps:
+                f(c)
+        except RecursionError:
+            raise CatError(f"{pos}: {_TOO_DEEP}") from None
+        # byte j of failed is nonzero if candidate j fails any check
+        c.failed, c.keys = pack.loops(c.loops), list(zip(*map(c.blocks, ("rf", "co", "fr"))))
+        return c
 
     def judge(cand: Candidate) -> ModelResult:
         if cand.source is not t:
             raise ValueError(f"model bound to {t.name}, candidate of {cand.source.name}")
-        same, checks, pos = t.same_thread.bits, [], None
-        rf, co, fr = cand.rf.bits, cand.co.bits, cand.fr.bits
-        env = {"rf": rf, "rfe": rf & ~same, "rfi": rf & same, "co": co, "coe": co & ~same,
-               "coi": co & same, "fr": fr, "fre": fr & ~same, "fri": fr & same, "com": co | rf | fr}
-        try:
-            for pos, f in steps:
-                f(env, checks)
-        except RecursionError:
-            raise CatError(f"{pos}: {_TOO_DEEP}") from None
-        return ModelResult(all(c.ok for c in checks), tuple(checks), _Env(n, statics, env))
+        c, j = last[0], -1
+        if cand.index is not None and cand.index >= 0:
+            start = cand.index - cand.index % CHUNK
+            if last[1] != start:
+                last[:] = evaluate(*bundles(t, start, start + CHUNK)), start
+            c, j = last[0], cand.index - start
+        key = (cand.rf.bits, cand.co.bits, cand.fr.bits)
+        if not 0 <= j < len(c.keys) or c.keys[j] != key:  # judge it alone
+            c, j = evaluate(one, *key), 0
+        if not c.failed[j]:
+            return ModelResult(True, all_ok, _Env(statics, c, j))
+        checks = tuple(
+            CheckResult(ok.name, ok.kind, False, partial(witness, j)) if failures[j] else ok
+            for ok, failures, witness in c.checks
+        )
+        return ModelResult(False, checks, _Env(statics, c, j))
 
     return judge
 
 
 def run_model(model, cand: Candidate) -> ModelResult:
-    """Judge cand by model: a Model, or the result of binding one to cand's test."""
-    return (bind(model, cand.source) if isinstance(model, Model) else model)(cand)
+    """Judge cand by model: a Model, bound for cand alone, or the result
+    of binding one to cand's test."""
+    if isinstance(model, Model):
+        return bind(model, cand.source)(replace(cand, index=None))
+    return model(cand)

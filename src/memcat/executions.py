@@ -14,52 +14,63 @@ for its read values and co-last writes.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import partial
 from typing import Iterator
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
-from .relation import Candidate, Event, MemRead, Relation, is_read, is_write
+from .relation import Candidate, Event, MemRead, Packing, Relation, is_read, is_write
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
-    n = t.n
-    writes_by_loc = {loc: [] for loc in t.locations}
-    for e in t.events:
-        if is_write(e):
-            writes_by_loc[e.action.loc].append(e.id)
-    reads = [e.id for e in t.events if is_read(e)]
-
-    co_orders_per_loc = []
-    for loc in t.locations:
-        init, *rest = writes_by_loc[loc]  # init write has the smallest id
-        co_orders_per_loc.append([[init, *p] for p in itertools.permutations(sorted(rest))])
-    rf_choices_per_read = [sorted(writes_by_loc[t.events[r].action.loc]) for r in reads]
-
-    choices = []  # per rf choice: its events, rf and (source, read) links
-    for rf_pick in itertools.product(*rf_choices_per_read):
-        events, rf, links = list(t.events), 0, tuple(zip(rf_pick, reads))
-        for src, r in links:
-            ev, value = t.events[r], t.events[src].action.value
-            events[r] = Event(r, ev.thread, ev.po_index, MemRead(ev.action.loc, value))
-            rf |= 1 << src * n + r
-        choices.append((tuple(events), Relation(n, rf), links))
-
-    for co_pick in itertools.product(*co_orders_per_loc):
-        pairs = (p for order in co_pick for p in itertools.combinations(order, 2))
-        co = Relation.from_pairs(n, pairs)
-        for events, rf, links in choices:
-            # row r of fr is row src of co: r reads before every write co-after src
-            fr = sum(co.row(src) << r * n for src, r in links)
+    n, (choices, co_orders, links, rf) = t.n, _space(t)
+    whole, index = Packing(n, len(choices)), itertools.count()
+    for co_pick in itertools.product(*co_orders):
+        co = Relation(n, sum(co_pick))
+        frs = whole.split(_fr(whole, rf, co.bits * whole.rep, links))
+        for (events, rf_j), fr in zip(choices, frs):
             yield Candidate(
                 events=events,
                 po=t.po,
-                rf=rf,
+                rf=rf_j,
                 co=co,
                 fr=Relation(n, fr),
                 deps=t.deps,
                 fences=t.fences,
                 source=t,
+                index=next(index),
             )
+
+
+def _fr(pack: Packing, rf: int, co: int, links) -> int:
+    """fr of packed rf and co: row r of fr is row w of co where r reads w;
+    links holds every (w, r) that some candidate's rf has."""
+    n, fr, full = pack.n, 0, (1 << pack.n) - 1
+    for w, r in links:
+        reads_w = (rf >> w * n + r & pack.rep) * full  # row 0 of the blocks where r reads w
+        fr |= (co >> w * n & reads_w) << r * n
+    return fr
+
+
+def bundles(t: ProjectedTest, start: int, stop: int) -> tuple:
+    """(packing, rf, co, fr) of t's candidates start..stop-1 (or to its
+    last), each relation packed in enumeration order."""
+    choices, co_orders, links, rf = _space(t)
+    n, c = t.n, len(choices)
+    stop = max(start, min(stop, c * math.prod(map(len, co_orders))))
+    whole = Packing(n, c)
+    rf, rfs, cos = whole.to_bytes(rf), [], []
+    for q in range(start // c, -(-stop // c)):
+        co, rest = 0, q
+        for orders in reversed(co_orders):  # the last location varies fastest
+            rest, k = divmod(rest, len(orders))
+            co |= orders[k]
+        lo, hi = max(start - q * c, 0) * whole.size, min(stop - q * c, c) * whole.size
+        rfs.append(rf[lo:hi])
+        cos.append((co.to_bytes(whole.size, "little") * c)[lo:hi])
+    pack = Packing(n, stop - start)
+    rf, co = (int.from_bytes(b"".join(p), "little") for p in (rfs, cos))
+    return pack, rf, co, _fr(pack, rf, co, links)
 
 
 def per_test(build):
@@ -78,6 +89,49 @@ def per_test(build):
         return pair[1]
 
     return cached
+
+
+@per_test
+def _space(t: ProjectedTest) -> tuple:
+    """t's candidates as (rf choices, co orders, links, rf): per rf choice
+    its events and rf; per location the bits of each co order; each
+    (write, read) that some choice's rf holds; and every choice's rf,
+    packed by Packing(t.n, len(choices))."""
+    n = t.n
+    writes_by_loc = {loc: [] for loc in t.locations}
+    for e in t.events:
+        if is_write(e):
+            writes_by_loc[e.action.loc].append(e.id)
+
+    co_orders = []
+    for loc in t.locations:
+        init, *rest = writes_by_loc[loc]  # init write has the smallest id
+        co_orders.append([_order(n, [init, *p]) for p in itertools.permutations(sorted(rest))])
+    # per read, (source, the read reading it) for each write it may read
+    sources = [
+        [(w, Event(r.id, r.thread, r.po_index, MemRead(r.action.loc, t.events[w].action.value)))
+         for w in sorted(writes_by_loc[r.action.loc])]
+        for r in t.events if is_read(r)
+    ]
+
+    choices = []
+    for pick in itertools.product(*sources):
+        events, rf = list(t.events), 0
+        for src, ev in pick:
+            events[ev.id] = ev
+            rf |= 1 << src * n + ev.id
+        choices.append((tuple(events), Relation(n, rf)))
+    links = [(w, ev.id) for options in sources for w, ev in options]
+    return choices, co_orders, links, Packing(n, len(choices)).join(rf.bits for _, rf in choices)
+
+
+def _order(n: int, writes: list) -> int:
+    """Bits of the total order writes lists: each before all after it."""
+    bits = later = 0
+    for w in reversed(writes):
+        bits |= later << w * n
+        later |= 1 << w
+    return bits
 
 
 def _read_value(cand: Candidate, eid: int) -> int:

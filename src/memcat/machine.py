@@ -70,10 +70,9 @@ from .cat import CatError
 from .executions import observed_state, per_test
 from .relation import (
     Candidate,
+    Packing,
     Relation,
     closure,
-    closure_bits,
-    compose_bits,
     is_read,
     is_write,
     restrict,
@@ -184,7 +183,8 @@ def machine_context(cand, env):
     n, full, co = cand.n, (1 << cand.n) - 1, cand.co
     order, ppo_fence = cand.po_loc.bits | prop.bits, ppo.bits | fence.bits
     # (w, r): a co-successor of w reaches r by prop;hb*, which fails sr:obs
-    hidden = compose_bits(n, co.bits, compose_bits(n, prop.bits, closure_bits(n, hb.bits, True)))
+    one = Packing.single(n)
+    hidden = one.compose(co.bits, one.compose(prop.bits, one.closure(hb.bits, True)))
     rf_src = {r: w for (w, r) in cand.rf.pairs()}
 
     def bits(events):
@@ -257,7 +257,7 @@ def _linearise(preds):
         else:
             done |= 1 << i
             order.append(i)
-            i = 0
+            i = (~done & done + 1).bit_length() - 1  # every label below it is done
     return order, [i for i in range(len(preds)) if not done >> i & 1]
 
 
@@ -408,11 +408,14 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     for cand in enumerate_candidates(t):
         result = run_model(judge, cand)
         ctx = machine_context(cand, result.env)
-        if machine_accepts(ctx):
-            accepted.add(_behavior(cand))
-            first = first or ctx
-        if result.passed:
-            allowed.add(_behavior(cand))
+        accepts = machine_accepts(ctx)
+        if accepts or result.passed:
+            behavior = _behavior(cand)
+            if accepts:
+                accepted.add(behavior)
+                first = first or ctx
+            if result.passed:
+                allowed.add(behavior)
     return accepted, allowed, first
 
 

@@ -3,9 +3,11 @@
 Everything downstream (execution enumeration, model evaluation, the
 operational machine) works on relations over a fixed universe
 {0, ..., n-1} of event ids, so a relation is one n*n-bit int whose bit
-i*n+j encodes membership of (i, j): row i is bits i*n ... i*n+n-1.  The
-layout stays inside this module.  All operations return fresh
-relations; instances are immutable and hashable.
+i*n+j encodes membership of (i, j): row i is bits i*n ... i*n+n-1.  A
+bundle packs many such relations into one int, one block each
+(Packing), so one int operation acts on all of them.  The layout stays
+inside this module.  All operations return fresh relations; instances
+are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ def is_write(event: Event) -> bool:
 # ------------------------------------------------------------------ relations
 
 
-@lru_cache(maxsize=None)
-def _masks(n: int) -> tuple[int, int]:
-    """(column 0, diagonal) of the n x n universe: bits i*n and i*n+i."""
-    return sum(1 << i * n for i in range(n)), sum(1 << i * (n + 1) for i in range(n))
-
-
 def _universe(r1: "Relation", r2: "Relation") -> int:
     if r1.n != r2.n:
         raise ValueError("relations over different universes")
@@ -86,7 +82,7 @@ class Relation:
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
-        return cls(n, _masks(n)[1])
+        return cls(n, Packing.single(n).diag)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -158,36 +154,77 @@ class Relation:
         return f"Relation({self.n}, {self.pairs()!r})"
 
 
-def compose_bits(n: int, a: int, b: int) -> int:
-    """Bits of a;b, for relations over {0, ..., n-1} given by their bits."""
-    if not a or not b:
-        return 0
-    col0, full = _masks(n)[0], (1 << n) - 1
-    acc = 0
-    for k in range(n):
-        row = b >> k * n & full
-        if row:  # copy row k of b into every row of a that has bit k
-            acc |= (a >> k & col0) * row
-    return acc
+class Packing:
+    """The layout of a bundle: m relations over {0, ..., n-1} in one int,
+    relation j at bit j*8*size on, size bytes each.  rep has bit 0 of
+    every block, so bits * rep repeats one relation in every block.  |, &
+    and a & ~b act blockwise on bundles as they are; compose and closure
+    act blockwise here, each step ANDing a broadcast column with a
+    broadcast row.  Packing.single(n) lays out one relation."""
 
+    __slots__ = ("n", "m", "size", "rep", "col0", "cols", "rows", "diag")
 
-def closure_bits(n: int, bits: int, reflexive: bool = False) -> int:
-    """Bits of r+ (with reflexive=True, r*) for r given by its bits."""
-    col0, diag = _masks(n)
-    full = (1 << n) - 1
-    for k in range(n if bits else 0):  # Warshall: every row with bit k gains row k
-        bits |= (bits >> k & col0) * (bits >> k * n & full)
-    return bits | diag if reflexive else bits
+    def __init__(self, n: int, m: int):
+        self.n, self.m, self.size = n, m, n * n // 8 + 1
+        self.rep = int.from_bytes((b"\1" + bytes(self.size - 1)) * m, "little")
+        self.col0 = sum(1 << i * n for i in range(n))  # column 0 of one block
+        self.cols, self.rows = self.col0 * self.rep, ((1 << n) - 1) * self.rep
+        self.diag = sum(1 << i * (n + 1) for i in range(n)) * self.rep
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def single(n: int) -> "Packing":
+        return Packing(n, 1)
+
+    def compose(self, a: int, b: int) -> int:
+        """Bits of a;b."""
+        if not a or not b:
+            return 0
+        n, acc, full = self.n, 0, (1 << self.n) - 1
+        for k in range(n):
+            row = b >> k * n & self.rows
+            if row:  # copy row k of b into every row of a that has bit k
+                acc |= (a >> k & self.cols) * full & row * self.col0
+        return acc
+
+    def closure(self, bits: int, reflexive: bool = False) -> int:
+        """Bits of r+ (with reflexive=True, r*) for r given by its bits."""
+        n, full = self.n, (1 << self.n) - 1
+        for k in range(n if bits else 0):  # Warshall: every row with bit k gains row k
+            row = bits >> k * n & self.rows
+            if row:
+                bits |= (bits >> k & self.cols) * full & row * self.col0
+        return bits | self.diag if reflexive else bits
+
+    def loops(self, bits: int) -> bytes:
+        """Byte j is nonzero iff relation j has a pair (i, i)."""
+        bits &= self.diag
+        acc, step = 0, self.n + 1
+        for i in range(self.n):  # gather block j's diagonal at its bit 0
+            acc |= bits >> i * step
+        return self.to_bytes(acc & self.rep)[::self.size]
+
+    def to_bytes(self, bundle: int) -> bytes:
+        return bundle.to_bytes(self.m * self.size, "little")
+
+    def join(self, relations: Iterable[int]) -> int:
+        """The bundle of the relations' bits, in block order."""
+        return int.from_bytes(b"".join(r.to_bytes(self.size, "little") for r in relations), "little")
+
+    def split(self, bundle: int) -> list:
+        """Each relation's bits, in block order."""
+        buf, size = self.to_bytes(bundle), self.size
+        return [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
 
 
 def compose(r1: Relation, r2: Relation) -> Relation:
     """Relational composition r1;r2."""
-    return Relation(_universe(r1, r2), compose_bits(r1.n, r1.bits, r2.bits))
+    return Relation(_universe(r1, r2), Packing.single(r1.n).compose(r1.bits, r2.bits))
 
 
 def closure(r: Relation, reflexive: bool = False) -> Relation:
     """Transitive closure r+; with reflexive=True, r*."""
-    return Relation(r.n, closure_bits(r.n, r.bits, reflexive))
+    return Relation(r.n, Packing.single(r.n).closure(r.bits, reflexive))
 
 
 def check_acyclic(r: Relation) -> Optional[list[int]]:
@@ -220,7 +257,7 @@ def check_acyclic(r: Relation) -> Optional[list[int]]:
 
 def check_irreflexive(r: Relation) -> Optional[int]:
     """None if no (x, x) is in r, else the least such x."""
-    loops = r.bits & _masks(r.n)[1]
+    loops = r.bits & Packing.single(r.n).diag
     if not loops:
         return None
     return ((loops & -loops).bit_length() - 1) // (r.n + 1)
@@ -289,7 +326,8 @@ class Candidate:
     fences maps fence kinds (sync, mfence, ...) to relations over the
     same universe.  source is the projected test; po-loc and the
     same-thread relation that splits rf, co and fr into internal and
-    external parts are its fields, built once per test.
+    external parts are its fields, built once per test.  index is its
+    position in enumerate_candidates(source), None if built by hand.
     """
 
     events: tuple[Event, ...]
@@ -300,6 +338,7 @@ class Candidate:
     deps: Mapping[str, Relation]
     fences: Mapping[str, Relation]
     source: "ProjectedTest"
+    index: Optional[int] = None
 
     @property
     def n(self) -> int:

@@ -1,6 +1,7 @@
 """Model language: lexer, parser, evaluator."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -454,8 +455,34 @@ def test_bundled_models_match_reference_evaluator():
                 assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
 
 
-def test_let_rec_is_solved_once_per_distinct_input(monkeypatch):
-    # power's group reads two per-candidate names, ii0 and ci0
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunk_boundaries_match_reference_evaluator(monkeypatch, chunk):
+    # chunks of 1 and 3 split every oracle test, 3 also inside a co order
+    monkeypatch.setattr(cat, "CHUNK", chunk)
+    for name in models.BUILTIN_MODELS:
+        model = models.load_builtin(name)
+        for t in ORACLE_TESTS:
+            judge, cands = bind(model, t), list(enumerate_candidates(t))
+            for cand in cands + cands[::-1]:
+                want, got = reference_run(model, cand), run_model(judge, cand)
+                assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(generated_models())
+def test_generated_models_match_reference_evaluator_across_chunks(model):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cat, "CHUNK", 3)
+        for t in ORACLE_TESTS:
+            judge, cands = bind(model, t), list(enumerate_candidates(t))
+            for cand in cands + cands[::-1]:
+                want, got = reference_run(model, cand), run_model(judge, cand)
+                assert (got.env, got.checks) == (want.env, want.checks)
+
+
+def test_let_rec_is_solved_once_per_chunk(monkeypatch):
+    # power's group reads per-candidate names (ii0, ci0), so it is solved
+    # for the whole chunk at once, not per candidate
     solved = []
 
     def counted(env, group):
@@ -464,16 +491,55 @@ def test_let_rec_is_solved_once_per_distinct_input(monkeypatch):
 
     fixpoint = cat._fixpoint
     monkeypatch.setattr(cat, "_fixpoint", counted)
-    t = suite.load("isa2+lwsync+addrs")
-    judge = bind(models.load_builtin("power"), t)
-    solved.clear()  # drop the let recs solved once while binding, if any
+    t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
     cands = list(enumerate_candidates(t))
-    inputs = set()
-    for cand in cands:
-        env = run_model(judge, cand).env
-        inputs.add((env["ii0"], env["ci0"]))
-    assert solved == [("ii", "ic", "ci", "cc")] * len(inputs)
-    assert len(inputs) < len(cands)
+    for chunk in (cat.CHUNK, 3):
+        monkeypatch.setattr(cat, "CHUNK", chunk)
+        judge = bind(power, t)
+        solved.clear()  # drop the let recs solved once while binding, if any
+        for cand in cands:
+            run_model(judge, cand)
+        assert solved == [("ii", "ic", "ci", "cc")] * -(-len(cands) // chunk)
+    assert len(cands) > 3
+
+
+def test_candidate_without_index_is_judged_alone(monkeypatch):
+    t, power = suite.load("mp"), models.load_builtin("power")
+    judge, cands = bind(power, t), list(enumerate_candidates(t))
+    # an index whose block holds another candidate is not trusted either
+    shifted = [replace(c, index=d.index) for c, d in zip(cands, cands[1:] + cands[:1])]
+    assert all((c.rf, c.co) != (d.rf, d.co) for c, d in zip(cands, cands[1:] + cands[:1]))
+    for hand_built in ([replace(c, index=None) for c in cands], shifted):
+        for cand, got in zip(cands, map(judge, hand_built)):
+            want = reference_run(power, cand)
+            assert (got.env, got.checks) == (want.env, want.checks)
+
+    def refuse(*args):
+        raise AssertionError("a candidate without an index asked for a chunk")
+
+    monkeypatch.setattr(cat, "bundles", refuse)
+    assert run_model(bind(power, t), replace(cands[0], index=None)).checks
+
+
+def test_env_membership_builds_no_relation(monkeypatch):
+    t, power = suite.load("mp"), models.load_builtin("power")
+    judge = bind(power, t)
+    results = [run_model(judge, cand) for cand in enumerate_candidates(t)]
+    reads = []
+    getitem = cat._Env.__getitem__
+
+    def counted(env, name):
+        reads.append(name)
+        return getitem(env, name)
+
+    monkeypatch.setattr(cat._Env, "__getitem__", counted)
+    for result in results:
+        assert all(k in result.env for k in ("ppo", "fence", "prop", "hb", "po", "rf", "ii"))
+        assert "mystery" not in result.env
+    assert not reads
+    for cand, result in zip(enumerate_candidates(t), results):
+        machine.machine_context(cand, result.env)
+    assert reads == ["ppo", "fence", "prop", "hb"] * len(results)
 
 
 def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):

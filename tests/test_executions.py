@@ -6,7 +6,7 @@ import pytest
 
 from memcat import suite
 from memcat.cat import run_model
-from memcat.executions import enumerate_candidates, evaluate_final, observed_state
+from memcat.executions import bundles, enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import And, LocEq, Or, RegEq, atoms, parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
 from memcat.relation import Event, MemRead, MemWrite, derive_fr, is_read, is_write
@@ -121,6 +121,22 @@ def test_enumeration_order_is_co_outer_rf_inner():
             for c in enumerate_candidates(t)
         ]
         assert got == list(reference_candidates(t)), name
+
+
+def test_bundles_hold_the_enumerated_candidates_in_order():
+    # a bound model judges an enumerated candidate from its chunk's
+    # bundles; a block that differs from it sends it to be judged alone
+    for name in suite.names():
+        t = suite.load(name)
+        cands = list(enumerate_candidates(t))
+        assert [c.index for c in cands] == list(range(len(cands)))
+        total = len(cands)
+        for start, stop in ((0, total), (0, 1), (1, 4), (3, 11), (total - 2, total + 5), (total, total + 3)):
+            pack, *bundled = bundles(t, start, stop)
+            want = cands[start:stop]
+            assert pack.m == len(want), (name, start)
+            for bits, field in zip(bundled, ("rf", "co", "fr")):
+                assert pack.split(bits) == [getattr(c, field).bits for c in want], (name, start, field)
 
 
 def test_co_is_per_location_total_order_with_init_first():

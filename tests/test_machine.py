@@ -139,6 +139,41 @@ def test_machine_accepts_hand_built_premises(need, block, accepted):
     assert machine_accepts(ctx) is reference_accepts(ctx) is accepted
 
 
+def reference_linearise(preds):
+    """The scan _linearise replaced: fire the lowest-index label whose
+    preds are all done, then scan again from label 0."""
+    done, order, i = 0, [], 0
+    while i < len(preds):
+        if done >> i & 1 or preds[i] & ~done:
+            i += 1
+        else:
+            done |= 1 << i
+            order.append(i)
+            i = 0
+    return order, [i for i in range(len(preds)) if not done >> i & 1]
+
+
+def test_linearise_matches_the_rescanning_reference_on_the_suite(power, monkeypatch):
+    linearise, stuck = machine._linearise, []
+
+    def checked(preds):
+        got = linearise(preds)
+        assert got == reference_linearise(preds)
+        stuck.append(bool(got[1]))
+        return got
+
+    monkeypatch.setattr(machine, "_linearise", checked)
+    for name in suite.names():
+        for cand, ctx, _ in contexts(name, power):
+            machine_accepts(ctx)
+            try:
+                witness_path(ctx)
+            except WitnessCycleError:
+                pass
+    # both sorts of every candidate, some stuck and some not
+    assert len(stuck) == 2 * 296 and True in stuck and False in stuck
+
+
 def test_witness_path_replays_for_every_passing_candidate(power):
     for name in ("mp", "sb", "r", "coWW", "mp+lwsync+addr",
                  "r+lwsync+sync", "rwc+syncs", "iriw+syncs"):
