@@ -18,9 +18,7 @@ from .relation import (
     check_irreflexive,
     closure,
     compose,
-    derive_fr,
     restrict,
-    split_scope,
 )
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "check_irreflexive",
     "closure",
     "compose",
-    "derive_fr",
     "restrict",
-    "split_scope",
     "__version__",
 ]

@@ -15,8 +15,9 @@ A model is bound to a test once (bind): the names every candidate of
 the test shares (po, po-loc, deps, fences, 0, id) and each let built
 only from them are evaluated there, and the rest compiles to functions
 over a chunk of consecutive candidates, whose relations are packed
-into one int each (a bundle, see relation.Packing).  Each statement
-runs once per chunk, not once per candidate.
+into one int each (a bundle, see relation.Packing).  Enumeration packs
+each chunk's rf, co and fr once, and each statement runs once per chunk,
+not once per candidate.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ import itertools
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .executions import bundles
 from .litmus import ProjectedTest
 from .relation import (
+    Bundles,
     Candidate,
     Packing,
     Relation,
@@ -390,12 +391,6 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 # the builtin names whose value differs between candidates of one test
 _CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
 _TOO_DEEP = "expression nested too deeply to evaluate"
-# consecutive candidates of a test that a bound model evaluates together
-CHUNK = 256
-
-
-def builtin_env(cand: Candidate) -> dict:
-    return dict(run_model(Model(()), cand).env)
 
 
 class CheckResult:
@@ -422,22 +417,15 @@ class CheckResult:
         return f"CheckResult({self.name!r}, {self.kind!r}, {self.ok}, {self.witness!r})"
 
 
-class _Chunk(dict):
-    """Consecutive candidates of one test, packed by pack: each
-    per-candidate name's bundle; per check (its result if ok, bytes whose
-    byte j is nonzero if candidate j fails it, its witness given j); and
-    loops, the union of the relations whose loops fail a check."""
+class _Chunk(Bundles):
+    """A chunk as a bound model evaluated it: each per-candidate name's
+    bundle; per check (its result if ok, bytes whose byte j is nonzero if
+    candidate j fails it, its witness given j); and loops, the union of
+    the relations whose loops fail a check."""
 
     def __init__(self, pack: Packing):
-        super().__init__()
-        self.pack, self.checks, self.loops, self._blocks = pack, [], 0, {}
-
-    def blocks(self, name: str) -> list:
-        """Each candidate's bits of name."""
-        got = self._blocks.get(name)
-        if got is None:
-            got = self._blocks[name] = self.pack.split(self[name])
-        return got
+        super().__init__(pack)
+        self.checks, self.loops = [], 0
 
 
 class _Env(Mapping):
@@ -452,7 +440,7 @@ class _Env(Mapping):
 
     def __getitem__(self, name: str) -> Relation:
         if name in self._chunk:
-            return Relation(self._chunk.pack.n, self._chunk.blocks(name)[self._j])
+            return self._chunk.relation(name, self._j)
         return self._statics[name]
 
     def __contains__(self, name: object) -> bool:
@@ -507,14 +495,12 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     Every let, let rec and subexpression whose names all candidates of t
     share (po, po-loc, deps, fences, 0, id and lets built from them) is
     evaluated here, as is each direction filter's mask.  The rest becomes
-    functions over a chunk of CHUNK consecutive candidates, which pack
-    each relation into one int (a bundle, see Packing) and run each
+    functions over a candidate's chunk, which packs each relation of its
+    candidates into one int (a bundle, see Packing), and runs each
     statement once for the whole chunk; a check gives an ok bit per
     candidate.  Judging a candidate evaluates its chunk if it is not the
     one last evaluated, then slices out the candidate's block: its checks,
     and an env that wraps bits in a Relation only when a name is read.
-    A candidate without an index, or whose rf, co and fr are not those
-    at its index, is judged alone as a bundle of one.
     """
     n, one = t.n, Packing.single(t.n)
     # a bound name's Relation if all candidates share it, else None
@@ -595,9 +581,10 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
     statics, all_ok = {k: v for k, v in scope.items() if v is not None}, tuple(all_ok)
-    same, last = t.same_thread.bits, [None, None]  # the chunk evaluated last, its start
+    same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its _Chunk
 
-    def evaluate(pack, rf, co, fr):
+    def evaluate(chunk: Bundles) -> _Chunk:
+        pack, rf, co, fr = chunk.pack, chunk["rf"], chunk["co"], chunk["fr"]
         c, inner = _Chunk(pack), same * pack.rep
         c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
                  fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
@@ -607,22 +594,15 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
                 f(c)
         except RecursionError:
             raise CatError(f"{pos}: {_TOO_DEEP}") from None
-        # byte j of failed is nonzero if candidate j fails any check
-        c.failed, c.keys = pack.loops(c.loops), list(zip(*map(c.blocks, ("rf", "co", "fr"))))
+        c.failed = pack.loops(c.loops)  # byte j is nonzero if candidate j fails any check
         return c
 
     def judge(cand: Candidate) -> ModelResult:
         if cand.source is not t:
             raise ValueError(f"model bound to {t.name}, candidate of {cand.source.name}")
-        c, j = last[0], -1
-        if cand.index is not None and cand.index >= 0:
-            start = cand.index - cand.index % CHUNK
-            if last[1] != start:
-                last[:] = evaluate(*bundles(t, start, start + CHUNK)), start
-            c, j = last[0], cand.index - start
-        key = (cand.rf.bits, cand.co.bits, cand.fr.bits)
-        if not 0 <= j < len(c.keys) or c.keys[j] != key:  # judge it alone
-            c, j = evaluate(one, *key), 0
+        if last[0] is not cand.chunk:
+            last[:] = cand.chunk, evaluate(cand.chunk)
+        c, j = last[1], cand.j
         if not c.failed[j]:
             return ModelResult(True, all_ok, _Env(statics, c, j))
         checks = tuple(
@@ -635,8 +615,8 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
 
 
 def run_model(model, cand: Candidate) -> ModelResult:
-    """Judge cand by model: a Model, bound for cand alone, or the result
-    of binding one to cand's test."""
+    """Judge cand by model: a Model, bound for cand's test here, or the
+    result of binding one to it."""
     if isinstance(model, Model):
-        return bind(model, cand.source)(replace(cand, index=None))
+        return bind(model, cand.source)(cand)
     return model(cand)

@@ -210,15 +210,6 @@ def _canonical(accesses: list, edges: list, critical: bool) -> LabeledCycle:
     )
 
 
-def rotate_cycle(cycle: LabeledCycle, k: int) -> LabeledCycle:
-    k %= len(cycle.accesses)
-    return LabeledCycle(
-        cycle.accesses[k:] + cycle.accesses[:k],
-        cycle.edges[k:] + cycle.edges[:k],
-        cycle.critical,
-    )
-
-
 def thread_condition(cycle: LabeledCycle) -> bool:
     """Per thread at most two accesses, on distinct locations."""
     per = {}

@@ -4,7 +4,10 @@ A candidate pairs the projected events with one coherence order per
 location (init write first) and one reads-from choice per read.  The
 enumeration is exhaustive and deterministic: locations in sorted order,
 write permutations lexicographically, rf sources in ascending event id,
-coherence choices in the outer loop.
+coherence choices in the outer loop.  Candidates come in chunks of
+CHUNK consecutive ones: each chunk packs its candidates' rf, co and fr
+once, one bundle each (relation.Bundles), and a candidate is a block of
+its chunk.
 
 A test's final condition is compiled once per test: each atom resolves
 to a constant, a read or a location's writes, so a candidate pays only
@@ -14,32 +17,27 @@ for its read values and co-last writes.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import partial
 from typing import Iterator
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
-from .relation import Candidate, Event, MemRead, Packing, Relation, is_read, is_write
+from .relation import Bundles, Candidate, Event, MemRead, Packing, is_read, is_write
+
+
+# consecutive candidates enumeration packs together, one bundle per
+# relation; a bound model evaluates each chunk once
+CHUNK = 256
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
-    n, (choices, co_orders, links, rf) = t.n, _space(t)
-    whole, index = Packing(n, len(choices)), itertools.count()
-    for co_pick in itertools.product(*co_orders):
-        co = Relation(n, sum(co_pick))
-        frs = whole.split(_fr(whole, rf, co.bits * whole.rep, links))
-        for (events, rf_j), fr in zip(choices, frs):
-            yield Candidate(
-                events=events,
-                po=t.po,
-                rf=rf_j,
-                co=co,
-                fr=Relation(n, fr),
-                deps=t.deps,
-                fences=t.fences,
-                source=t,
-                index=next(index),
-            )
+    n, (choices, co_orders, links) = t.n, _space(t)
+    picks = ((co, choice) for co in map(sum, itertools.product(*co_orders)) for choice in choices)
+    while block := list(itertools.islice(picks, CHUNK)):
+        pack = Packing(n, len(block))
+        rf, co = pack.join(rf for _, (_, rf) in block), pack.join(co for co, _ in block)
+        chunk = Bundles(pack, rf=rf, co=co, fr=_fr(pack, rf, co, links))
+        for j, (_, (events, _)) in enumerate(block):
+            yield Candidate(events, t, chunk, j)
 
 
 def _fr(pack: Packing, rf: int, co: int, links) -> int:
@@ -50,27 +48,6 @@ def _fr(pack: Packing, rf: int, co: int, links) -> int:
         reads_w = (rf >> w * n + r & pack.rep) * full  # row 0 of the blocks where r reads w
         fr |= (co >> w * n & reads_w) << r * n
     return fr
-
-
-def bundles(t: ProjectedTest, start: int, stop: int) -> tuple:
-    """(packing, rf, co, fr) of t's candidates start..stop-1 (or to its
-    last), each relation packed in enumeration order."""
-    choices, co_orders, links, rf = _space(t)
-    n, c = t.n, len(choices)
-    stop = max(start, min(stop, c * math.prod(map(len, co_orders))))
-    whole = Packing(n, c)
-    rf, rfs, cos = whole.to_bytes(rf), [], []
-    for q in range(start // c, -(-stop // c)):
-        co, rest = 0, q
-        for orders in reversed(co_orders):  # the last location varies fastest
-            rest, k = divmod(rest, len(orders))
-            co |= orders[k]
-        lo, hi = max(start - q * c, 0) * whole.size, min(stop - q * c, c) * whole.size
-        rfs.append(rf[lo:hi])
-        cos.append((co.to_bytes(whole.size, "little") * c)[lo:hi])
-    pack = Packing(n, stop - start)
-    rf, co = (int.from_bytes(b"".join(p), "little") for p in (rfs, cos))
-    return pack, rf, co, _fr(pack, rf, co, links)
 
 
 def per_test(build):
@@ -93,10 +70,9 @@ def per_test(build):
 
 @per_test
 def _space(t: ProjectedTest) -> tuple:
-    """t's candidates as (rf choices, co orders, links, rf): per rf choice
-    its events and rf; per location the bits of each co order; each
-    (write, read) that some choice's rf holds; and every choice's rf,
-    packed by Packing(t.n, len(choices))."""
+    """t's candidates as (rf choices, co orders, links): per rf choice its
+    events and rf bits; per location the bits of each co order; and each
+    (write, read) that some choice's rf holds."""
     n = t.n
     writes_by_loc = {loc: [] for loc in t.locations}
     for e in t.events:
@@ -120,9 +96,9 @@ def _space(t: ProjectedTest) -> tuple:
         for src, ev in pick:
             events[ev.id] = ev
             rf |= 1 << src * n + ev.id
-        choices.append((tuple(events), Relation(n, rf)))
+        choices.append((tuple(events), rf))
     links = [(w, ev.id) for options in sources for w, ev in options]
-    return choices, co_orders, links, Packing(n, len(choices)).join(rf.bits for _, rf in choices)
+    return choices, co_orders, links
 
 
 def _order(n: int, writes: list) -> int:

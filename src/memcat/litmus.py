@@ -400,12 +400,6 @@ class ProjectedTest:
     def n(self) -> int:
         return len(self.events)
 
-    def id_of(self, name: str) -> int:
-        for eid, nm in self.names.items():
-            if nm == name:
-                return eid
-        raise KeyError(name)
-
 
 def _event_names(count: int):
     letters = string.ascii_lowercase

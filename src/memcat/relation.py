@@ -5,16 +5,18 @@ operational machine) works on relations over a fixed universe
 {0, ..., n-1} of event ids, so a relation is one n*n-bit int whose bit
 i*n+j encodes membership of (i, j): row i is bits i*n ... i*n+n-1.  A
 bundle packs many such relations into one int, one block each
-(Packing), so one int operation acts on all of them.  The layout stays
-inside this module.  All operations return fresh relations; instances
-are immutable and hashable.
+(Packing), so one int operation acts on all of them; Bundles holds a
+chunk of consecutive candidates' bundles by name, and a Candidate is
+one block of its chunk.  The layout stays inside this module.  All
+operations return fresh relations; instances are immutable and hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .litmus import ProjectedTest
@@ -282,11 +284,6 @@ def restrict(r: Relation, src: str, tgt: str, events: Sequence[Event]) -> Relati
     return Relation(r.n, r.bits & direction_mask(r.n, events, src, tgt))
 
 
-def derive_fr(rf: Relation, co: Relation) -> Relation:
-    """fr = rf^-1;co : each read before every write co-after its source."""
-    return compose(rf.inverse(), co)
-
-
 def same_thread(events: Sequence[Event]) -> Relation:
     """All pairs of events on the same thread, (e, e) included."""
     threads: dict[str, int] = {}
@@ -296,12 +293,6 @@ def same_thread(events: Sequence[Event]) -> Relation:
     for e in events:
         bits |= threads[e.thread] << e.id * n
     return Relation(n, bits)
-
-
-def split_scope(r: Relation, events: Sequence[Event]) -> tuple[Relation, Relation]:
-    """Split into (internal, external) by thread of the endpoints."""
-    internal = r & same_thread(events)
-    return internal, r - internal
 
 
 def same_loc(events: Sequence[Event]) -> Relation:
@@ -318,35 +309,52 @@ def same_loc(events: Sequence[Event]) -> Relation:
 # ------------------------------------------------------------------ candidate
 
 
+class Bundles(dict):
+    """Bundles by name of consecutive candidates of one test, laid out by
+    pack; each is split into its blocks once, when first sliced."""
+
+    def __init__(self, pack: Packing, **bundles: int):
+        super().__init__(bundles)
+        self.pack, self._blocks = pack, {}
+
+    def blocks(self, name: str) -> list:
+        """Each candidate's bits of name, in block order."""
+        got = self._blocks.get(name)
+        if got is None:
+            got = self._blocks[name] = self.pack.split(self[name])
+        return got
+
+    def relation(self, name: str, j: int) -> Relation:
+        return Relation(self.pack.n, self.blocks(name)[j])
+
+
 @dataclass(eq=False)
 class Candidate:
-    """A candidate execution: events plus po, rf, co, fr and static relations.
+    """A candidate execution: its events, each read's value filled in, and
+    block j of chunk, which holds its rf, co and fr.
 
-    deps maps dependency names (addr, data, ctrl, ctrl+isync, ...) and
-    fences maps fence kinds (sync, mfence, ...) to relations over the
-    same universe.  source is the projected test; po-loc and the
-    same-thread relation that splits rf, co and fr into internal and
-    external parts are its fields, built once per test.  index is its
-    position in enumerate_candidates(source), None if built by hand.
+    source is the projected test; po, po-loc, deps (addr, data, ctrl,
+    ctrl+isync, ...), fences (sync, mfence, ...) and the same-thread
+    relation that splits rf into internal and external parts are its
+    fields, built once per test.
     """
 
     events: tuple[Event, ...]
-    po: Relation
-    rf: Relation
-    co: Relation
-    fr: Relation
-    deps: Mapping[str, Relation]
-    fences: Mapping[str, Relation]
     source: "ProjectedTest"
-    index: Optional[int] = None
+    chunk: Bundles
+    j: int
+
+    po = property(attrgetter("source.po"))
+    po_loc = property(attrgetter("source.po_loc"))
+    deps = property(attrgetter("source.deps"))
+    fences = property(attrgetter("source.fences"))
+    rf = property(lambda self: self.chunk.relation("rf", self.j))
+    co = property(lambda self: self.chunk.relation("co", self.j))
+    fr = property(lambda self: self.chunk.relation("fr", self.j))
 
     @property
     def n(self) -> int:
         return len(self.events)
-
-    @property
-    def po_loc(self) -> Relation:
-        return self.source.po_loc
 
     @property
     def rfe(self) -> Relation:

@@ -1,13 +1,12 @@
 """Model language: lexer, parser, evaluator."""
 
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memcat import cat, machine, models, suite
+from memcat import cat, executions, machine, models, suite
 from memcat.cat import (
     DIRS,
     CatError,
@@ -27,7 +26,6 @@ from memcat.cat import (
     Star,
     Union,
     bind,
-    builtin_env,
     parse_cat,
     run_model,
 )
@@ -39,11 +37,11 @@ from memcat.relation import (
     check_irreflexive,
     closure,
     compose,
-    derive_fr,
     restrict,
 )
 
 from oracles import candidate_pairs, closure_pairs, sc_allowed
+from test_executions import CHUNKED
 
 
 MP = """\
@@ -222,6 +220,10 @@ def test_recursion_under_closure_and_diff_lhs_allowed():
 
 # --------------------------------------------------------------- evaluation
 
+def builtin_env(cand):
+    return dict(run_model(Model(()), cand).env)
+
+
 def test_builtin_env_has_expected_vocabulary():
     cand = mp_candidates()[0]
     env = builtin_env(cand)
@@ -299,7 +301,7 @@ def test_one_line_sc_model_matches_oracle_on_mp():
 
 
 def reference_env(cand):
-    same, fr = cand.source.same_thread, derive_fr(cand.rf, cand.co)
+    same, fr = cand.source.same_thread, compose(cand.rf.inverse(), cand.co)
     env = {
         "po": cand.po, "po-loc": cand.po_loc,
         "rf": cand.rf, "rfe": cand.rf - same, "rfi": cand.rf & same,
@@ -437,7 +439,7 @@ ORACLE_TESTS = [suite.load(name) for name in ("mp", "isa2+lwsync+addrs", "w+rw+2
 def test_run_model_matches_reference_evaluator(model):
     for t in ORACLE_TESTS:
         judge, cands = bind(model, t), list(enumerate_candidates(t))
-        # the reverse sweep hits the memo in another order than it was filled
+        # the reverse sweep evaluates the chunks in another order
         for cand in cands + cands[::-1]:
             want, got = reference_run(model, cand), run_model(judge, cand)
             assert got.env == want.env
@@ -450,15 +452,26 @@ def test_bundled_models_match_reference_evaluator():
         model = models.load_builtin(name)
         for t in ORACLE_TESTS + [suite.load("mp+dmb+fri-rfi-ctrlisb")]:
             judge, cands = bind(model, t), list(enumerate_candidates(t))
-            for cand in cands + cands[::-1]:  # then hit the memo in reverse
+            for cand in cands + cands[::-1]:  # then evaluate the chunks in reverse
                 want, got = reference_run(model, cand), run_model(judge, cand)
                 assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
+
+
+def test_models_match_reference_evaluator_on_several_chunks():
+    cands = list(enumerate_candidates(CHUNKED))
+    assert len(cands) > 2 * executions.CHUNK
+    for name in models.BUILTIN_MODELS:
+        model = models.load_builtin(name)
+        judge = bind(model, CHUNKED)
+        for cand in cands + cands[::-1]:
+            want, got = reference_run(model, cand), run_model(judge, cand)
+            assert (got.env, got.checks) == (want.env, want.checks), (name, cand.j)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chunk_boundaries_match_reference_evaluator(monkeypatch, chunk):
     # chunks of 1 and 3 split every oracle test, 3 also inside a co order
-    monkeypatch.setattr(cat, "CHUNK", chunk)
+    monkeypatch.setattr(executions, "CHUNK", chunk)
     for name in models.BUILTIN_MODELS:
         model = models.load_builtin(name)
         for t in ORACLE_TESTS:
@@ -472,7 +485,7 @@ def test_chunk_boundaries_match_reference_evaluator(monkeypatch, chunk):
 @given(generated_models())
 def test_generated_models_match_reference_evaluator_across_chunks(model):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cat, "CHUNK", 3)
+        patch.setattr(executions, "CHUNK", 3)
         for t in ORACLE_TESTS:
             judge, cands = bind(model, t), list(enumerate_candidates(t))
             for cand in cands + cands[::-1]:
@@ -492,33 +505,14 @@ def test_let_rec_is_solved_once_per_chunk(monkeypatch):
     fixpoint = cat._fixpoint
     monkeypatch.setattr(cat, "_fixpoint", counted)
     t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
-    cands = list(enumerate_candidates(t))
-    for chunk in (cat.CHUNK, 3):
-        monkeypatch.setattr(cat, "CHUNK", chunk)
-        judge = bind(power, t)
+    for chunk in (executions.CHUNK, 3):
+        monkeypatch.setattr(executions, "CHUNK", chunk)
+        cands, judge = list(enumerate_candidates(t)), bind(power, t)
         solved.clear()  # drop the let recs solved once while binding, if any
         for cand in cands:
             run_model(judge, cand)
         assert solved == [("ii", "ic", "ci", "cc")] * -(-len(cands) // chunk)
     assert len(cands) > 3
-
-
-def test_candidate_without_index_is_judged_alone(monkeypatch):
-    t, power = suite.load("mp"), models.load_builtin("power")
-    judge, cands = bind(power, t), list(enumerate_candidates(t))
-    # an index whose block holds another candidate is not trusted either
-    shifted = [replace(c, index=d.index) for c, d in zip(cands, cands[1:] + cands[:1])]
-    assert all((c.rf, c.co) != (d.rf, d.co) for c, d in zip(cands, cands[1:] + cands[:1]))
-    for hand_built in ([replace(c, index=None) for c in cands], shifted):
-        for cand, got in zip(cands, map(judge, hand_built)):
-            want = reference_run(power, cand)
-            assert (got.env, got.checks) == (want.env, want.checks)
-
-    def refuse(*args):
-        raise AssertionError("a candidate without an index asked for a chunk")
-
-    monkeypatch.setattr(cat, "bundles", refuse)
-    assert run_model(bind(power, t), replace(cands[0], index=None)).checks
 
 
 def test_env_membership_builds_no_relation(monkeypatch):

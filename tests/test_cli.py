@@ -312,6 +312,14 @@ def test_machine_equivalence_pass_and_bound_skip():
     assert "isa2" in err
 
 
+def test_machine_matches_power_on_a_test_of_several_chunks():
+    # 600 candidates: the only input whose candidates span several chunks
+    res = invoke("machine", "--format", "jsonl", str(Path(__file__).parent / "chunked.litmus"))
+    assert res.exit_code == 0, res.output
+    (rec,) = jsonl(res)
+    assert rec["skipped"] is False and rec["equal"] is True
+
+
 def test_machine_bound_flag_shrinks_budget():
     res = invoke("machine", "--bound", "5", "--format", "jsonl", "mp")
     assert res.exit_code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from memcat import suite
 from memcat.cycles import (
+    LabeledCycle,
     ThrError,
     classify,
     find_critical_cycles,
@@ -18,7 +19,6 @@ from memcat.cycles import (
     parse_thr,
     program_from_litmus,
     reduce_cycle,
-    rotate_cycle,
     thread_condition,
 )
 
@@ -181,6 +181,15 @@ def test_coherence_chains_reduce_to_extremities():
         for r in map(reduce_cycle, cycles)
     }
     assert named == {("ww+ww", "2+2w")}
+
+
+def rotate_cycle(cycle, k):
+    k %= len(cycle.accesses)
+    return LabeledCycle(
+        cycle.accesses[k:] + cycle.accesses[:k],
+        cycle.edges[k:] + cycle.edges[:k],
+        cycle.critical,
+    )
 
 
 def test_reduce_applies_across_the_rotation_seam():

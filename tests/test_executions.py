@@ -1,15 +1,17 @@
 """Candidate enumeration tests."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from memcat import suite
 from memcat.cat import run_model
-from memcat.executions import bundles, enumerate_candidates, evaluate_final, observed_state
+from memcat import executions
+from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import And, LocEq, Or, RegEq, atoms, parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
-from memcat.relation import Event, MemRead, MemWrite, derive_fr, is_read, is_write
+from memcat.relation import Event, MemRead, MemWrite, compose, is_read, is_write
 
 from oracles import candidate_pairs, count_expected_candidates, is_acyclic_pairs
 
@@ -87,7 +89,7 @@ def test_fr_matches_rf_inverse_then_co():
     # enumeration builds fr row by row from each read's source
     for name in suite.names():
         for cand in enumerate_candidates(suite.load(name)):
-            assert cand.fr == derive_fr(cand.rf, cand.co), name
+            assert cand.fr == compose(cand.rf.inverse(), cand.co), name
 
 
 def reference_candidates(t):
@@ -112,31 +114,29 @@ def reference_candidates(t):
         yield tuple(events), rf, co, fr
 
 
-def test_enumeration_order_is_co_outer_rf_inner():
-    # a test's witness and machine --trace take its first candidate
-    for name in suite.names():
-        t = suite.load(name)
+# the one input whose candidates span several chunks at the default size
+CHUNKED = project(parse_litmus((Path(__file__).parent / "chunked.litmus").read_text()))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, executions.CHUNK])
+def test_enumeration_order_is_co_outer_rf_inner(monkeypatch, chunk):
+    # a test's witness and machine --trace take its first candidate; each
+    # run of chunk consecutive candidates, and the rest at the end, shares
+    # one Bundles with a block per candidate
+    monkeypatch.setattr(executions, "CHUNK", chunk)
+    for t in [suite.load(name) for name in suite.names()] + [CHUNKED]:
+        cands = list(enumerate_candidates(t))
         got = [
             (c.events, set(c.rf.pairs()), set(c.co.pairs()), set(c.fr.pairs()))
-            for c in enumerate_candidates(t)
+            for c in cands
         ]
-        assert got == list(reference_candidates(t)), name
-
-
-def test_bundles_hold_the_enumerated_candidates_in_order():
-    # a bound model judges an enumerated candidate from its chunk's
-    # bundles; a block that differs from it sends it to be judged alone
-    for name in suite.names():
-        t = suite.load(name)
-        cands = list(enumerate_candidates(t))
-        assert [c.index for c in cands] == list(range(len(cands)))
-        total = len(cands)
-        for start, stop in ((0, total), (0, 1), (1, 4), (3, 11), (total - 2, total + 5), (total, total + 3)):
-            pack, *bundled = bundles(t, start, stop)
-            want = cands[start:stop]
-            assert pack.m == len(want), (name, start)
-            for bits, field in zip(bundled, ("rf", "co", "fr")):
-                assert pack.split(bits) == [getattr(c, field).bits for c in want], (name, start, field)
+        assert got == list(reference_candidates(t)), t.name
+        parts = [cands[i:i + chunk] for i in range(0, len(cands), chunk)]
+        assert len({id(part[0].chunk) for part in parts}) == len(parts), t.name
+        for part in parts:
+            assert [c.j for c in part] == list(range(len(part))), t.name
+            assert all(c.chunk is part[0].chunk for c in part), t.name
+            assert part[0].chunk.pack.m == len(part), t.name
 
 
 def test_co_is_per_location_total_order_with_init_first():
@@ -171,10 +171,8 @@ def test_mp_final_holds_in_exactly_one_candidate():
     assert len(hits) == 1
     (cand,) = hits
     t = cand.source
-    b = t.id_of("b")  # Wy=1
-    c = t.id_of("c")  # Ry
-    d = t.id_of("d")  # Rx
-    ix = t.id_of("ix")
+    ids = {name: eid for eid, name in t.names.items()}
+    b, c, d, ix = ids["b"], ids["c"], ids["d"], ids["ix"]  # Wy=1, Ry, Rx, init x
     assert (b, c) in cand.rf
     assert (ix, d) in cand.rf
 

