@@ -56,10 +56,11 @@ interleaving discharges it.
 
 Every label fires once, so j in need[i] puts j before i and j in
 block[i] puts i before j.  A full path exists exactly when that
-precedence graph is acyclic, and machine_accepts sorts it topologically;
-witness_path sorts its own, independently built edges the same way.
-replay_path runs a given path and reports the index of the first step
-that cannot fire.
+precedence graph, _preds, is acyclic, and machine_accepts sorts it
+topologically.  witness_path sorts the same graph, preferring commits in
+co and prop order where the premises allow, so the witness is the
+machine's own firing order.  replay_path runs a given path and reports
+the index of the first step that cannot fire.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ from .relation import (
     Candidate,
     Packing,
     Relation,
-    closure,
     is_read,
     is_write,
-    restrict,
 )
 
 Label = tuple
@@ -115,14 +114,10 @@ class MachineContext:
     cand: Candidate
     labels: tuple  # all pending labels, index = label id
     label_index: dict  # label -> id
-    write_ids: tuple
-    read_ids: tuple
     rf_src: dict  # read id -> write id
     # label bitmasks, indexed by label id
     need: tuple  # labels that must already be done; NEVER if it cannot fire
     block: tuple  # labels whose being done wedges it
-    ppo: Relation = field(repr=False, default=None)
-    fence: Relation = field(repr=False, default=None)
     prop: Relation = field(repr=False, default=None)
 
 
@@ -224,8 +219,8 @@ def machine_context(cand, env):
         block += [bits((later | prop.bits >> r * n) & reads), bits(later)]
 
     label_index = {label: i for i, label in enumerate(labels)}
-    return MachineContext(cand, tuple(labels), label_index, write_ids, read_ids, rf_src,
-                          tuple(need), tuple(block), ppo, fence, prop)
+    return MachineContext(cand, tuple(labels), label_index, rf_src, tuple(need),
+                          tuple(block), prop)
 
 
 def _visible(co, rf_src, w, neighbours):
@@ -261,8 +256,9 @@ def _linearise(preds):
     return order, [i for i in range(len(preds)) if not done >> i & 1]
 
 
-def machine_accepts(ctx):
-    """True when some interleaving fires every label of the candidate."""
+def _preds(ctx):
+    """The precedence graph of ctx's premises: preds[i] holds each label
+    that label i needs and each label whose being done label i wedges."""
     preds = list(ctx.need)  # a NEVER keeps bits no done set covers
     for i, block in enumerate(ctx.block):
         block &= ~(1 << i)  # a label never wedges itself
@@ -270,7 +266,12 @@ def machine_accepts(ctx):
             low = block & -block
             preds[low.bit_length() - 1] |= 1 << i
             block ^= low
-    return not _linearise(preds)[1]
+    return preds
+
+
+def machine_accepts(ctx):
+    """True when some interleaving fires every label of the candidate."""
+    return not _linearise(_preds(ctx))[1]
 
 
 def replay_path(ctx, path):
@@ -285,67 +286,30 @@ def replay_path(ctx, path):
 
 
 def witness_path(ctx):
-    """Build one accepted path for a model-passing candidate.
+    """The machine's firing order for a candidate it accepts.
 
-    Orders labels by the constraints the premises will check, then
-    linearises.  A cycle means no single-path run exists for this
-    candidate, which on passing candidates never happens.
+    Sorts _preds, the graph machine_accepts sorts, preferring c(w1) before
+    c(w2) for program writes with (w1, w2) in co | WW(prop+): that order is
+    kept where the premises allow it and dropped where they do not.  Raises
+    WitnessCycleError, naming the labels that never fire, exactly when
+    machine_accepts rejects the candidate.
     """
-    cand = ctx.cand
-    labels = ctx.labels
-    index = ctx.label_index
-    preds = [0] * len(labels)
-
-    def edge(a, b):
-        if a in index and b in index:
-            preds[index[b]] |= 1 << index[a]
-
-    for r in ctx.read_ids:
-        w = ctx.rf_src[r]
-        edge(("sr", w, r), ("cr", w, r))
-    for w in ctx.write_ids:
-        edge(("cw", w), ("cpw", w))
-
-    write_flag = {e.id: is_write(e) for e in cand.events}
-    read_flag = {e.id: is_read(e) for e in cand.events}
-
-    for (w, r) in ctx.fence.pairs():
-        if write_flag[w] and read_flag[r]:
-            edge(("cw", w), ("sr", ctx.rf_src[r], r))
-    for (w, r) in cand.rfe.pairs():
-        edge(("cw", w), ("sr", w, r))
-
-    cp_order = set(cand.co.pairs())
-    prop_ww = restrict(closure(ctx.prop), "W", "W", cand.events)
-    cp_order |= set(prop_ww.pairs())
-    for (w1, w2) in cp_order:
-        edge(("cpw", w1), ("cpw", w2))
-        edge(("cw", w1), ("cw", w2))  # commits stay FIFO with coherence
-
-    for (x, y) in ctx.prop.pairs():
-        if read_flag[x] and read_flag[y]:
-            edge(("sr", ctx.rf_src[x], x), ("sr", ctx.rf_src[y], y))
-        elif write_flag[x] and read_flag[y]:
-            edge(("cpw", x), ("sr", ctx.rf_src[y], y))
-        elif read_flag[x] and write_flag[y]:
-            edge(("sr", ctx.rf_src[x], x), ("cpw", y))
-
-    ppo_fence = ctx.ppo | ctx.fence
-    for (r, e) in ppo_fence.pairs():
-        if not read_flag[r]:
-            continue
-        if read_flag[e]:
-            edge(("cr", ctx.rf_src[r], r), ("sr", ctx.rf_src[e], e))
-        else:
-            edge(("cr", ctx.rf_src[r], r), ("cw", e))
-
-    order, stuck = _linearise(preds)
+    cand, preds = ctx.cand, _preds(ctx)
+    writes, _, slot = _layout(cand.source)[4:7]
+    ahead = cand.co.bits | Packing.single(cand.n).closure(ctx.prop.bits)
+    prefer = list(preds)
+    for w1, w2 in Relation(cand.n, ahead).pairs():
+        if writes >> w1 & writes >> w2 & 1:
+            prefer[slot[w2].bit_length() - 1] |= slot[w1]
+    order, stuck = _linearise(prefer)
+    if stuck:
+        order, stuck = _linearise(preds)
     if stuck:
         raise WitnessCycleError(
             "witness order is cyclic through: "
-            + ", ".join(sorted(label_str(ctx, labels[i]) for i in stuck))
+            + ", ".join(sorted(label_str(ctx, ctx.labels[i]) for i in stuck))
         )
-    return [labels[i] for i in order]
+    return [ctx.labels[i] for i in order]
 
 
 def derive_from_path(cand, path):
@@ -368,7 +332,7 @@ def derive_from_path(cand, path):
 
 def label_str(ctx, label):
     """c(w), cp(w), s(w,r) or c(w,r), with the test's event names."""
-    names = getattr(ctx.cand.source, "names", None) or {}
+    names = ctx.cand.source.names
     kind, *ids = label
     args = ",".join(names.get(x, str(x)) for x in ids)
     return f"{'cp' if kind == 'cpw' else kind[0]}({args})"

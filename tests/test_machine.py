@@ -1,5 +1,7 @@
 """Operational machine: acceptance, witness paths, path derivation."""
 
+from pathlib import Path
+
 import pytest
 
 from memcat import machine, suite
@@ -20,7 +22,7 @@ from memcat.machine import (
     witness_path,
 )
 from memcat.models import load_builtin
-from memcat.relation import closure, compose, is_read, is_write
+from memcat.relation import closure, compose, is_read, is_write, restrict
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +118,7 @@ def test_machine_accepts_agrees_with_reference_search(power):
 
 def hand_built(need, block):
     labels = tuple(range(len(need)))
-    return MachineContext(
-        None, labels, {l: l for l in labels}, (), (), {}, tuple(need), tuple(block)
-    )
+    return MachineContext(None, labels, {l: l for l in labels}, {}, tuple(need), tuple(block))
 
 
 @pytest.mark.parametrize(
@@ -170,8 +170,10 @@ def test_linearise_matches_the_rescanning_reference_on_the_suite(power, monkeypa
                 witness_path(ctx)
             except WitnessCycleError:
                 pass
-    # both sorts of every candidate, some stuck and some not
-    assert len(stuck) == 2 * 296 and True in stuck and False in stuck
+    # machine_accepts sorts once per candidate; witness_path sorts once
+    # an accepted candidate and twice a rejected one, whose preferred
+    # order and bare premises are both cyclic: 296 + 186 + 2 * 110
+    assert len(stuck) == 702 and True in stuck and False in stuck
 
 
 def test_witness_path_replays_for_every_passing_candidate(power):
@@ -388,3 +390,129 @@ def test_machine_context_switches_tests_when_fed_alternately(power):
     for a, b in zip(*firsts):
         for cand in (a, b):
             assert_matches_reference(cand, run_model(power, cand).env)
+
+
+def reference_witness_path(ctx, env):
+    """The edge builder witness_path replaced: it ordered the labels by
+    its own reading of ppo, fence, prop, rfe and co, then sorted them."""
+    cand, labels, index = ctx.cand, ctx.labels, ctx.label_index
+    ppo, fence, prop = env["ppo"], env["fence"], env["prop"]
+    preds = [0] * len(labels)
+
+    def edge(a, b):
+        if a in index and b in index:
+            preds[index[b]] |= 1 << index[a]
+
+    for r, w in ctx.rf_src.items():
+        edge(("sr", w, r), ("cr", w, r))
+    for e in cand.events:
+        edge(("cw", e.id), ("cpw", e.id))
+    write_flag = {e.id: is_write(e) for e in cand.events}
+    read_flag = {e.id: is_read(e) for e in cand.events}
+    sr = {r: ("sr", w, r) for r, w in ctx.rf_src.items()}
+    cr = {r: ("cr", w, r) for r, w in ctx.rf_src.items()}
+    for w, r in fence.pairs():
+        if write_flag[w] and read_flag[r]:
+            edge(("cw", w), sr[r])
+    for w, r in cand.rfe.pairs():
+        edge(("cw", w), ("sr", w, r))
+    cp_order = set(cand.co.pairs()) | set(
+        restrict(closure(prop), "W", "W", cand.events).pairs()
+    )
+    for w1, w2 in cp_order:
+        edge(("cpw", w1), ("cpw", w2))
+        edge(("cw", w1), ("cw", w2))  # commits stay FIFO with coherence
+    for x, y in prop.pairs():
+        if read_flag[x] and read_flag[y]:
+            edge(sr[x], sr[y])
+        elif write_flag[x] and read_flag[y]:
+            edge(("cpw", x), sr[y])
+        elif read_flag[x] and write_flag[y]:
+            edge(sr[x], ("cpw", y))
+    for r, e in (ppo | fence).pairs():
+        if read_flag[r]:
+            edge(cr[r], sr[e] if read_flag[e] else ("cw", e))
+    order, stuck = reference_linearise(preds)
+    if stuck:
+        raise WitnessCycleError(", ".join(label_str(ctx, labels[i]) for i in stuck))
+    return [labels[i] for i in order]
+
+
+def suite_and_neighbour_tests():
+    chunked = (Path(__file__).parent / "chunked.litmus").read_text()
+    return [suite.load(n) for n in suite.names()] + [
+        project(parse_litmus(text)) for text in (chunked, NEIGHBOURS)
+    ]
+
+
+def test_witness_path_matches_the_reference_builder_on_accepted_candidates(power):
+    checked = 0
+    for t in suite_and_neighbour_tests():
+        for cand in enumerate_candidates(t):
+            env = run_model(power, cand).env
+            ctx = machine_context(cand, env)
+            if machine_accepts(ctx):
+                assert witness_path(ctx) == reference_witness_path(ctx, env), t.name
+                checked += 1
+    assert checked == 186 + 29
+
+
+# perfbench/gen.py's wide seed 1, test 2: its candidate 38 passes Power
+# and the machine accepts it, but a witness built from edges of its own,
+# not the machine's premises, was cyclic there
+WIDE1_02 = """\
+wide1-02-power power
+
+init { x=0; y=0; z=0; rx=&x; ry=&y; rz=&z; }
+
+thread T0 {
+  ld r1, [rx]
+  ld r2, [rz]
+  xor r3, r2, r2
+  add r4, r3, ry
+  ld r5, [r4]
+}
+
+thread T1 {
+  mov r1, #1
+  st [ry], r1
+  sync
+  ld r2, [rz]
+  mov r3, #1
+  st [rz], r3
+}
+
+thread T2 {
+  ld r1, [rx]
+  cmp r1, #0
+  bne L20
+L20:
+  mov r2, #2
+  st [rz], r2
+  lwsync
+  ld r3, [rz]
+}
+
+final exists (T0:r1=0 /\\ T0:r2=1 /\\ T0:r5=1 /\\ T1:r2=2 /\\ T2:r1=0 /\\ T2:r3=2)
+"""
+
+
+def test_witness_path_exists_exactly_when_the_machine_accepts(power):
+    wide = project(parse_litmus(WIDE1_02))
+    seen = set()
+    for t in [wide] + [suite.load(n) for n in suite.names()]:
+        for k, cand in enumerate(enumerate_candidates(t)):
+            result = run_model(power, cand)
+            ctx = machine_context(cand, result.env)
+            accepts = machine_accepts(ctx)
+            if accepts:
+                assert replay_path(ctx, witness_path(ctx)) == (True, None), (t.name, k)
+            else:
+                with pytest.raises(WitnessCycleError):
+                    witness_path(ctx)
+            seen.add(accepts)
+            if t is wide and k == 38:
+                assert result.passed and accepts
+                with pytest.raises(WitnessCycleError):
+                    reference_witness_path(ctx, result.env)
+    assert seen == {True, False}
