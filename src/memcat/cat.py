@@ -11,27 +11,26 @@ before them (lowercased, spaces to hyphens), else positionally.
 `include "f.cat"` splices another file's statements in at load time, so
 a model is always one flat statement list.
 
-A model is bound to a test once (bind): the names every candidate of
-the test shares (po, po-loc, deps, fences, 0, id) and each let built
-only from them are evaluated there, and the rest compiles to functions
-over a chunk of consecutive candidates, whose relations are packed
-into one int each (a bundle, see relation.Packing).  Enumeration packs
-each chunk's rf, co and fr once, and each statement runs once per chunk,
-not once per candidate.
+A model is compiled once, at its first bind, into functions of a chunk
+of consecutive candidates, whose relations are packed into one int each
+(a bundle, see relation.Packing).  Each let and let rec that reads only
+names every candidate of a test shares (po, po-loc, deps, fences, 0, id
+and lets built from them) runs once per test (bind), on a chunk of one;
+the rest runs once per chunk, on those values repeated into every block
+and the chunk's rf, co and fr, which enumeration packs once.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .litmus import ProjectedTest
+from .litmus import ALL_FENCE_KINDS, DEP_KINDS, ProjectedTest
 from .relation import (
     Bundles,
     Candidate,
@@ -117,13 +116,14 @@ class LetRec:
 class Check:
     kind: str  # "acyclic" | "irreflexive"
     expr: object
-    name: Optional[str]
+    name: str
     pos: str = field(compare=False)  # keyword's file:line:col, for errors
 
 
 @dataclass(frozen=True)
 class Model:
     statements: tuple
+    plan = cached_property(lambda self: _compile(self))  # compiled at the first bind
 
 
 DIRS = {
@@ -298,13 +298,12 @@ class _Parser:
                 self.next()
                 check_index += 1
                 expr = self.expr()
-                name = None
                 if self.peek()[:2] == ("kw", "as"):
                     self.next()
                     name = self.expect("name")[1]
                 elif comment:
                     name = re.sub(r"\s+", "-", comment.lower())
-                if name is None:
+                else:
                     name = f"check-{check_index}"
                 out.append(Check(value, expr, name, self.position(tok)))
             else:
@@ -388,7 +387,8 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 # ---------------------------------------------------------------- evaluation
 
 
-# the builtin names whose value differs between candidates of one test
+# the builtin names all candidates of a test share, and those that differ
+_TEST_NAMES = ("po", "po-loc", "0", "id") + DEP_KINDS + ALL_FENCE_KINDS
 _CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
 _TOO_DEEP = "expression nested too deeply to evaluate"
 
@@ -418,39 +418,37 @@ class CheckResult:
 
 
 class _Chunk(Bundles):
-    """A chunk as a bound model evaluated it: each per-candidate name's
-    bundle; per check (its result if ok, bytes whose byte j is nonzero if
-    candidate j fails it, its witness given j); and loops, the union of
-    the relations whose loops fail a check."""
+    """A chunk as a bound model evaluated it: each name's bundle; masks,
+    each direction filter's mask repeated into every block; per check
+    (bytes whose byte j is nonzero if candidate j fails it, its witness
+    given j); and loops, the union of the relations whose loops fail a
+    check."""
 
-    def __init__(self, pack: Packing):
+    def __init__(self, pack: Packing, masks: dict):
         super().__init__(pack)
-        self.checks, self.loops = [], 0
+        self.masks, self.checks, self.loops = masks, [], 0
 
 
 class _Env(Mapping):
-    """A candidate's names, read-only: the Relations all candidates of its
-    test share, then its block of its chunk's bundles, each wrapped in a
-    Relation when read."""
+    """A candidate's names, read-only: its block of its chunk's bundles,
+    each wrapped in a Relation when read."""
 
-    __slots__ = ("_statics", "_chunk", "_j")
+    __slots__ = ("_chunk", "_j")
 
-    def __init__(self, statics: dict, chunk: _Chunk, j: int):
-        self._statics, self._chunk, self._j = statics, chunk, j
+    def __init__(self, chunk: _Chunk, j: int):
+        self._chunk, self._j = chunk, j
 
     def __getitem__(self, name: str) -> Relation:
-        if name in self._chunk:
-            return self._chunk.relation(name, self._j)
-        return self._statics[name]
+        return self._chunk.relation(name, self._j)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._chunk or name in self._statics
+        return name in self._chunk
 
     def __iter__(self):
-        return itertools.chain(self._statics, self._chunk)
+        return iter(self._chunk)
 
     def __len__(self) -> int:
-        return len(self._statics) + len(self._chunk)
+        return len(self._chunk)
 
 
 class ModelResult(NamedTuple):
@@ -464,10 +462,6 @@ class ModelResult(NamedTuple):
             if not c.ok:
                 return c.name
         return None
-
-
-def _as_fn(f):  # a compiled operand as a function of a chunk
-    return (lambda c: f * c.pack.rep) if isinstance(f, int) else f
 
 
 def _fixpoint(env: dict, group: list) -> None:
@@ -485,115 +479,121 @@ def _fixpoint(env: dict, group: list) -> None:
                 changed = True
 
 
-def _witness(test, n: int, pack: Packing, bits: int, j: int):
-    return test(Relation(n, pack.split(bits)[j]))
+def _witness(test, pack: Packing, bits: int, j: int):
+    return test(Relation(pack.n, pack.split(bits)[j]))
 
 
-def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
-    """Compile model into a function judging one candidate of t.
-
-    Every let, let rec and subexpression whose names all candidates of t
-    share (po, po-loc, deps, fences, 0, id and lets built from them) is
-    evaluated here, as is each direction filter's mask.  The rest becomes
-    functions over a candidate's chunk, which packs each relation of its
-    candidates into one int (a bundle, see Packing), and runs each
-    statement once for the whole chunk; a check gives an ok bit per
-    candidate.  Judging a candidate evaluates its chunk if it is not the
-    one last evaluated, then slices out the candidate's block: its checks,
-    and an env that wraps bits in a Relation only when a name is read.
-    """
-    n, one = t.n, Packing.single(t.n)
-    # a bound name's Relation if all candidates share it, else None
-    scope = {"po": t.po, "po-loc": t.po_loc, "0": Relation.empty(n), "id": Relation.identity(n),
-             **t.deps, **t.fences, **dict.fromkeys(_CANDIDATE_NAMES)}
-    read = set()  # per-candidate names compiled since the last clear
+def _compile(model: Model) -> tuple:
+    """Compile model's statements, in order, into (per_test, per_chunk,
+    all_ok, dirs).  per_test holds the steps of the lets and let recs that
+    read only names all candidates of a test share, and per_chunk the
+    rest, checks included; a step is (statement position, function of a
+    chunk).  all_ok holds each check's result if ok, and dirs the
+    direction filters whose masks the steps read."""
+    names, static = set(_TEST_NAMES + _CANDIDATE_NAMES), set(_TEST_NAMES)
+    per_test, per_chunk, all_ok, dirs = [], [], [], set()
+    read = set()  # the names the statement being compiled reads
     ops = {Union: lambda p, a, b: a | b, Inter: lambda p, a, b: a & b,
            Diff: lambda p, a, b: a & ~b, Seq: Packing.compose}
 
-    def lift(op, f, g):
-        """op over two compiled operands: its bits now if both are bits."""
-        if isinstance(f, int) and isinstance(g, int):
-            return op(one, f, g)
-        f, g = _as_fn(f), _as_fn(g)
-        return lambda c: op(c.pack, f(c), g(c))
-
     def compile_expr(node):
         if isinstance(node, Name):
-            if node.value not in scope:
+            if node.value not in names:
                 raise CatError(f"unbound name {node.value!r}")
-            if scope[node.value] is not None:
-                return scope[node.value].bits
             read.add(node.value)
             return operator.itemgetter(node.value)
         if isinstance(node, Empty):
-            return 0
+            return lambda c: 0
         if isinstance(node, DirFilter):
-            mask = direction_mask(n, t.events, *DIRS[node.dir])
-            return lift(ops[Inter], compile_expr(node.expr), mask)
+            f, d = compile_expr(node.expr), node.dir
+            dirs.add(d)
+            return lambda c: f(c) & c.masks[d]
         if isinstance(node, (Plus, Star)):
             f, star = compile_expr(node.expr), isinstance(node, Star)
-            return one.closure(f, star) if isinstance(f, int) else lambda c: c.pack.closure(f(c), star)
-        return lift(ops[type(node)], compile_expr(node.left), compile_expr(node.right))
+            return lambda c: c.pack.closure(f(c), star)
+        op, f, g = ops[type(node)], compile_expr(node.left), compile_expr(node.right)
+        return lambda c: op(c.pack, f(c), g(c))
 
-    def declare(name, f):
-        if name in scope:
-            raise CatError(f"name {name!r} is already bound")
-        scope[name] = Relation(n, f) if isinstance(f, int) else None
+    def declare(*new):
+        for name in new:
+            if name in names:
+                raise CatError(f"name {name!r} is already bound")
+            names.add(name)
+        return new
 
     def step(stmt):
-        """Bind stmt's names; its work per chunk as a function of the chunk, if any."""
-        read.clear()
-        if isinstance(stmt, Check):
-            f = _as_fn(compile_expr(stmt.expr))
-            test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
-            ok = CheckResult(stmt.name, stmt.kind, True, None)
-
-            def check(c):
-                bits, p = f(c), c.pack
-                loops = p.closure(bits) if test is check_acyclic else bits
-                c.loops |= loops
-                c.checks.append((ok, p.loops(loops), partial(_witness, test, n, p, bits)))
-
-            all_ok.append(ok)
-            return check
+        """stmt as a function of a chunk, and the names it binds (None for a check)."""
         if isinstance(stmt, Let):
             f = compile_expr(stmt.expr)
-            declare(stmt.name, f)
-            return None if isinstance(f, int) else lambda c: operator.setitem(c, stmt.name, f(c))
-        names = [name for name, _ in stmt.bindings]
-        for name in names:
-            declare(name, None)
-        group = [(name, _as_fn(compile_expr(expr))) for name, expr in stmt.bindings]
-        if read.difference(names):
-            return lambda c: _fixpoint(c, group)
-        # it reads no per-candidate name: solve it now
-        _fixpoint(solved := _Chunk(one), group)
-        scope.update((name, Relation(n, solved[name])) for name in names)
-        return None
+            return (lambda c: operator.setitem(c, stmt.name, f(c))), declare(stmt.name)
+        if isinstance(stmt, LetRec):
+            own = declare(*(name for name, _ in stmt.bindings))
+            group = [(name, compile_expr(expr)) for name, expr in stmt.bindings]
+            return (lambda c: _fixpoint(c, group)), own
+        f = compile_expr(stmt.expr)
+        test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
+        all_ok.append(CheckResult(stmt.name, stmt.kind, True, None))
 
-    steps, all_ok = [], []  # (statement position, step); each check's result if ok
+        def check(c):
+            bits, p = f(c), c.pack
+            loops = p.closure(bits) if test is check_acyclic else bits
+            c.loops |= loops
+            c.checks.append((p.loops(loops), partial(_witness, test, p, bits)))
+
+        return check, None
+
     for stmt in model.statements:
+        read.clear()
         try:
-            if (f := step(stmt)) is not None:
-                steps.append((stmt.pos, f))
+            f, own = step(stmt)
         except CatError as exc:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
-    statics, all_ok = {k: v for k, v in scope.items() if v is not None}, tuple(all_ok)
+        once = own is not None and read <= static.union(own)
+        static.update(own if once else ())
+        (per_test if once else per_chunk).append((stmt.pos, f))
+    return per_test, per_chunk, tuple(all_ok), dirs
+
+
+def _run(steps: list, c: _Chunk) -> None:
+    try:
+        for pos, f in steps:
+            f(c)
+    except RecursionError:
+        raise CatError(f"{pos}: {_TOO_DEEP}") from None
+
+
+def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
+    """A function judging one candidate of t by model.
+
+    The model is compiled at its first bind and kept on it (Model.plan),
+    so binding walks no expression.  Each let and let rec that reads
+    only names all candidates of t share (po, po-loc, deps, fences, 0, id
+    and lets built from them) runs here, once, on a chunk of one, and
+    each direction filter's mask is fixed.  The rest runs once per chunk
+    of candidates, which packs each relation of its candidates into one
+    int (a bundle, see Packing), starting from those values repeated into
+    every block; a check gives an ok bit per candidate.  Judging a
+    candidate evaluates its chunk if it is not the one last evaluated,
+    then slices out the candidate's block: its checks, and an env that
+    wraps bits in a Relation only when a name is read.
+    """
+    (per_test, per_chunk, all_ok, dirs), n = model.plan, t.n
+    shared = _Chunk(Packing.single(n), {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs})
+    shared.update({"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": shared.pack.diag})
+    shared.update((k, r.bits) for k, r in {**t.deps, **t.fences}.items())
+    _run(per_test, shared)
     same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its _Chunk
 
     def evaluate(chunk: Bundles) -> _Chunk:
         pack, rf, co, fr = chunk.pack, chunk["rf"], chunk["co"], chunk["fr"]
-        c, inner = _Chunk(pack), same * pack.rep
+        rep, inner = pack.rep, same * pack.rep
+        c = _Chunk(pack, {d: mask * rep for d, mask in shared.masks.items()})
+        c.update((name, bits * rep) for name, bits in shared.items())
         c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
                  fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
-        pos = None
-        try:
-            for pos, f in steps:
-                f(c)
-        except RecursionError:
-            raise CatError(f"{pos}: {_TOO_DEEP}") from None
+        _run(per_chunk, c)
         c.failed = pack.loops(c.loops)  # byte j is nonzero if candidate j fails any check
         return c
 
@@ -604,12 +604,12 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
             last[:] = cand.chunk, evaluate(cand.chunk)
         c, j = last[1], cand.j
         if not c.failed[j]:
-            return ModelResult(True, all_ok, _Env(statics, c, j))
+            return ModelResult(True, all_ok, _Env(c, j))
         checks = tuple(
             CheckResult(ok.name, ok.kind, False, partial(witness, j)) if failures[j] else ok
-            for ok, failures, witness in c.checks
+            for ok, (failures, witness) in zip(all_ok, c.checks)
         )
-        return ModelResult(False, checks, _Env(statics, c, j))
+        return ModelResult(False, checks, _Env(c, j))
 
     return judge
 

@@ -118,7 +118,8 @@ def _read_value(cand: Candidate, eid: int) -> int:
 
 
 def _co_last_value(cand: Candidate, loc: str, writes: tuple) -> int:
-    top = [w for w in writes if not cand.co.row(w)]
+    co = cand.co
+    top = [w for w in writes if not co.row(w)]
     if len(top) != 1:
         raise ValueError(f"co on {loc} is not a total order")
     return cand.events[top[0]].action.value
@@ -137,15 +138,11 @@ def _atom(t: ProjectedTest, node):
 
 
 @per_test
-def _final(t: ProjectedTest):
-    """(observed state, truth) of t's final condition, as functions of a
-    candidate; each atom is resolved once per test."""
-    regs, locs = {}, {}
-    for node in atoms(t.final.cond):
-        if isinstance(node, RegEq):
-            regs[(node.thread, node.reg)] = node
-        else:
-            locs[node.loc] = node
+def final_outcome(t: ProjectedTest):
+    """t's final condition as a function giving a candidate's (observed
+    state, truth), reading each value once; atoms resolve once per test."""
+    regs = {(a.thread, a.reg): a for a in atoms(t.final.cond) if isinstance(a, RegEq)}
+    locs = {a.loc: a for a in atoms(t.final.cond) if isinstance(a, LocEq)}
     shown = [(f"{th}:{reg}=", _atom(t, node)) for (th, reg), node in sorted(regs.items())]
     shown += [(f"{loc}=", _atom(t, node)) for loc, node in sorted(locs.items())]
 
@@ -153,14 +150,16 @@ def _final(t: ProjectedTest):
         if isinstance(node, (And, Or)):
             quant = all if isinstance(node, And) else any
             items = [compile_cond(x) for x in node.items]
-            return lambda cand: quant(item(cand) for item in items)
-        value, want = _atom(t, node), node.value
-        return lambda cand: value(cand) == want
+            return lambda values: quant(item(values) for item in items)
+        key = f"{node.thread}:{node.reg}=" if isinstance(node, RegEq) else f"{node.loc}="
+        return lambda values: values[key] == node.value
 
-    return (
-        lambda cand: tuple(f"{key}{value(cand)}" for key, value in shown),
-        compile_cond(t.final.cond),
-    )
+    def outcome(cand):
+        values = {key: value(cand) for key, value in shown}
+        return tuple(f"{key}{value}" for key, value in values.items()), cond(values)
+
+    cond = compile_cond(t.final.cond)
+    return outcome
 
 
 def observed_state(cand: Candidate) -> tuple:
@@ -170,9 +169,9 @@ def observed_state(cand: Candidate) -> tuple:
     sorted before locations, so equal tuples mean equal outcomes as far
     as the test's condition can tell.
     """
-    return _final(cand.source)[0](cand)
+    return final_outcome(cand.source)(cand)[0]
 
 
 def evaluate_final(cand: Candidate) -> bool:
     """Truth of the final condition in this candidate."""
-    return _final(cand.source)[1](cand)
+    return final_outcome(cand.source)(cand)[1]

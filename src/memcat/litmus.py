@@ -40,6 +40,8 @@ ALL_FENCE_KINDS = (
 
 # control fences: the branch;fence;access idiom strengthens ctrl
 _CTRL_FENCES = ("isync", "isb")
+# every projected test binds these; ctrl+cfence is ctrl+isync | ctrl+isb
+DEP_KINDS = ("addr", "data", "ctrl", *("ctrl+" + k for k in _CTRL_FENCES), "ctrl+cfence")
 
 
 class LitmusError(Exception):
@@ -567,8 +569,7 @@ def project(test: LitmusTest) -> ProjectedTest:
 
     # program accesses in (thread, po) order; a thread's accesses are
     # consecutive ids from base, so its local pairs shift by base
-    dep_kinds = ("addr", "data", "ctrl") + tuple("ctrl+" + k for k in _CTRL_FENCES)
-    pairs = {k: [] for k in ("po",) + dep_kinds + ALL_FENCE_KINDS}
+    pairs = {k: [] for k in ("po",) + DEP_KINDS + ALL_FENCE_KINDS}
     reg_sources = {}
     for tname, sim in sims.items():
         base = len(events)
@@ -584,8 +585,8 @@ def project(test: LitmusTest) -> ProjectedTest:
     names.update(zip(program, _event_names(len(program))))
 
     n = len(events)
-    deps = {k: Relation.from_pairs(n, pairs[k]) for k in dep_kinds}
-    deps["ctrl+cfence"] = deps["ctrl+isync"] | deps["ctrl+isb"]
+    pairs["ctrl+cfence"] = pairs["ctrl+isync"] + pairs["ctrl+isb"]
+    deps = {k: Relation.from_pairs(n, pairs[k]) for k in DEP_KINDS}
     po = Relation.from_pairs(n, pairs["po"])
     projected = ProjectedTest(
         name=test.name,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from ..cat import CatError, Check, Empty, Let, Model, bind, parse_cat, run_model
-from ..executions import enumerate_candidates, evaluate_final, observed_state
+from ..executions import enumerate_candidates, final_outcome
 from ..litmus import ProjectedTest
 
 BUILTIN_MODELS = ("sc", "tso", "cpp-ra", "power", "power-as-arm", "arm", "arm-llh")
@@ -111,22 +112,20 @@ def evaluate_test(
     witness = None
     all_passing_satisfy = True
     states = set()
-    failures: dict = {}
-    judge = bind(model, t)
+    failures = Counter()  # check name -> candidates failing it
+    judge, outcome = bind(model, t), final_outcome(t)
     for cand in enumerate_candidates(t):
         total += 1
         result = run_model(judge, cand)
-        if prune and any(c.name == PRUNE_CHECK and not c.ok for c in result.checks):
-            continue
-        for check in result.checks:
-            if not check.ok:
-                key = check.name or check.kind
-                failures[key] = failures.get(key, 0) + 1
         if not result.passed:
+            failed = [check.name for check in result.checks if not check.ok]
+            if not (prune and PRUNE_CHECK in failed):
+                failures.update(failed)
             continue
         passing += 1
-        states.add("; ".join(observed_state(cand)))
-        if evaluate_final(cand):
+        state, satisfied = outcome(cand)
+        states.add("; ".join(state))
+        if satisfied:
             satisfying += 1
             if witness is None:
                 witness = cand

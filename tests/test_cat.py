@@ -1,5 +1,6 @@
 """Model language: lexer, parser, evaluator."""
 
+import itertools
 import sys
 
 import pytest
@@ -450,11 +451,16 @@ def test_run_model_matches_reference_evaluator(model):
 def test_bundled_models_match_reference_evaluator():
     for name in models.BUILTIN_MODELS:
         model = models.load_builtin(name)
+        # bind the one compiled model to every test first, then judge their
+        # candidates interleaved: a value of one test kept in the model
+        # would show in another test's candidates
+        runs = []
         for t in ORACLE_TESTS + [suite.load("mp+dmb+fri-rfi-ctrlisb")]:
             judge, cands = bind(model, t), list(enumerate_candidates(t))
-            for cand in cands + cands[::-1]:  # then evaluate the chunks in reverse
-                want, got = reference_run(model, cand), run_model(judge, cand)
-                assert (got.env, got.checks) == (want.env, want.checks), (name, t.name)
+            runs.append([(judge, cand) for cand in cands + cands[::-1]])  # then the chunks reversed
+        for judge, cand in filter(None, itertools.chain(*itertools.zip_longest(*runs))):
+            want, got = reference_run(model, cand), run_model(judge, cand)
+            assert (got.env, got.checks) == (want.env, want.checks), (name, cand.source.name)
 
 
 def test_models_match_reference_evaluator_on_several_chunks():
@@ -550,6 +556,22 @@ def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):
         models.evaluate_test(suite.load(name), power, prune=True)
         machine.cross_check(suite.load(name), power)
     assert bound == [name for name in names for _ in "ab"]
+
+
+def test_a_model_compiles_once_whatever_it_is_bound_to(monkeypatch):
+    compiled = []
+
+    def counted(model):
+        compiled.extend(model.statements)
+        return compile_model(model)
+
+    compile_model = cat._compile
+    monkeypatch.setattr(cat, "_compile", counted)
+    power = models.load_builtin("power")
+    for name in ["mp", "iriw", "coRR"]:
+        models.evaluate_test(suite.load(name), power)
+        machine.cross_check(suite.load(name), power)
+    assert compiled == list(power.statements)  # each statement once
 
 
 def test_bound_model_rejects_a_candidate_of_another_test():
