@@ -430,25 +430,25 @@ class _Chunk(Bundles):
 
 
 class _Env(Mapping):
-    """A candidate's names, read-only: its block of its chunk's bundles,
-    each wrapped in a Relation when read."""
+    """A candidate's names, read-only: its block of chunk, the chunk as the
+    model evaluated it, each name's bits wrapped in a Relation when read."""
 
-    __slots__ = ("_chunk", "_j")
+    __slots__ = ("chunk", "_j")
 
     def __init__(self, chunk: _Chunk, j: int):
-        self._chunk, self._j = chunk, j
+        self.chunk, self._j = chunk, j
 
     def __getitem__(self, name: str) -> Relation:
-        return self._chunk.relation(name, self._j)
+        return self.chunk.relation(name, self._j)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._chunk
+        return name in self.chunk
 
     def __iter__(self):
-        return iter(self._chunk)
+        return iter(self.chunk)
 
     def __len__(self) -> int:
-        return len(self._chunk)
+        return len(self.chunk)
 
 
 class ModelResult(NamedTuple):

@@ -7,7 +7,9 @@ write permutations lexicographically, rf sources in ascending event id,
 coherence choices in the outer loop.  Candidates come in chunks of
 CHUNK consecutive ones: each chunk packs its candidates' rf, co and fr
 once, one bundle each (relation.Bundles), and a candidate is a block of
-its chunk.
+its chunk.  Each rf choice is turned into a block's bytes once per test
+and each co order once per enumeration, so a chunk's rf and co are joins
+of bytes.
 
 A test's final condition is compiled once per test: each atom resolves
 to a constant, a read or a location's writes, so a candidate pays only
@@ -30,8 +32,9 @@ CHUNK = 256
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
-    n, (choices, co_orders, links) = t.n, _space(t)
-    picks = ((co, choice) for co in map(sum, itertools.product(*co_orders)) for choice in choices)
+    n, one, (choices, per_loc, links) = t.n, Packing.single(t.n), _space(t)
+    co_orders = (one.to_bytes(sum(orders)) for orders in itertools.product(*per_loc))
+    picks = ((co, choice) for co in co_orders for choice in choices)
     while block := list(itertools.islice(picks, CHUNK)):
         pack = Packing(n, len(block))
         rf, co = pack.join(rf for _, (_, rf) in block), pack.join(co for co, _ in block)
@@ -71,18 +74,19 @@ def per_test(build):
 @per_test
 def _space(t: ProjectedTest) -> tuple:
     """t's candidates as (rf choices, co orders, links): per rf choice its
-    events and rf bits; per location the bits of each co order; and each
-    (write, read) that some choice's rf holds."""
-    n = t.n
+    events and rf bytes, a relation's block (Packing.join); per location
+    the bits of each co order; and each (write, read) that some choice's
+    rf holds."""
+    n, one = t.n, Packing.single(t.n)
     writes_by_loc = {loc: [] for loc in t.locations}
     for e in t.events:
         if is_write(e):
             writes_by_loc[e.action.loc].append(e.id)
 
-    co_orders = []
+    per_loc = []
     for loc in t.locations:
         init, *rest = writes_by_loc[loc]  # init write has the smallest id
-        co_orders.append([_order(n, [init, *p]) for p in itertools.permutations(sorted(rest))])
+        per_loc.append([_order(n, [init, *p]) for p in itertools.permutations(sorted(rest))])
     # per read, (source, the read reading it) for each write it may read
     sources = [
         [(w, Event(r.id, r.thread, r.po_index, MemRead(r.action.loc, t.events[w].action.value)))
@@ -96,9 +100,9 @@ def _space(t: ProjectedTest) -> tuple:
         for src, ev in pick:
             events[ev.id] = ev
             rf |= 1 << src * n + ev.id
-        choices.append((tuple(events), rf))
+        choices.append((tuple(events), one.to_bytes(rf)))
     links = [(w, ev.id) for options in sources for w, ev in options]
-    return choices, co_orders, links
+    return choices, per_loc, links
 
 
 def _order(n: int, writes: list) -> int:

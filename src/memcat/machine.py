@@ -10,11 +10,11 @@ The premises consult Power's ppo, fence, prop and hb, taken from the
 caller's one evaluation of Power on the candidate; cross_check feeds that
 result's env to the machine and its verdict to the axiomatic side.
 
-A candidate is accepted when some interleaving fires every label.
-machine_context turns each label's premises into two label bitmasks over
-the done set: need, the labels that must already be done, and block, the
-labels whose being done wedges it.  A label fires when it is not done,
-all of its need is done and none of its block is.  The premises:
+A candidate is accepted when some interleaving fires every label.  Each
+label's premises are two label sets over the done set: need, the labels
+that must already be done, and block, the labels whose being done wedges
+it.  A label fires when it is not done, all of its need is done and none
+of its block is.  The premises:
 
   c(w)    block  cw:coWW      commits of po-loc-later writes
                  cw:prop      commits of prop-later writes
@@ -39,12 +39,7 @@ coherence point from the start, so they drop out of every need, and an
 init write among those that would wedge a label wedges it for good.  A
 label that can never fire, wedged so or failing sr:obs or cr:visible,
 gets the need NEVER, which no done set covers, so it never fires and
-machine_accepts rejects the candidate.
-
-What depends on the test alone is fixed once per test: label positions
-(a read's labels sit at one index whatever its rf source; only the label
-tuples name the source), which label bit each event has, and each read's
-po-loc neighbours.  A candidate pays only for its rf, co and Power env.
+the machine rejects the candidate.
 
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
@@ -55,29 +50,67 @@ Any co|prop cycle then maps onto a cycle of label orderings, so no
 interleaving discharges it.
 
 Every label fires once, so j in need[i] puts j before i and j in
-block[i] puts i before j.  A full path exists exactly when that
-precedence graph, _preds, is acyclic, and machine_accepts sorts it
-topologically.  witness_path sorts the same graph, preferring commits in
-co and prop order where the premises allow, so the witness is the
-machine's own firing order.  replay_path runs a given path and reports
-the index of the first step that cannot fire.
+block[i] puts i before j (a label never wedges itself), and a full path
+exists exactly when that precedence graph is acyclic.  Each event e has
+a first label a(e), c(w) or s(w,r), and a second b(e), cp(w) or c(w,r).
+Each premise is then one event relation of the candidate, masked to a
+rectangle of program writes W, reads R, init writes I and M = W | R, in
+one quadrant of label pairs; a NEVER is a label that needs itself:
+
+  a -> a  need   sr:source                  rf & ~po-loc & WxR
+          block  cw:coWW, cw:prop           (po-loc | prop) & WxW
+                 cw:fences                  fence & WxR
+                 sr:ppo, sr:prop-rr         (ppo | fence | prop) & RxR
+  a -> b  need   cpw:buff, cr:satisfied     id over M
+                 cpw:prop-rw                prop & RxW
+  b -> a  need   sr:prop-wr                 prop & WxR
+          block  cr:ppo-write, cr:ppo-read  (ppo | fence) & RxM
+  b -> b  need   cpw:co                     co & WxW
+          block  cpw:order                  (po-loc | prop) & WxW
+  never          sr:obs      a(r) for (r, r) in fr;prop;hb*
+                 cr:visible  b(r) for r in the domain of fr & last, of
+                             fr;rf & earlier, or of first & ~fr when
+                             r's source is not po-loc-before it
+                 wedged      both labels of w in the domain of
+                             (po-loc | prop) & WxI, b(r) for r in
+                             the domain of (ppo | fence) & RxI
+
+where last, first and earlier pair each read with its last po-loc-earlier
+write, its first po-loc-later write and its po-loc-earlier reads.  Over a
+chunk of Power's candidates each quadrant is one bundle, and the graph
+over 2n labels, a(e) = e and b(e) = n + e, is their union: one closure
+decides every candidate of the chunk.  machine_context builds it at the
+chunk's first candidate and machine_accepts reads the candidate's byte.
+What depends on the test alone, the rectangles, label positions (a
+read's labels sit at one index whatever its rf source; only the label
+tuples name the source) and each read's po-loc neighbours, is fixed once
+per test.
+
+A candidate's labels and its need and block bitmasks, in that label
+order, are built from its block of the quadrants only when read.
+witness_path sorts their graph, _preds, preferring commits in co and
+prop order where the premises allow, so the witness is the machine's own
+firing order, and it exists exactly when the machine accepts.
+replay_path runs a given path and reports the index of the first step
+that cannot fire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from .cat import CatError
 from .executions import observed_state, per_test
 from .relation import (
+    Bundles,
     Candidate,
     Packing,
     Relation,
     is_read,
     is_write,
 )
-
-Label = tuple
 
 __all__ = [
     "BoundError",
@@ -109,129 +142,201 @@ class BoundError(Exception):
 DEFAULT_BOUND = 10
 
 
-@dataclass
-class MachineContext:
-    cand: Candidate
-    labels: tuple  # all pending labels, index = label id
-    label_index: dict  # label -> id
-    rf_src: dict  # read id -> write id
-    # label bitmasks, indexed by label id
-    need: tuple  # labels that must already be done; NEVER if it cannot fire
-    block: tuple  # labels whose being done wedges it
-    prop: Relation = field(repr=False, default=None)
-
-
 # a need no done set covers
 NEVER = -1
 
 
+class _Layout(NamedTuple):
+    """What the premises take from a test's events and po-loc alone."""
+
+    write_ids: tuple  # program writes, in label order; their labels come first
+    read_ids: tuple
+    write_labels: tuple  # c(w) and cp(w) of each program write
+    writes: int  # the program writes' event mask
+    slot: list  # slot[e]: the bit of event e's first label
+    # the bits of WxW, WxR, RxR, RxW, RxM, WxI, RxI and id over M, for
+    # program writes W, reads R, init writes I and M = W | R; and of
+    # last, first and earlier, which pair each read with its last
+    # po-loc-earlier write, its first po-loc-later write and each of its
+    # po-loc-earlier reads
+    masks: tuple
+
+
 @per_test
 def _layout(t):
-    """What the premises take from t's events and po-loc alone: write and
-    read ids, write labels, init, write and read event masks, slot and
-    each read's po-loc neighbours.
+    """t's _Layout.
 
     slot[e] is the bit of event e's first label, c(w) or s(w,r), at the
     same index whatever r's rf source; cp(w) is the next bit, and init
-    writes have none.  neighbours[r] is (the mask of r's po-loc-earlier
-    events, its last po-loc-earlier write, its first po-loc-later write,
-    its po-loc-earlier reads); an absent write is None.
+    writes have none.
     """
-    events, po_loc = t.events, t.po_loc
+    events, n, po_loc = t.events, t.n, t.po_loc
     writes = [e for e in events if is_write(e) and e.thread != "init"]
     reads = [e for e in events if is_read(e)]
-    slot = [0] * t.n
+    slot = [0] * n
     for k, e in enumerate(writes + reads):
         slot[e.id] = 1 << 2 * k
-    neighbours = {}
-    for r in reads:
-        before = [e for e in events if (e.id, r.id) in po_loc]
-        after = [e for e in events if is_write(e) and (r.id, e.id) in po_loc]
-        last = max((e for e in before if is_write(e)), key=lambda e: e.po_index, default=None)
-        first = min(after, key=lambda e: e.po_index, default=None)
-        neighbours[r.id] = (_mask(before), last and last.id, first and first.id,
-                            tuple(e.id for e in before if is_read(e)))
+    w, r, i = _mask(writes), _mask(reads), _mask(e for e in events if e.thread == "init")
+    last = first = earlier = 0
+    for x in reads:
+        before = [e for e in events if (e.id, x.id) in po_loc]
+        after = [e for e in events if is_write(e) and (x.id, e.id) in po_loc]
+        ws = [e for e in before if is_write(e)]
+        if ws:
+            last |= 1 << x.id * n + max(ws, key=lambda e: e.po_index).id
+        if after:
+            first |= 1 << x.id * n + min(after, key=lambda e: e.po_index).id
+        earlier |= _mask(e for e in before if is_read(e)) << x.id * n
+
+    def rect(rows, cols):
+        return sum(cols << e * n for e in range(n) if rows >> e & 1)
+
+    masks = (rect(w, w), rect(w, r), rect(r, r), rect(r, w), rect(r, w | r), rect(w, i),
+             rect(r, i), rect(w | r, w | r) & Packing.single(n).diag, last, first, earlier)
     write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
-    init = _mask(e for e in events if e.thread == "init")
-    return (tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
-            init, _mask(writes), _mask(reads), slot, neighbours)
+    return _Layout(tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
+                   w, slot, masks)
 
 
 def _mask(events):
     return sum(1 << e.id for e in events)
 
 
+def _firsts(slot, events):
+    """The first-label bits of an event bitmask's events."""
+    out = 0
+    while events:
+        low = events & -events
+        out |= slot[low.bit_length() - 1]
+        events ^= low
+    return out
+
+
+# the bundles of _premises: need_xy holds (e, f) when label y(f) needs
+# label x(e), block_xy when label x(e) is wedged by label y(f), where
+# a(e) is e's first label and b(e) its second
+_NEED = ("need_aa", "need_ab", "need_ba", "need_bb")
+_BLOCK = ("block_aa", "block_ba", "block_bb")
+
+
+def _premises(t, c):
+    """The premises of every candidate of c, a chunk of t's candidates as
+    Power evaluated it, and the machine's verdict on each.
+
+    Each premise is one of the chunk's event bundles masked to a
+    rectangle of events, in one quadrant of labels (see the module
+    docstring); a label that can never fire needs itself.  Returns the
+    quadrants' Bundles, with prop, and with rejected: byte j is nonzero
+    iff the machine rejects candidate j.
+    """
+    p, n = c.pack, t.n
+    ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in _layout(t).masks)
+    rf, co, fr, po_loc = c["rf"], c["co"], c["fr"], c["po-loc"]
+    ppo, fence, prop, hb = c["ppo"], c["fence"], c["prop"], c["hb"]
+    order, ppo_fence, diag = po_loc | prop, ppo | fence, p.diag
+    # an init write is done from the start, so it wedges for good
+    wedged = p.domain(order & wi)
+    # sr:obs: a co-successor of r's source reaches r by prop;hb*
+    hidden = p.compose(fr, p.compose(prop, p.closure(hb, True))) & diag
+    never_cr = p.domain(ppo_fence & ri) | _invisible(p, rf, fr, po_loc, last, first, earlier)
+    b = Bundles(
+        p,
+        prop=prop,
+        need_aa=rf & ~po_loc & wr | hidden | wedged,  # sr:source
+        need_ab=ids | prop & rw,  # cpw:buff, cr:satisfied and cpw:prop-rw
+        need_ba=prop & wr,  # sr:prop-wr
+        need_bb=co & ww | never_cr | wedged,  # cpw:co
+        # cw:coWW, cw:prop, cw:fences, sr:ppo and sr:prop-rr
+        block_aa=order & ww | fence & wr | (ppo_fence | prop) & rr,
+        block_ba=ppo_fence & rm,  # cr:ppo-write and cr:ppo-read
+        block_bb=order & ww,  # cpw:order
+    )
+    # a label never wedges itself
+    aa, bb = b["need_aa"] | b["block_aa"] & ~diag, b["need_bb"] | b["block_bb"] & ~diag
+    labels = Packing(2 * n, p.m)
+    graph = (p.embed(aa, labels) | p.embed(b["need_ab"], labels, 0, n)
+             | p.embed(b["need_ba"] | b["block_ba"], labels, n, 0) | p.embed(bb, labels, n, n))
+    b.rejected = labels.loops(labels.closure(graph))
+    return b
+
+
+def _invisible(p, rf, fr, po_loc, last, first, earlier):
+    """cr:visible's failures: (r, r) for each read r whose source w lies
+    co-before r's last po-loc-earlier write, or neither po-loc-before r
+    nor co-before its first po-loc-later write, or co-before the source
+    of a po-loc-earlier read."""
+    return (p.domain(fr & last | p.compose(fr, rf) & earlier)
+            | p.domain(first & ~fr) & p.codomain(rf & ~po_loc))
+
+
+@dataclass(eq=False)
+class MachineContext:
+    """One candidate on the machine: block j of its chunk's premises.
+    Its labels, need, block and rf sources are built when first read."""
+
+    cand: Candidate
+    premises: Bundles = field(repr=False)
+    j: int
+
+    @cached_property
+    def rf_src(self) -> dict:  # read id -> write id
+        return {r: w for (w, r) in self.cand.rf.pairs()}
+
+    @cached_property
+    def labels(self) -> tuple:  # all pending labels, index = label id
+        lay, src = _layout(self.cand.source), self.rf_src
+        return lay.write_labels + tuple(
+            x for r in lay.read_ids for x in (("sr", src[r], r), ("cr", src[r], r)))
+
+    @cached_property
+    def label_index(self) -> dict:  # label -> id
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @property
+    def need(self) -> tuple:  # labels that must already be done; NEVER if it cannot fire
+        return self._bitmasks[0]
+
+    @property
+    def block(self) -> tuple:  # labels whose being done wedges it
+        return self._bitmasks[1]
+
+    @cached_property
+    def prop(self) -> Relation:
+        return self.premises.relation("prop", self.j)
+
+    @cached_property
+    def _bitmasks(self) -> tuple:
+        """(need, block) as label bitmasks, indexed by label id."""
+        lay, j, b = _layout(self.cand.source), self.j, self.premises
+        aa, ab, ba, bb = (b.relation(k, j).inverse().row for k in _NEED)  # by the label needing
+        out_aa, out_ba, out_bb = (b.relation(k, j).row for k in _BLOCK)
+        firsts = partial(_firsts, lay.slot)
+        need, block = [], []
+        for e in lay.write_ids + lay.read_ids:
+            need += [NEVER if aa(e) >> e & 1 else firsts(aa(e)) | firsts(ba(e)) << 1,
+                     NEVER if bb(e) >> e & 1 else firsts(ab(e)) | firsts(bb(e)) << 1]
+            block += [firsts(out_aa(e)), firsts(out_ba(e)) | firsts(out_bb(e)) << 1]
+        return tuple(need), tuple(block)
+
+
 def machine_context(cand, env):
-    """Turn every premise of one candidate into label bitmasks.
+    """The machine's premises for one candidate.
 
     env supplies the ppo/fence/prop/hb bindings the machine consults: the
     env of the caller's evaluation of Power on cand, run_model(power, cand).env.
-    Label positions, the event-to-label table and each read's po-loc
-    neighbours come from _layout, once per test; per candidate it reads
-    only rf, co and Power's relations, as ints.
+    The premises and verdicts of all of the chunk's candidates are
+    computed at the first of them, from the chunk's bundles (env.chunk),
+    and kept on the chunk as its machine; labels, the event-to-label table
+    and the po-loc neighbours come from _layout, once per test.
     """
     names = ("ppo", "fence", "prop", "hb")
     if missing := [k for k in names if k not in env]:
         raise CatError(f"power model binds no {', '.join(missing)}")
-    ppo, fence, prop, hb = (env[k] for k in names)
-    write_ids, read_ids, labels, init, writes, reads, slot, neighbours = _layout(cand.source)
-    n, full, co = cand.n, (1 << cand.n) - 1, cand.co
-    order, ppo_fence = cand.po_loc.bits | prop.bits, ppo.bits | fence.bits
-    # (w, r): a co-successor of w reaches r by prop;hb*, which fails sr:obs
-    one = Packing.single(n)
-    hidden = one.compose(co.bits, one.compose(prop.bits, one.closure(hb.bits, True)))
-    rf_src = {r: w for (w, r) in cand.rf.pairs()}
-
-    def bits(events):
-        """The first-label bits of an event bitmask's events."""
-        out = 0
-        while events:
-            low = events & -events
-            out |= slot[low.bit_length() - 1]
-            events ^= low
-        return out
-
-    # cpw:co, cpw:prop-rw and sr:prop-wr: a label's needs along co and prop
-    earlier = [0] * n
-    for a, b in co.pairs():
-        earlier[b] |= slot[a] << 1
-    for x, y in prop.pairs():
-        if (reads >> x ^ reads >> y) & 1:  # a read and a write
-            earlier[y] |= slot[x] << (writes >> x & 1)
-
-    need, block, labels = [], [], list(labels)
-    for w in write_ids:
-        later = order >> w * n & full  # cw:coWW, cw:prop and cpw:order
-        later_writes = bits(later & writes)
-        # an init write is done from the start, so it wedges for good
-        need += [NEVER, NEVER] if later & init else [0, slot[w] | earlier[w]]  # cpw:buff
-        block += [later_writes | bits(fence.bits >> w * n & reads), later_writes << 1]
-    for r in read_ids:
-        w = rf_src[r]
-        labels += [("sr", w, r), ("cr", w, r)]
-        later = ppo_fence >> r * n & full  # sr:ppo, cr:ppo-write and cr:ppo-read
-        source = 0 if neighbours[r][0] >> w & 1 else slot[w]  # sr:source
-        visible = _visible(co, rf_src, w, neighbours[r])
-        need += [
-            NEVER if hidden >> w * n + r & 1 else source | earlier[r],
-            slot[r] if visible and not later & init else NEVER,
-        ]
-        block += [bits((later | prop.bits >> r * n) & reads), bits(later)]
-
-    label_index = {label: i for i, label in enumerate(labels)}
-    return MachineContext(cand, tuple(labels), label_index, rf_src, tuple(need),
-                          tuple(block), prop)
-
-
-def _visible(co, rf_src, w, neighbours):
-    """w may service its read: it lies between the read's po-loc write
-    neighbours, and no po-loc-earlier read saw a write co-after w."""
-    before, last, first, reads = neighbours
-    if last is not None and w != last and (last, w) not in co:
-        return False
-    if first is not None and not before >> w & 1 and (w, first) not in co:
-        return False
-    return not any((w, rf_src[e]) in co for e in reads)
+    chunk = env.chunk
+    premises = getattr(chunk, "machine", None)
+    if premises is None:
+        premises = chunk.machine = _premises(cand.source, chunk)
+    return MachineContext(cand, premises, cand.j)
 
 
 def _fires(ctx, i, done):
@@ -271,7 +376,7 @@ def _preds(ctx):
 
 def machine_accepts(ctx):
     """True when some interleaving fires every label of the candidate."""
-    return not _linearise(_preds(ctx))[1]
+    return not ctx.premises.rejected[ctx.j]
 
 
 def replay_path(ctx, path):
@@ -288,14 +393,16 @@ def replay_path(ctx, path):
 def witness_path(ctx):
     """The machine's firing order for a candidate it accepts.
 
-    Sorts _preds, the graph machine_accepts sorts, preferring c(w1) before
-    c(w2) for program writes with (w1, w2) in co | WW(prop+): that order is
-    kept where the premises allow it and dropped where they do not.  Raises
+    Sorts _preds, the candidate's part of the graph machine_accepts
+    decides, preferring c(w1) before c(w2) for program writes with
+    (w1, w2) in co | WW(prop+): that order is kept where the premises
+    allow it and dropped where they do not.  Raises
     WitnessCycleError, naming the labels that never fire, exactly when
     machine_accepts rejects the candidate.
     """
     cand, preds = ctx.cand, _preds(ctx)
-    writes, _, slot = _layout(cand.source)[4:7]
+    lay = _layout(cand.source)
+    writes, slot = lay.writes, lay.slot
     ahead = cand.co.bits | Packing.single(cand.n).closure(ctx.prop.bits)
     prefer = list(preds)
     for w1, w2 in Relation(cand.n, ahead).pairs():

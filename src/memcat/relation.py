@@ -198,6 +198,32 @@ class Packing:
                 bits |= (bits >> k & self.cols) * full & row * self.col0
         return bits | self.diag if reflexive else bits
 
+    def domain(self, bits: int) -> int:
+        """Bits of (i, i) for each i that has a pair (i, j)."""
+        acc = 0
+        for j in range(self.n):  # gather every column into column 0
+            acc |= bits >> j & self.cols
+        return acc * ((1 << self.n) - 1) & self.diag
+
+    def codomain(self, bits: int) -> int:
+        """Bits of (j, j) for each j that has a pair (i, j)."""
+        acc = 0
+        for i in range(self.n):  # gather every row into row 0
+            acc |= bits >> i * self.n & self.rows
+        return acc * self.col0 & self.diag
+
+    def embed(self, bits: int, wide: "Packing", row: int = 0, col: int = 0) -> int:
+        """The bundle of bits in wide, a packing of as many relations over
+        a universe at least as large: each pair (i, j) moves to
+        (row + i, col + j)."""
+        src, out, size = self.to_bytes(bits), bytearray(wide.m * wide.size), wide.size
+        for i in range(self.size):  # each block's bytes to the start of wide's block
+            out[i::size] = src[i::self.size]
+        moved, acc, rows = int.from_bytes(out, "little"), 0, ((1 << self.n) - 1) * wide.rep
+        for i in range(self.n):  # then each row to wide's row stride
+            acc |= (moved >> i * self.n & rows) << i * wide.n
+        return acc << row * wide.n + col
+
     def loops(self, bits: int) -> bytes:
         """Byte j is nonzero iff relation j has a pair (i, i)."""
         bits &= self.diag
@@ -209,9 +235,10 @@ class Packing:
     def to_bytes(self, bundle: int) -> bytes:
         return bundle.to_bytes(self.m * self.size, "little")
 
-    def join(self, relations: Iterable[int]) -> int:
-        """The bundle of the relations' bits, in block order."""
-        return int.from_bytes(b"".join(r.to_bytes(self.size, "little") for r in relations), "little")
+    def join(self, blocks: Iterable[bytes]) -> int:
+        """The bundle of relations given as their bytes, in block order;
+        Packing.single(n).to_bytes(bits) gives one relation's bytes."""
+        return int.from_bytes(b"".join(blocks), "little")
 
     def split(self, bundle: int) -> list:
         """Each relation's bits, in block order."""

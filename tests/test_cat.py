@@ -522,24 +522,34 @@ def test_let_rec_is_solved_once_per_chunk(monkeypatch):
 
 
 def test_env_membership_builds_no_relation(monkeypatch):
+    monkeypatch.setattr(executions, "CHUNK", 3)
     t, power = suite.load("mp"), models.load_builtin("power")
     judge = bind(power, t)
-    results = [run_model(judge, cand) for cand in enumerate_candidates(t)]
-    reads = []
+    cands = list(enumerate_candidates(t))
+    results = [run_model(judge, cand) for cand in cands]
+    reads, chunk_reads = [], []
     getitem = cat._Env.__getitem__
 
     def counted(env, name):
         reads.append(name)
         return getitem(env, name)
 
+    def counted_chunk(chunk, name):
+        chunk_reads.append(name)
+        return dict.__getitem__(chunk, name)
+
     monkeypatch.setattr(cat._Env, "__getitem__", counted)
     for result in results:
         assert all(k in result.env for k in ("ppo", "fence", "prop", "hb", "po", "rf", "ii"))
         assert "mystery" not in result.env
     assert not reads
-    for cand, result in zip(enumerate_candidates(t), results):
+    # the machine reads Power's chunk, once per chunk, and no candidate's env
+    monkeypatch.setattr(cat._Chunk, "__getitem__", counted_chunk)
+    for cand, result in zip(cands, results):
         machine.machine_context(cand, result.env)
-    assert reads == ["ppo", "fence", "prop", "hb"] * len(results)
+    chunks = -(-len(cands) // 3)
+    assert not reads and chunks > 1
+    assert chunk_reads == ["rf", "co", "fr", "po-loc", "ppo", "fence", "prop", "hb"] * chunks
 
 
 def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):

@@ -1,16 +1,18 @@
 """Operational machine: acceptance, witness paths, path derivation."""
 
+import runpy
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from memcat import machine, suite
-from memcat.cat import run_model
+from memcat.cat import bind, run_model
 from memcat.executions import enumerate_candidates, evaluate_final
 from memcat.litmus import parse_litmus, project
 from memcat.machine import (
     NEVER,
-    MachineContext,
     WitnessCycleError,
     derive_from_path,
     label_str,
@@ -22,7 +24,7 @@ from memcat.machine import (
     witness_path,
 )
 from memcat.models import load_builtin
-from memcat.relation import closure, compose, is_read, is_write, restrict
+from memcat.relation import Packing, closure, compose, is_read, is_write, restrict
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +32,13 @@ def power():
     return load_builtin("power")
 
 
-def contexts(name, power):
-    for cand in enumerate_candidates(suite.load(name)):
-        result = run_model(power, cand)
+def contexts(t, power):
+    """Each candidate of t, a test or a suite name, with its machine
+    context and Power's verdict; Power is bound to t once."""
+    t = suite.load(t) if isinstance(t, str) else t
+    judge = bind(power, t)
+    for cand in enumerate_candidates(t):
+        result = run_model(judge, cand)
         yield cand, machine_context(cand, result.env), result.passed
 
 
@@ -58,18 +64,20 @@ def test_machine_blocks_stale_second_read(power):
 
 
 def test_corr_strengthening_is_load_bearing(power, monkeypatch):
-    # with cr:visible forced true, the machine commits the reads out of
-    # order and wrongly accepts the execution the model forbids
+    # with the chunk's cr:visible term emptied, the machine commits the
+    # reads out of order and wrongly accepts the execution the model
+    # forbids; each run_model binds Power anew, so each call judges a
+    # fresh chunk and the machine builds its premises again
     t = suite.load("coRR")
-    forbidden = []
-    for cand in enumerate_candidates(t):
-        result = run_model(power, cand)
-        if not result.passed and evaluate_final(cand):
-            assert not machine_accepts(machine_context(cand, result.env))
-            forbidden.append((cand, result.env))
-    monkeypatch.setattr(machine, "_visible", lambda *a: True)
-    weak_accepts = [machine_accepts(machine_context(c, env)) for c, env in forbidden]
-    assert weak_accepts == [True]
+    forbidden = [c for c in enumerate_candidates(t)
+                 if not run_model(power, c).passed and evaluate_final(c)]
+
+    def accepts(cand):
+        return machine_accepts(machine_context(cand, run_model(power, cand).env))
+
+    assert [accepts(c) for c in forbidden] == [False]
+    monkeypatch.setattr(machine, "_invisible", lambda *a: 0)
+    assert [accepts(c) for c in forbidden] == [True]
 
 
 def test_machine_rejects_fenced_store_buffering(power):
@@ -107,6 +115,12 @@ def reference_accepts(ctx):
     return search(0)
 
 
+def settled_accepts(ctx):
+    """reference_accepts, answering at once for a label that needs NEVER:
+    that label never fires (test_never_label_fires_from_no_done_set)."""
+    return NEVER not in ctx.need and reference_accepts(ctx)
+
+
 def test_machine_accepts_agrees_with_reference_search(power):
     checked = 0
     for name in suite.names():
@@ -116,9 +130,23 @@ def test_machine_accepts_agrees_with_reference_search(power):
     assert checked == 296
 
 
+def test_never_label_fires_from_no_done_set(power):
+    chunked = project(parse_litmus((Path(__file__).parent / "chunked.litmus").read_text()))
+    tests = [suite.load(name) for name in suite.names()] + [chunked]
+    nevers = 0
+    for t in tests:
+        for cand, ctx, _ in contexts(t, power):
+            full = (1 << len(ctx.labels)) - 1
+            for i, need in enumerate(ctx.need):
+                if need == NEVER:
+                    others = full & ~(1 << i)
+                    assert not any(machine._fires(ctx, i, done) for done in (0, others))
+                    nevers += 1
+    assert nevers > 0
+
+
 def hand_built(need, block):
-    labels = tuple(range(len(need)))
-    return MachineContext(None, labels, {l: l for l in labels}, {}, tuple(need), tuple(block))
+    return SimpleNamespace(labels=tuple(range(len(need))), need=tuple(need), block=tuple(block))
 
 
 @pytest.mark.parametrize(
@@ -135,8 +163,10 @@ def hand_built(need, block):
     ids=["need-chain", "need-against-block", "never", "self-block"],
 )
 def test_machine_accepts_hand_built_premises(need, block, accepted):
+    # premises as witness_path sorts them: a full order exists exactly
+    # when the search finds a path
     ctx = hand_built(need, block)
-    assert machine_accepts(ctx) is reference_accepts(ctx) is accepted
+    assert (not machine._linearise(machine._preds(ctx))[1]) is reference_accepts(ctx) is accepted
 
 
 def reference_linearise(preds):
@@ -165,14 +195,15 @@ def test_linearise_matches_the_rescanning_reference_on_the_suite(power, monkeypa
     monkeypatch.setattr(machine, "_linearise", checked)
     for name in suite.names():
         for cand, ctx, _ in contexts(name, power):
-            machine_accepts(ctx)
+            assert machine_accepts(ctx) == (not machine._linearise(machine._preds(ctx))[1])
             try:
                 witness_path(ctx)
             except WitnessCycleError:
                 pass
-    # machine_accepts sorts once per candidate; witness_path sorts once
-    # an accepted candidate and twice a rejected one, whose preferred
-    # order and bare premises are both cyclic: 296 + 186 + 2 * 110
+    # each candidate's premises sort once against the chunk's verdict;
+    # witness_path sorts once an accepted candidate and twice a rejected
+    # one, whose preferred order and bare premises are both cyclic:
+    # 296 + 186 + 2 * 110
     assert len(stuck) == 702 and True in stuck and False in stuck
 
 
@@ -334,20 +365,165 @@ def reference_visible(cand, events_by_id, rf_src, w, r):
     return True
 
 
+def candidate_layout(t):
+    """What candidate_context takes from t alone: write and read ids,
+    write labels, init, write and read event masks, each event's first
+    label bit and each read's po-loc neighbours (the mask of its
+    po-loc-earlier events, its last po-loc-earlier write, its first
+    po-loc-later write, its po-loc-earlier reads; an absent write is None)."""
+    events, po_loc = t.events, t.po_loc
+    writes = [e for e in events if is_write(e) and e.thread != "init"]
+    reads = [e for e in events if is_read(e)]
+    slot = [0] * t.n
+    for k, e in enumerate(writes + reads):
+        slot[e.id] = 1 << 2 * k
+    neighbours = {}
+    for r in reads:
+        before = [e for e in events if (e.id, r.id) in po_loc]
+        after = [e for e in events if is_write(e) and (r.id, e.id) in po_loc]
+        last = max((e for e in before if is_write(e)), key=lambda e: e.po_index, default=None)
+        first = min(after, key=lambda e: e.po_index, default=None)
+        neighbours[r.id] = (mask(before), last and last.id, first and first.id,
+                            tuple(e.id for e in before if is_read(e)))
+    write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
+    init = mask(e for e in events if e.thread == "init")
+    return (tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
+            init, mask(writes), mask(reads), slot, neighbours)
+
+
+def mask(events):
+    return sum(1 << e.id for e in events)
+
+
+def candidate_context(cand, env):
+    """The per-candidate builder the chunk's premises replaced: one
+    candidate's rf, co and Power relations, as ints, turned into label
+    bitmasks over candidate_layout.  Returns (labels, need, block, rf_src)."""
+    ppo, fence, prop, hb = (env[k] for k in ("ppo", "fence", "prop", "hb"))
+    write_ids, read_ids, labels, init, writes, reads, slot, neighbours = candidate_layout(cand.source)
+    n, full, co = cand.n, (1 << cand.n) - 1, cand.co
+    order, ppo_fence = cand.po_loc.bits | prop.bits, ppo.bits | fence.bits
+    # (w, r): a co-successor of w reaches r by prop;hb*, which fails sr:obs
+    one = Packing.single(n)
+    hidden = one.compose(co.bits, one.compose(prop.bits, one.closure(hb.bits, True)))
+    rf_src = {r: w for (w, r) in cand.rf.pairs()}
+
+    def bits(events):
+        """The first-label bits of an event bitmask's events."""
+        out = 0
+        while events:
+            low = events & -events
+            out |= slot[low.bit_length() - 1]
+            events ^= low
+        return out
+
+    # cpw:co, cpw:prop-rw and sr:prop-wr: a label's needs along co and prop
+    earlier = [0] * n
+    for a, b in co.pairs():
+        earlier[b] |= slot[a] << 1
+    for x, y in prop.pairs():
+        if (reads >> x ^ reads >> y) & 1:  # a read and a write
+            earlier[y] |= slot[x] << (writes >> x & 1)
+
+    need, block, labels = [], [], list(labels)
+    for w in write_ids:
+        later = order >> w * n & full  # cw:coWW, cw:prop and cpw:order
+        later_writes = bits(later & writes)
+        # an init write is done from the start, so it wedges for good
+        need += [NEVER, NEVER] if later & init else [0, slot[w] | earlier[w]]  # cpw:buff
+        block += [later_writes | bits(fence.bits >> w * n & reads), later_writes << 1]
+    for r in read_ids:
+        w = rf_src[r]
+        labels += [("sr", w, r), ("cr", w, r)]
+        later = ppo_fence >> r * n & full  # sr:ppo, cr:ppo-write and cr:ppo-read
+        source = 0 if neighbours[r][0] >> w & 1 else slot[w]  # sr:source
+        visible = candidate_visible(co, rf_src, w, neighbours[r])
+        need += [
+            NEVER if hidden >> w * n + r & 1 else source | earlier[r],
+            slot[r] if visible and not later & init else NEVER,
+        ]
+        block += [bits((later | prop.bits >> r * n) & reads), bits(later)]
+    return tuple(labels), tuple(need), tuple(block), rf_src
+
+
+def candidate_visible(co, rf_src, w, neighbours):
+    """w may service its read: it lies between the read's po-loc write
+    neighbours, and no po-loc-earlier read saw a write co-after w."""
+    before, last, first, reads = neighbours
+    if last is not None and w != last and (last, w) not in co:
+        return False
+    if first is not None and not before >> w & 1 and (w, first) not in co:
+        return False
+    return not any((w, rf_src[e]) in co for e in reads)
+
+
 def assert_matches_reference(cand, env):
+    """cand's premises, built from its block of its chunk's, equal both
+    per-candidate builders', and the chunk's verdict on it equals the
+    search over them."""
     ctx = machine_context(cand, env)
     got = (ctx.labels, ctx.need, ctx.block, ctx.rf_src)
-    assert got == reference_context(cand, env), cand.rf.pairs()
+    assert got == candidate_context(cand, env) == reference_context(cand, env), (
+        cand.source.name, cand.j, cand.rf.pairs())
     assert ctx.label_index == {l: i for i, l in enumerate(ctx.labels)}
+    assert machine_accepts(ctx) is settled_accepts(ctx), (cand.source.name, cand.j)
+
+
+def assert_test_matches_reference(t, power):
+    """assert_matches_reference on every candidate of t, with Power bound
+    to t once.  Returns the counts of candidates and of chunks."""
+    judge, chunks, checked = bind(power, t), [], 0
+    for cand in enumerate_candidates(t):
+        env = run_model(judge, cand).env
+        assert_matches_reference(cand, env)
+        if not chunks or chunks[-1] is not env.chunk:
+            chunks.append(env.chunk)
+        checked += 1
+    return checked, len(chunks)
 
 
 def test_machine_context_agrees_with_reference_on_the_suite(power):
-    checked = 0
-    for name in suite.names():
-        for cand in enumerate_candidates(suite.load(name)):
-            assert_matches_reference(cand, run_model(power, cand).env)
-            checked += 1
-    assert checked == 296
+    counts = [assert_test_matches_reference(suite.load(name), power) for name in suite.names()]
+    assert sum(c for c, _ in counts) == 296
+
+
+def test_machine_context_agrees_with_reference_across_chunks(power):
+    # candidate j of each chunk reads block j of that chunk's premises
+    chunked = (Path(__file__).parent / "chunked.litmus").read_text()
+    assert assert_test_matches_reference(project(parse_litmus(chunked)), power) == (600, 3)
+
+
+def test_machine_decides_each_chunk_once_and_answers_each_candidate(power, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(machine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_premises", "machine_context", "machine_accepts"):
+        monkeypatch.setattr(machine, name, counted(name))
+    chunked = (Path(__file__).parent / "chunked.litmus").read_text()
+    accepted, allowed, _ = machine.cross_check(project(parse_litmus(chunked)), power)
+    assert accepted == allowed
+    assert calls == {"_premises": 3, "machine_context": 600, "machine_accepts": 600}
+
+
+def generated(workload, seed):
+    """perfbench/gen.py's tests for one workload and seed, projected."""
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
+    return [project(parse_litmus(text)) for _, text, _, _ in gen["generate"](workload, seed)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_machine_context_agrees_with_reference_on_generated_tests(power, seed):
+    # the machine's own benchmark inputs: 8-9 events, 30-90 candidates each
+    counts = [assert_test_matches_reference(t, power) for t in generated("xcheck", seed)]
+    assert len(counts) == 20 and all(chunks == 1 for _, chunks in counts)
 
 
 # one thread reads x, writes x, then reads x twice: the first read has a
@@ -372,24 +548,22 @@ final exists (T0:r5=2 /\\ T0:r6=1)
 
 def test_machine_context_agrees_with_reference_around_po_loc_neighbours(power):
     t = project(parse_litmus(NEIGHBOURS))
-    cands = list(enumerate_candidates(t))
-    for cand in cands:
-        assert_matches_reference(cand, run_model(power, cand).env)
     # the read after the write sees T1's writes only when co puts them
     # after it, and the last read never sees a write co-before the one
     # the read before it saw
-    assert len(cands) == 6 * 4**3
-    accepted = [
-        c for c in cands if machine_accepts(machine_context(c, run_model(power, c).env))
-    ]
-    assert 0 < len(accepted) < len(cands)
+    assert assert_test_matches_reference(t, power) == (6 * 4**3, 2)
+    accepted = [ctx for _, ctx, _ in contexts(t, power) if machine_accepts(ctx)]
+    assert 0 < len(accepted) < 6 * 4**3
 
 
 def test_machine_context_switches_tests_when_fed_alternately(power):
-    firsts = [list(enumerate_candidates(suite.load(n))) for n in ("coRR", "sb+syncs")]
-    for a, b in zip(*firsts):
-        for cand in (a, b):
-            assert_matches_reference(cand, run_model(power, cand).env)
+    # Power is bound to each test once, so every call brings the machine
+    # a chunk, and a test, other than the one it saw last
+    tests = [suite.load(n) for n in ("coRR", "sb+syncs")]
+    judges = [bind(power, t) for t in tests]
+    for pair in zip(*map(enumerate_candidates, tests)):
+        for judge, cand in zip(judges, pair):
+            assert_matches_reference(cand, run_model(judge, cand).env)
 
 
 def reference_witness_path(ctx, env):
@@ -448,8 +622,9 @@ def suite_and_neighbour_tests():
 def test_witness_path_matches_the_reference_builder_on_accepted_candidates(power):
     checked = 0
     for t in suite_and_neighbour_tests():
+        judge = bind(power, t)
         for cand in enumerate_candidates(t):
-            env = run_model(power, cand).env
+            env = run_model(judge, cand).env
             ctx = machine_context(cand, env)
             if machine_accepts(ctx):
                 assert witness_path(ctx) == reference_witness_path(ctx, env), t.name
@@ -497,12 +672,17 @@ final exists (T0:r1=0 /\\ T0:r2=1 /\\ T0:r5=1 /\\ T1:r2=2 /\\ T2:r1=0 /\\ T2:r3=
 """
 
 
+def test_machine_context_agrees_with_reference_on_wide1_02(power):
+    assert assert_test_matches_reference(project(parse_litmus(WIDE1_02)), power) == (108, 1)
+
+
 def test_witness_path_exists_exactly_when_the_machine_accepts(power):
     wide = project(parse_litmus(WIDE1_02))
     seen = set()
     for t in [wide] + [suite.load(n) for n in suite.names()]:
+        judge = bind(power, t)
         for k, cand in enumerate(enumerate_candidates(t)):
-            result = run_model(power, cand)
+            result = run_model(judge, cand)
             ctx = machine_context(cand, result.env)
             accepts = machine_accepts(ctx)
             if accepts:
