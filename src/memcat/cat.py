@@ -16,8 +16,11 @@ of consecutive candidates, whose relations are packed into one int each
 (a bundle, see relation.Packing).  Each let and let rec that reads only
 names every candidate of a test shares (po, po-loc, deps, fences, 0, id
 and lets built from them) runs once per test (bind), on a chunk of one;
-the rest runs once per chunk, on those values repeated into every block
-and the chunk's rf, co and fr, which enumeration packs once.
+the rest runs once per chunk, on the chunk's rf, co and fr, which
+enumeration packs once, and on those shared values, each repeated into
+every block when a step first reads it.  A chunk's verdicts, and its
+failures per check, are read from its per-check failure bytes; a
+candidate's check results are built from them only when read.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -393,45 +396,47 @@ _CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", 
 _TOO_DEEP = "expression nested too deeply to evaluate"
 
 
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check on one candidate.  witness is None if ok, else a shortest
-    cycle (acyclic) or the least x with (x, x) (irreflexive); it may be
-    given as a partial, called when witness is first read."""
+    cycle (acyclic) or the least x with (x, x) (irreflexive)."""
 
-    __slots__ = ("name", "kind", "ok", "_witness")
-
-    def __init__(self, name: str, kind: str, ok: bool, witness: object):
-        self.name, self.kind, self.ok, self._witness = name, kind, ok, witness
-
-    @property
-    def witness(self) -> object:
-        if isinstance(self._witness, partial):
-            self._witness = self._witness()
-        return self._witness
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CheckResult) and (self.name, self.kind, self.ok, self.witness) == (
-            other.name, other.kind, other.ok, other.witness)
-
-    def __repr__(self) -> str:
-        return f"CheckResult({self.name!r}, {self.kind!r}, {self.ok}, {self.witness!r})"
+    name: str
+    kind: str
+    ok: bool
+    witness: object
 
 
 class _Chunk(Bundles):
-    """A chunk as a bound model evaluated it: each name's bundle; masks,
-    each direction filter's mask repeated into every block; per check
-    (bytes whose byte j is nonzero if candidate j fails it, its witness
-    given j); and loops, the union of the relations whose loops fail a
+    """A chunk as a bound model evaluated it: each name's bundle (a name of
+    shared, the one-block bits of the names all candidates share, is
+    repeated into every block when first read); masks, each direction
+    filter's mask repeated into every block; per check (its result if ok,
+    bytes whose byte j is nonzero if candidate j fails it, its test and
+    bundle); and loops, the union of the relations whose loops fail a
     check."""
 
-    def __init__(self, pack: Packing, masks: dict):
+    def __init__(self, pack: Packing, masks: dict, shared: Optional[Mapping] = None):
         super().__init__(pack)
-        self.masks, self.checks, self.loops = masks, [], 0
+        self.masks, self.shared, self.checks, self.loops = masks, shared or {}, [], 0
+
+    def __missing__(self, name: str) -> int:
+        return self.setdefault(name, self.shared[name] * self.pack.rep)
+
+    def failures(self, skip: Optional[str] = None) -> dict:
+        """Check name -> the chunk's candidates failing it, if any; one that
+        fails a check named skip counts for none."""
+        fails, out = [(ok.name, int.from_bytes(f, "little")) for ok, f, *_ in self.checks], {}
+        ignore = reduce(operator.or_, (bits for name, bits in fails if name == skip), 0)
+        for name, bits in fails:
+            if count := (bits & ~ignore).bit_count():
+                out[name] = out.get(name, 0) + count
+        return out
 
 
 class _Env(Mapping):
     """A candidate's names, read-only: its block of chunk, the chunk as the
-    model evaluated it, each name's bits wrapped in a Relation when read."""
+    model evaluated it, each name's bits wrapped in a Relation when read
+    (a shared name's one block as it is)."""
 
     __slots__ = ("chunk", "_j")
 
@@ -439,22 +444,32 @@ class _Env(Mapping):
         self.chunk, self._j = chunk, j
 
     def __getitem__(self, name: str) -> Relation:
-        return self.chunk.relation(name, self._j)
+        bits = self.chunk.shared.get(name)
+        return self.chunk.relation(name, self._j) if bits is None else Relation(self.chunk.pack.n, bits)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.chunk
+        return name in self.chunk.shared or name in self.chunk
 
     def __iter__(self):
-        return iter(self.chunk)
+        return iter({**dict.fromkeys(self.chunk.shared), **self.chunk})
 
     def __len__(self) -> int:
-        return len(self.chunk)
+        return sum(1 for _ in self)
+
+    def checks(self) -> tuple:
+        """Each check's result on the candidate, in model order."""
+        c, j = self.chunk, self._j
+        return tuple(CheckResult(ok.name, ok.kind, False, test(Relation(c.pack.n, c.pack.split(bits)[j])))
+                     if failed[j] else ok for ok, failed, test, bits in c.checks)
 
 
 class ModelResult(NamedTuple):
     passed: bool
-    checks: tuple
-    env: Mapping  # name -> Relation
+    env: Mapping  # name -> Relation, the candidate's block of its chunk
+
+    @property
+    def checks(self) -> tuple:  # each check's CheckResult, built when read
+        return self.env.checks()
 
     @property
     def failed(self) -> Optional[str]:
@@ -479,19 +494,14 @@ def _fixpoint(env: dict, group: list) -> None:
                 changed = True
 
 
-def _witness(test, pack: Packing, bits: int, j: int):
-    return test(Relation(pack.n, pack.split(bits)[j]))
-
-
 def _compile(model: Model) -> tuple:
     """Compile model's statements, in order, into (per_test, per_chunk,
-    all_ok, dirs).  per_test holds the steps of the lets and let recs that
-    read only names all candidates of a test share, and per_chunk the
-    rest, checks included; a step is (statement position, function of a
-    chunk).  all_ok holds each check's result if ok, and dirs the
-    direction filters whose masks the steps read."""
+    dirs).  per_test holds the steps of the lets and let recs that read
+    only names all candidates of a test share, and per_chunk the rest,
+    checks included; a step is (statement position, function of a chunk).
+    dirs holds the direction filters whose masks the steps read."""
     names, static = set(_TEST_NAMES + _CANDIDATE_NAMES), set(_TEST_NAMES)
-    per_test, per_chunk, all_ok, dirs = [], [], [], set()
+    per_test, per_chunk, dirs = [], [], set()
     read = set()  # the names the statement being compiled reads
     ops = {Union: lambda p, a, b: a | b, Inter: lambda p, a, b: a & b,
            Diff: lambda p, a, b: a & ~b, Seq: Packing.compose}
@@ -532,13 +542,13 @@ def _compile(model: Model) -> tuple:
             return (lambda c: _fixpoint(c, group)), own
         f = compile_expr(stmt.expr)
         test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
-        all_ok.append(CheckResult(stmt.name, stmt.kind, True, None))
+        ok = CheckResult(stmt.name, stmt.kind, True, None)
 
         def check(c):
             bits, p = f(c), c.pack
             loops = p.closure(bits) if test is check_acyclic else bits
             c.loops |= loops
-            c.checks.append((p.loops(loops), partial(_witness, test, p, bits)))
+            c.checks.append((ok, p.loops(loops), test, bits))
 
         return check, None
 
@@ -553,7 +563,7 @@ def _compile(model: Model) -> tuple:
         once = own is not None and read <= static.union(own)
         static.update(own if once else ())
         (per_test if once else per_chunk).append((stmt.pos, f))
-    return per_test, per_chunk, tuple(all_ok), dirs
+    return per_test, per_chunk, dirs
 
 
 def _run(steps: list, c: _Chunk) -> None:
@@ -573,43 +583,36 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     and lets built from them) runs here, once, on a chunk of one, and
     each direction filter's mask is fixed.  The rest runs once per chunk
     of candidates, which packs each relation of its candidates into one
-    int (a bundle, see Packing), starting from those values repeated into
-    every block; a check gives an ok bit per candidate.  Judging a
-    candidate evaluates its chunk if it is not the one last evaluated,
-    then slices out the candidate's block: its checks, and an env that
-    wraps bits in a Relation only when a name is read.
+    int (a bundle, see Packing), on those values repeated into every block
+    when first read; a check gives a failure byte per candidate, and one
+    result per candidate is made then.  Judging a candidate evaluates its
+    chunk if it is not the one last evaluated and gives the candidate's
+    result: its verdict and an env that wraps bits in a Relation only when
+    a name is read, from which its checks are built only when read.
     """
-    (per_test, per_chunk, all_ok, dirs), n = model.plan, t.n
+    (per_test, per_chunk, dirs), n = model.plan, t.n
     shared = _Chunk(Packing.single(n), {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs})
     shared.update({"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": shared.pack.diag})
     shared.update((k, r.bits) for k, r in {**t.deps, **t.fences}.items())
     _run(per_test, shared)
     same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its _Chunk
 
-    def evaluate(chunk: Bundles) -> _Chunk:
+    def evaluate(chunk: Bundles) -> list:
         pack, rf, co, fr = chunk.pack, chunk["rf"], chunk["co"], chunk["fr"]
         rep, inner = pack.rep, same * pack.rep
-        c = _Chunk(pack, {d: mask * rep for d, mask in shared.masks.items()})
-        c.update((name, bits * rep) for name, bits in shared.items())
+        c = _Chunk(pack, {d: mask * rep for d, mask in shared.masks.items()}, shared)
         c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
                  fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
         _run(per_chunk, c)
-        c.failed = pack.loops(c.loops)  # byte j is nonzero if candidate j fails any check
-        return c
+        # byte j of loops' bytes is nonzero if candidate j fails some check
+        return [ModelResult(not failed, _Env(c, j)) for j, failed in enumerate(pack.loops(c.loops))]
 
     def judge(cand: Candidate) -> ModelResult:
         if cand.source is not t:
             raise ValueError(f"model bound to {t.name}, candidate of {cand.source.name}")
         if last[0] is not cand.chunk:
             last[:] = cand.chunk, evaluate(cand.chunk)
-        c, j = last[1], cand.j
-        if not c.failed[j]:
-            return ModelResult(True, all_ok, _Env(c, j))
-        checks = tuple(
-            CheckResult(ok.name, ok.kind, False, partial(witness, j)) if failures[j] else ok
-            for ok, (failures, witness) in zip(all_ok, c.checks)
-        )
-        return ModelResult(False, checks, _Env(c, j))
+        return last[1][cand.j]
 
     return judge
 

@@ -22,7 +22,7 @@ from . import suite
 from .cat import CatError
 from .cycles import ThrError, frequency, mine, parse_thr, program_from_litmus
 # enumerate_* and model_behaviors are unused: perfbench/spans.py wraps them here
-from .executions import enumerate_candidates  # noqa: F401
+from .executions import MAX_CANDIDATES, count_candidates, enumerate_candidates  # noqa: F401
 from .litmus import LitmusError, parse_litmus, project
 from .machine import (  # noqa: F401
     DEFAULT_BOUND,
@@ -85,6 +85,23 @@ def _load_tests(args):
     return tests
 
 
+def _max_candidates_option(f):
+    return click.option(
+        "--max-candidates",
+        default=MAX_CANDIDATES,
+        show_default=True,
+        type=click.IntRange(min=1),
+        help="max candidate executions per test; a test with more is a usage error",
+    )(f)
+
+
+def _bounded(tests, limit):
+    for t in tests:
+        if (count := count_candidates(t)) > limit:
+            raise click.UsageError(f"{t.name}: {count} candidates exceed --max-candidates {limit}")
+    return tests
+
+
 def _evaluate(t, model, spec, **kw):
     try:
         return evaluate_test(t, model, _model_label(spec), **kw)
@@ -135,13 +152,14 @@ def main():
     is_flag=True,
     help="drop execution-dependent ppo ingredients (rdw, detour)",
 )
+@_max_candidates_option
 @_format_option
 @click.argument("tests", nargs=-1, required=True)
-def run(model_spec, prune, static_ppo, fmt, tests):
+def run(model_spec, prune, static_ppo, max_candidates, fmt, tests):
     """Evaluate one model over litmus tests."""
     model = _load_model(model_spec, static_ppo)
     label = _model_label(model_spec)
-    loaded = _load_tests(tests)
+    loaded = _bounded(_load_tests(tests), max_candidates)
 
     def work(t):
         r = _evaluate(t, model, model_spec, prune=prune)
@@ -201,14 +219,15 @@ def run(model_spec, prune, static_ppo, fmt, tests):
 @main.command()
 @click.option("-a", "spec_a", required=True, help="first model")
 @click.option("-b", "spec_b", required=True, help="second model")
+@_max_candidates_option
 @_format_option
 @click.argument("tests", nargs=-1, required=True)
-def compare(spec_a, spec_b, fmt, tests):
+def compare(spec_a, spec_b, max_candidates, fmt, tests):
     """Diff two models' verdicts and allowed states."""
     model_a = _load_model(spec_a)
     model_b = _load_model(spec_b)
     label_a, label_b = _model_label(spec_a), _model_label(spec_b)
-    loaded = _load_tests(tests)
+    loaded = _bounded(_load_tests(tests), max_candidates)
 
     def work(t):
         ra = _evaluate(t, model_a, spec_a)
@@ -284,8 +303,8 @@ def machine(bound, trace, fmt, tests):
             "equal": accepted == axiomatic,
             "machine_behaviors": len(accepted),
             "axiomatic_behaviors": len(axiomatic),
-            "machine_states": sorted({"; ".join(s) for _, s in accepted}),
-            "axiomatic_states": sorted({"; ".join(s) for _, s in axiomatic}),
+            "machine_states": sorted({s for _, s in accepted}),
+            "axiomatic_states": sorted({s for _, s in axiomatic}),
         }
         if trace:
             try:

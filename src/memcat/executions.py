@@ -12,14 +12,15 @@ and each co order once per enumeration, so a chunk's rf and co are joins
 of bytes.
 
 A test's final condition is compiled once per test: each atom resolves
-to a constant, a read or a location's writes, so a candidate pays only
-for its read values and co-last writes.
+to a constant, a read or a location's writes, and each key of read
+values and co-last writes is formatted and tested once.
+count_candidates counts a test's candidates without enumerating them.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
+import math
 from typing import Iterator
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
@@ -29,6 +30,24 @@ from .relation import Bundles, Candidate, Event, MemRead, Packing, is_read, is_w
 # consecutive candidates enumeration packs together, one bundle per
 # relation; a bound model evaluates each chunk once
 CHUNK = 256
+
+# the default cap on a test's candidates for run and compare: above every
+# bundled and benchmark test, below the factorial blow-up of a few more
+# writes per location
+MAX_CANDIDATES = 100_000
+
+
+def count_candidates(t: ProjectedTest) -> int:
+    """How many candidates enumerate_candidates(t) yields, counted without
+    enumerating: per location the orders of its non-init writes, times per
+    read the writes to its location."""
+    writes, count = dict.fromkeys(t.locations, 0), 1
+    for e in t.events:
+        if is_write(e):
+            writes[e.action.loc] += 1
+    for e in t.events:
+        count *= writes[e.action.loc] if is_read(e) else 1
+    return count * math.prod(math.factorial(k - 1) for k in writes.values())
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
@@ -114,53 +133,46 @@ def _order(n: int, writes: list) -> int:
     return bits
 
 
-def _read_value(cand: Candidate, eid: int) -> int:
-    value = cand.events[eid].action.value
-    if value is None:
-        raise ValueError(f"read {eid} has no value; not an enumerated candidate?")
-    return value
-
-
-def _co_last_value(cand: Candidate, loc: str, writes: tuple) -> int:
-    co = cand.co
-    top = [w for w in writes if not co.row(w)]
-    if len(top) != 1:
-        raise ValueError(f"co on {loc} is not a total order")
-    return cand.events[top[0]].action.value
-
-
-def _atom(t: ProjectedTest, node):
-    """A function giving a final atom's register or location value in a
-    candidate of t: a constant, a read's value or the co-last write's."""
-    if isinstance(node, RegEq):
-        kind, arg = t.reg_sources[(node.thread, node.reg)]
-        return (lambda cand: arg) if kind == "const" else partial(_read_value, eid=arg)
-    if isinstance(node, LocEq):
-        writes = tuple(e.id for e in t.events if is_write(e) and e.action.loc == node.loc)
-        return partial(_co_last_value, loc=node.loc, writes=writes)
-    raise TypeError(f"unexpected final node {node!r}")
-
-
 @per_test
 def final_outcome(t: ProjectedTest):
     """t's final condition as a function giving a candidate's (observed
-    state, truth), reading each value once; atoms resolve once per test."""
-    regs = {(a.thread, a.reg): a for a in atoms(t.final.cond) if isinstance(a, RegEq)}
-    locs = {a.loc: a for a in atoms(t.final.cond) if isinstance(a, LocEq)}
-    shown = [(f"{th}:{reg}=", _atom(t, node)) for (th, reg), node in sorted(regs.items())]
-    shown += [(f"{loc}=", _atom(t, node)) for loc, node in sorted(locs.items())]
+    state, that state joined by "; ", truth).  The atoms resolve once per
+    test; the outcome depends only on its key, the registers' constants or
+    read values and the locations' co-last writes, and is made once per
+    key."""
+    regs = sorted({(a.thread, a.reg) for a in atoms(t.final.cond) if isinstance(a, RegEq)})
+    locs = sorted({a.loc for a in atoms(t.final.cond) if isinstance(a, LocEq)})
+    sources = [(kind == "const", arg) for kind, arg in map(t.reg_sources.get, regs)]
+    writes = [[e.id for e in t.events if is_write(e) and e.action.loc == loc] for loc in locs]
+    names = [f"{th}:{reg}=" for th, reg in regs] + [f"{loc}=" for loc in locs]
+    n, full, memo = t.n, (1 << t.n) - 1, {}
 
     def compile_cond(node):
         if isinstance(node, (And, Or)):
             quant = all if isinstance(node, And) else any
             items = [compile_cond(x) for x in node.items]
             return lambda values: quant(item(values) for item in items)
-        key = f"{node.thread}:{node.reg}=" if isinstance(node, RegEq) else f"{node.loc}="
-        return lambda values: values[key] == node.value
+        i = names.index(f"{node.thread}:{node.reg}=" if isinstance(node, RegEq) else f"{node.loc}=")
+        return lambda values: values[i] == node.value
+
+    def make(key):
+        values = list(key[:len(regs)])
+        if None in values:
+            read = sources[values.index(None)][1]
+            raise ValueError(f"read {read} has no value; not an enumerated candidate?")
+        for loc, top in zip(locs, key[len(regs):]):
+            if len(top) != 1:
+                raise ValueError(f"co on {loc} is not a total order")
+            values.append(t.events[top[0]].action.value)
+        state = tuple(map("{}{}".format, names, values))
+        return state, "; ".join(state), cond(values)
 
     def outcome(cand):
-        values = {key: value(cand) for key, value in shown}
-        return tuple(f"{key}{value}" for key, value in values.items()), cond(values)
+        key = tuple([arg if const else cand.events[arg].action.value for const, arg in sources])
+        if writes:
+            co = cand.chunk.blocks("co")[cand.j]
+            key += tuple([tuple([w for w in ws if not co >> w * n & full]) for ws in writes])
+        return memo.get(key) or memo.setdefault(key, make(key))
 
     cond = compile_cond(t.final.cond)
     return outcome
@@ -178,4 +190,4 @@ def observed_state(cand: Candidate) -> tuple:
 
 def evaluate_final(cand: Candidate) -> bool:
     """Truth of the final condition in this candidate."""
-    return final_outcome(cand.source)(cand)[1]
+    return final_outcome(cand.source)(cand)[2]

@@ -102,7 +102,7 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .cat import CatError
-from .executions import observed_state, per_test
+from .executions import final_outcome, per_test
 from .relation import (
     Bundles,
     Candidate,
@@ -459,8 +459,19 @@ def trace_lines(ctx, path):
     ]
 
 
-def _behavior(cand):
-    return frozenset(cand.rf.pairs()), observed_state(cand)
+@per_test
+def _behavior(t):
+    """A function giving a candidate of t's behavior: its rf pairs, made
+    once per rf choice, and its observed state joined by "; "."""
+    outcome, rfs = final_outcome(t), {}
+
+    def behavior(cand):
+        bits = cand.chunk.blocks("rf")[cand.j]
+        if bits not in rfs:
+            rfs[bits] = frozenset(Relation(t.n, bits).pairs())
+        return rfs[bits], outcome(cand)[1]
+
+    return behavior
 
 
 def cross_check(t, model, bound: int = DEFAULT_BOUND):
@@ -475,23 +486,24 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
     accepted, allowed, first = set(), set(), None
-    judge = bind(model, t)
+    judge, behavior = bind(model, t), _behavior(t)
     for cand in enumerate_candidates(t):
         result = run_model(judge, cand)
         ctx = machine_context(cand, result.env)
         accepts = machine_accepts(ctx)
         if accepts or result.passed:
-            behavior = _behavior(cand)
+            seen = behavior(cand)
             if accepts:
-                accepted.add(behavior)
+                accepted.add(seen)
                 first = first or ctx
             if result.passed:
-                allowed.add(behavior)
+                allowed.add(seen)
     return accepted, allowed, first
 
 
 def enumerate_accepted(t, bound: int = DEFAULT_BOUND):
-    """Behaviors {(rf pairs, observed state)} with an accepted machine run."""
+    """Behaviors {(rf pairs, observed state)} with an accepted machine run,
+    the state joined by "; "."""
     from .models import load_builtin
 
     return cross_check(t, load_builtin("power"), bound)[0]
@@ -502,5 +514,5 @@ def model_behaviors(t, model):
     from .cat import bind, run_model
     from .executions import enumerate_candidates
 
-    judge = bind(model, t)
-    return {_behavior(c) for c in enumerate_candidates(t) if run_model(judge, c).passed}
+    judge, behavior = bind(model, t), _behavior(t)
+    return {behavior(c) for c in enumerate_candidates(t) if run_model(judge, c).passed}

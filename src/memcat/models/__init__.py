@@ -1,4 +1,5 @@
-"""Bundled models, loading, and per-test verdicts."""
+"""Bundled models, loading, and per-test verdicts: evaluate_test counts
+check failures once per chunk, from the chunk's per-check failure bytes."""
 
 from __future__ import annotations
 
@@ -113,18 +114,17 @@ def evaluate_test(
     all_passing_satisfy = True
     states = set()
     failures = Counter()  # check name -> candidates failing it
-    judge, outcome = bind(model, t), final_outcome(t)
+    judge, outcome, skip = bind(model, t), final_outcome(t), PRUNE_CHECK if prune else None
     for cand in enumerate_candidates(t):
         total += 1
         result = run_model(judge, cand)
+        if not cand.j:  # the first of its chunk: count the chunk's failures
+            failures.update(result.env.chunk.failures(skip))
         if not result.passed:
-            failed = [check.name for check in result.checks if not check.ok]
-            if not (prune and PRUNE_CHECK in failed):
-                failures.update(failed)
             continue
         passing += 1
-        state, satisfied = outcome(cand)
-        states.add("; ".join(state))
+        _, state, satisfied = outcome(cand)
+        states.add(state)
         if satisfied:
             satisfying += 1
             if witness is None:

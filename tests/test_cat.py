@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from memcat.cat import (
     Let,
     LetRec,
     Model,
-    ModelResult,
     Name,
     Plus,
     Seq,
@@ -374,7 +374,7 @@ def reference_run(model, cand):
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: expression nested too deeply to evaluate") from None
-    return ModelResult(all(c.ok for c in checks), tuple(checks), env)
+    return SimpleNamespace(passed=all(c.ok for c in checks), checks=tuple(checks), env=env)
 
 
 def test_builtin_env_matches_reference_env():
@@ -470,6 +470,8 @@ def test_models_match_reference_evaluator_on_several_chunks():
         model = models.load_builtin(name)
         judge = bind(model, CHUNKED)
         for cand in cands + cands[::-1]:
+            # checks are built from the chunk's bytes when read, and equal the
+            # reference's eager tuple, witnesses included
             want, got = reference_run(model, cand), run_model(judge, cand)
             assert (got.env, got.checks) == (want.env, want.checks), (name, cand.j)
 

@@ -489,3 +489,30 @@ def test_machine_evaluates_power_once_per_candidate(monkeypatch):
         "run_model": sum(1 for _ in enumerate_candidates(suite.load("mp"))),
         "parse_cat": 1,
     }
+
+
+# four threads each writing x and y and reading x: (4!)^2 orders of the
+# program writes times 5^4 rf choices is 360,000 candidates
+WIDE_WRITES = "\n".join(
+    ["wide power", "init { x=0; y=0; rx=&x; ry=&y; r1=1; }"]
+    + [f"thread T{i} {{\n  st [rx], r1\n  st [ry], r1\n  ld r2, [rx]\n}}" for i in range(4)]
+    + ["final exists (T0:r2=0)"]
+)
+
+
+def test_max_candidates_bounds_run_and_compare(tmp_path):
+    chunked = str(Path(__file__).parent / "chunked.litmus")
+    for args in (("run", "-m", "sc"), ("compare", "-a", "sc", "-b", "tso")):
+        res = invoke(*args, "--max-candidates", "599", chunked)
+        assert res.exit_code == 2, res.output
+        err = getattr(res, "stderr", "") or res.output
+        assert "chunked: 600 candidates exceed --max-candidates 599" in err
+        assert stdout(res) == ""
+        assert invoke(*args, "--max-candidates", "600", "--format", "jsonl", chunked).exit_code == 0
+    # counted, not enumerated: the default bound turns this down at once
+    path = tmp_path / "wide.litmus"
+    path.write_text(WIDE_WRITES)
+    res = invoke("run", "-m", "sc", str(path))
+    assert res.exit_code == 2
+    assert "wide: 360000 candidates exceed --max-candidates 100000" in (
+        getattr(res, "stderr", "") or res.output)

@@ -293,3 +293,8 @@ def test_compiled_final_agrees_with_reference_on_forall_and_locations():
     assert len({observed_state(c) for c in cands}) == 4
     # the location final of the three-writer test, fed after another test
     assert_final_matches_reference(_cands(THREE_WRITES) + cands + _cands(THREE_WRITES))
+
+
+def test_count_candidates_matches_enumeration():
+    for t in [suite.load(name) for name in suite.names()] + [CHUNKED]:
+        assert executions.count_candidates(t) == sum(1 for _ in enumerate_candidates(t)), t.name

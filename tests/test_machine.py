@@ -26,6 +26,8 @@ from memcat.machine import (
 from memcat.models import load_builtin
 from memcat.relation import Packing, closure, compose, is_read, is_write, restrict
 
+from test_executions import CHUNKED, reference_state
+
 
 @pytest.fixture(scope="module")
 def power():
@@ -696,3 +698,12 @@ def test_witness_path_exists_exactly_when_the_machine_accepts(power):
                 with pytest.raises(WitnessCycleError):
                     reference_witness_path(ctx, result.env)
     assert seen == {True, False}
+
+
+def test_behaviors_match_a_per_candidate_reference(power):
+    # each rf choice's pairs are made once and each state once per key;
+    # fed test after test, as cross_check and the CLI feed them
+    for t in [suite.load(name) for name in ("2+2w", "coWW", "iriw", "mp")] + [CHUNKED]:
+        want = {(frozenset(cand.rf.pairs()), "; ".join(reference_state(cand)))
+                for cand, _, passed in contexts(t, power) if passed}
+        assert machine.model_behaviors(t, power) == want, t.name

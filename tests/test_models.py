@@ -2,13 +2,20 @@
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from memcat import suite
-from memcat.cat import CatError, Check, parse_cat, run_model
-from memcat.executions import enumerate_candidates
+from memcat.cat import CatError, Check, bind, parse_cat, run_model
+from memcat.executions import (
+    CHUNK,
+    count_candidates,
+    enumerate_candidates,
+    evaluate_final,
+    observed_state,
+)
 from memcat.litmus import parse_litmus, project
 from memcat.models import (
     BUILTIN_MODELS,
@@ -23,6 +30,12 @@ from memcat.models import (
 )
 
 from oracles import sc_allowed, tso_allowed, candidate_pairs
+from test_executions import (
+    CHUNKED,
+    assert_final_matches_reference,
+    reference_final,
+    reference_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +263,71 @@ def test_evaluate_test_counts_are_consistent(tests, models):
     assert r.satisfying == 0  # sc forbids the stale read
     assert r.verdict == "forbidden"
     assert r.witness is None
+
+
+def reference_evaluation(t, model, prune=False):
+    """evaluate_test's figures the per-candidate way: each candidate's own
+    checks, and each passing one's observed_state and evaluate_final, both
+    checked against test_executions' per-candidate walk."""
+    judge, failures, states, satisfying, witness = bind(model, t), Counter(), set(), 0, None
+    for cand in enumerate_candidates(t):
+        result = run_model(judge, cand)
+        failed = [check.name for check in result.checks if not check.ok]
+        assert bool(failed) is not result.passed
+        if not (prune and PRUNE_CHECK in failed):
+            failures.update(failed)
+        if result.passed:
+            state, satisfied = observed_state(cand), evaluate_final(cand)
+            assert (state, satisfied) == (reference_state(cand), reference_final(cand))
+            states.add("; ".join(state))
+            if satisfied:
+                satisfying += 1
+                witness = witness or cand
+    return failures, tuple(sorted(states)), satisfying, _identity(witness)
+
+
+def _identity(cand):
+    """A candidate's rf and co, which no other candidate of its test has."""
+    return cand and (cand.rf, cand.co)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_failures_counted_per_chunk_match_a_per_candidate_count(models, prune):
+    # 600 candidates in 3 chunks: each chunk's failures are counted once,
+    # from its per-check bytes, with the pruned candidates' bytes masked off
+    assert count_candidates(CHUNKED) == 600 > 2 * CHUNK
+    for m in BUILTIN_MODELS:
+        r = evaluate_test(CHUNKED, models[m], m, prune=prune)
+        failures, states, satisfying, witness = reference_evaluation(CHUNKED, models[m], prune)
+        assert r.check_failures == failures, (m, prune)
+        assert (r.states, r.satisfying, _identity(r.witness)) == (states, satisfying, witness), (
+            m, prune)
+
+
+# a final mixing a register atom and a location atom; T1's r4 is read but
+# not in the final, so candidates that differ only in it share one outcome
+MIXED = """\
+mixed power
+init { x=0; y=0; rx=&x; ry=&y; r1=1; r2=2; }
+thread T0 {
+  st [rx], r1
+  st [ry], r1
+}
+thread T1 {
+  st [rx], r2
+  ld r3, [ry]
+  ld r4, [rx]
+}
+final exists (T1:r3=1 /\\ x=2)
+"""
+
+
+@pytest.mark.parametrize("name", ["2+2w", "coWW", "mp", "iriw", "mixed"])
+def test_keyed_outcomes_match_a_per_candidate_reference(tests, models, name):
+    t = project(parse_litmus(MIXED)) if name == "mixed" else tests[name]
+    for m in BUILTIN_MODELS:
+        r = evaluate_test(t, models[m], m)
+        _, states, satisfying, witness = reference_evaluation(t, models[m])
+        assert (r.states, r.satisfying, _identity(r.witness)) == (states, satisfying, witness), (
+            m, name)
+    assert_final_matches_reference(enumerate_candidates(t))
