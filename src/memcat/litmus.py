@@ -3,8 +3,12 @@
 Parses the small assembly-like litmus format, statically evaluates
 register contents (addresses and stored values must be compile-time
 constants), follows each register's taint (the loads whose values flow
-into it) to recover dependencies, and projects everything down to the
-memory events and relations the enumerator works on.
+into it, as a bitmask of the thread's accesses) to recover dependencies,
+and projects everything down to the memory events and relations the
+enumerator works on.  A thread's accesses are consecutive event ids, so
+po, po-loc and same-thread are built as bits over that range, and each
+fence and dependency is a rectangle of it: the accesses before a fence
+times those after it, a taint times the access or accesses it reaches.
 
 After comments ('#' not followed by a digit or '-') are stripped, a
 file is a '<name> <arch>' header line followed by a stream of sections
@@ -21,7 +25,7 @@ import string
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .relation import Event, MemRead, MemWrite, Relation, same_loc, same_thread
+from .relation import Event, MemRead, MemWrite, Relation
 
 
 ARCH_FENCES = {
@@ -158,21 +162,24 @@ class LitmusTest:
 
 # ------------------------------------------------------------------- parsing
 
-_RE_INIT = re.compile(r"^(?:(\w+)\s*:\s*)?([A-Za-z_]\w*)\s*=\s*(?:&([A-Za-z_]\w*)|(-?\d+))$")
-_RE_MOV = re.compile(r"^mov\s+([A-Za-z_]\w*)\s*,\s*#(-?\d+)$")
-_RE_LD = re.compile(r"^ld\s+([A-Za-z_]\w*)\s*,\s*\[([A-Za-z_]\w*)\]$")
-_RE_ST = re.compile(r"^st\s+\[([A-Za-z_]\w*)\]\s*,\s*([A-Za-z_]\w*)$")
-_RE_XOR = re.compile(r"^xor\s+([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)$")
-_RE_ADD = re.compile(
-    r"^add\s+([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*(?:#(-?\d+)|([A-Za-z_]\w*))$"
-)
-_RE_CMP = re.compile(r"^cmp\s+([A-Za-z_]\w*)\s*,\s*#(-?\d+)$")
-_RE_BR = re.compile(r"^(bne|beq)\s+(\w+)$")
-_RE_LABEL = re.compile(r"^(\w+):$")
-_RE_FENCE = re.compile(r"^([a-z]+(?:\.[a-z]+)?)$")
-_RE_EXPECT = re.compile(r"^([\w.+-]+)\s*=\s*(allowed|forbidden)$")
-# final condition tokens: an operator, an atom, whitespace, or a bad character
-_COND_TOKEN = re.compile(r"(/\\|\\/|[()])|(?:(\w+):)?([A-Za-z_]\w*)=(-?\d+)|\s+|(.)")
+_REG = r"([A-Za-z_]\w*)"
+_INT = r"(-?\d+)"
+# an instruction's whole text, by the first two letters of its mnemonic
+_INSTRS = {
+    "mo": re.compile(rf"mov\s+{_REG}\s*,\s*#{_INT}"),
+    "ld": re.compile(rf"ld\s+{_REG}\s*,\s*\[{_REG}\]"),
+    "st": re.compile(rf"st\s+\[{_REG}\]\s*,\s*{_REG}"),
+    "xo": re.compile(rf"xor\s+{_REG}\s*,\s*{_REG}\s*,\s*{_REG}"),
+    "ad": re.compile(rf"add\s+{_REG}\s*,\s*{_REG}\s*,\s*(?:#{_INT}|{_REG})"),
+    "cm": re.compile(rf"cmp\s+{_REG}\s*,\s*#{_INT}"),
+    "bn": re.compile(r"(bne)\s+(\w+)"),
+    "be": re.compile(r"(beq)\s+(\w+)"),
+}
+_RE_LABEL = re.compile(r"(\w+):")
+_RE_INIT = re.compile(r"(?:(\w+)\s*:\s*)?([A-Za-z_]\w*)\s*=\s*(?:&([A-Za-z_]\w*)|(-?\d+))")
+_RE_EXPECT = re.compile(r"([\w.+-]+)\s*=\s*(allowed|forbidden)")
+# final condition tokens, each after any whitespace: an operator, an atom or a bad character
+_COND_TOKEN = re.compile(r"\s*(?:(/\\|\\/|[()])|(?:(\w+):)?([A-Za-z_]\w*)=(-?\d+)|(\S))")
 _RE_COMMENT = re.compile(r"#(?![-\d]).*")
 _RE_HEADER = re.compile(r"\s*(.*)")
 # one alternative per section kind, then whitespace, then anything else
@@ -196,47 +203,49 @@ def _is_reg(name: str) -> bool:
 
 
 def _parse_instr(text: str, arch: str, line: int) -> Instr:
-    text = text.strip()
-    if m := _RE_MOV.match(text):
-        return MovConst(m.group(1), _int(m.group(2), line))
-    if m := _RE_LD.match(text):
-        return Load(m.group(1), m.group(2))
-    if m := _RE_ST.match(text):
-        return Store(m.group(1), m.group(2))
-    if m := _RE_XOR.match(text):
-        return Xor(m.group(1), m.group(2), m.group(3), line)
-    if m := _RE_ADD.match(text):
-        b = _int(m.group(3), line) if m.group(3) is not None else m.group(4)
-        return Add(m.group(1), m.group(2), b, line)
-    if m := _RE_CMP.match(text):
-        return Cmp(m.group(1), _int(m.group(2), line))
-    if m := _RE_BR.match(text):
-        return Branch(m.group(1), m.group(2))
-    if m := _RE_LABEL.match(text):
-        return LabelDef(m.group(1))
-    if m := _RE_FENCE.match(text):
-        kind = m.group(1)
-        if kind in ALL_FENCE_KINDS:
-            if kind not in ARCH_FENCES[arch]:
-                raise LitmusError(f"fence {kind} not available on {arch}", line)
-            return Fence(kind)
+    # one match: the mnemonic picks the pattern, and no pattern but a
+    # label's or a fence's matches text without whitespace
+    op = text[:2]
+    rx = _INSTRS.get(op)
+    m = rx.fullmatch(text) if rx is not None else None
+    if m is not None:
+        g = m.groups()
+        if op == "ld":
+            return Load(*g)
+        if op == "st":
+            return Store(*g)
+        if op == "mo":
+            return MovConst(g[0], _int(g[1], line))
+        if op == "xo":
+            return Xor(*g, line)
+        if op == "ad":
+            return Add(g[0], g[1], g[3] if g[2] is None else _int(g[2], line), line)
+        if op == "cm":
+            return Cmp(g[0], _int(g[1], line))
+        return Branch(*g)
+    if text in ALL_FENCE_KINDS:
+        if text not in ARCH_FENCES[arch]:
+            raise LitmusError(f"fence {text} not available on {arch}", line)
+        return Fence(text)
+    if m := _RE_LABEL.fullmatch(text):
+        return LabelDef(m[1])
     raise LitmusError(f"cannot parse instruction {text!r}", line)
 
 
 def _tokenize_cond(text: str, line: int):
     tokens = []
-    for m in _COND_TOKEN.finditer(text):
-        op, thread, name, value, bad = m.groups()
-        if bad is not None:
-            raise LitmusError(f"bad final condition near {text[m.start():]!r}", line)
-        if op is not None:
+    for op, thread, name, value, bad in _COND_TOKEN.findall(text):
+        if op:
             tokens.append(op)
-        elif thread is not None:
+        elif thread:
             tokens.append(RegEq(thread, name, _int(value, line)))
-        elif name is not None:
+        elif name:
             if _is_reg(name):
                 raise LitmusError(f"register {name} in final must be thread-qualified", line)
             tokens.append(LocEq(name, _int(value, line)))
+        else:  # every earlier match made one token
+            at = [m.start(5) for m in _COND_TOKEN.finditer(text)][len(tokens)]
+            raise LitmusError(f"bad final condition near {text[at:]!r}", line)
     return tokens
 
 
@@ -285,18 +294,17 @@ def _parse_cond(tokens: list, line: int):
     return node
 
 
-def _line(text: str, offset: int) -> int:
-    return text.count("\n", 0, offset) + 1
-
-
-def _entries(text: str, start: int, end: int):
-    # (line, entry) for each non-blank entry of text[start:end]; entries end at ';' or '\n'
-    line = _line(text, start)
-    for row in text[start:end].split("\n"):
+def _entries(body: str, line: int) -> list:
+    """(line, entry) for each non-blank entry of a block body that starts on
+    line; entries end at ';' or a newline."""
+    out = []
+    for row in body.split("\n"):
         for entry in row.split(";"):
-            if entry.strip():
-                yield line, entry.strip()
+            entry = entry.strip()
+            if entry:
+                out.append((line, entry))
         line += 1
+    return out
 
 
 def parse_litmus(text: str) -> LitmusTest:
@@ -305,7 +313,8 @@ def parse_litmus(text: str) -> LitmusTest:
     head = _RE_HEADER.match(text)
     if not head.group(1):
         raise LitmusError("empty litmus source")
-    no = _line(text, head.start(1))
+    at = head.start(1)
+    no = text.count("\n", 0, at) + 1  # the line of offset at
     parts = head.group(1).split()
     if len(parts) != 2:
         raise LitmusError("header must be '<name> <arch>'", no)
@@ -316,21 +325,24 @@ def parse_litmus(text: str) -> LitmusTest:
     init_locs, init_regs, threads, expect = {}, {}, {}, {}
     final: Optional[Final] = None
     for m in _RE_SECTION.finditer(text, head.end()):
-        if m.lastgroup is None:  # whitespace between sections
+        kind = m.lastgroup
+        if kind is None:  # whitespace between sections
             continue
-        no = _line(text, m.start())
-        if m.lastgroup == "junk":
+        no += text.count("\n", at, m.start())
+        at = m.start()
+        if kind == "junk":
             raise LitmusError(f"text outside any section: {m.group('junk').strip()!r}", no)
-        if m.lastgroup == "cond":
+        if kind == "cond":
             if final is not None:
                 raise LitmusError("duplicate final condition", no)
             cond = _parse_cond(_tokenize_cond(m.group("cond"), no), no)
             final = Final(m.group("quant"), cond)
             continue
-        entries = _entries(text, *m.span("body"))
+        body = m.start("body")
+        entries = _entries(m.group("body"), no + text.count("\n", at, body))
         if m.group("kind") == "init":
             for bno, entry in entries:
-                e = _RE_INIT.match(entry)
+                e = _RE_INIT.fullmatch(entry)
                 if not e:
                     raise LitmusError(f"bad init entry {entry!r}", bno)
                 thread, lhs, loc, num = e.groups()
@@ -343,26 +355,32 @@ def parse_litmus(text: str) -> LitmusTest:
                         raise LitmusError(
                             f"location names must not start with 'r': {loc}", bno
                         )
-                    init_regs[(thread, lhs)] = ("loc", loc)
+                    keys, key, val = init_regs, (thread, lhs), ("loc", loc)
                 elif _is_reg(lhs):
-                    init_regs[(thread, lhs)] = ("int", _int(num, bno))
+                    keys, key, val = init_regs, (thread, lhs), ("int", _int(num, bno))
                 elif thread is not None:
                     raise LitmusError(f"location {lhs} cannot be thread-qualified", bno)
                 else:
-                    init_locs[lhs] = _int(num, bno)
+                    keys, key, val = init_locs, lhs, _int(num, bno)
+                if key in keys:
+                    shown = lhs if thread is None else f"{thread}:{lhs}"
+                    raise LitmusError(f"{shown} is set twice", bno)
+                keys[key] = val
         elif m.group("kind") == "expect":
             for bno, entry in entries:
-                e = _RE_EXPECT.match(entry)
+                e = _RE_EXPECT.fullmatch(entry)
                 if not e:
                     raise LitmusError(f"bad expect entry {entry!r}", bno)
                 expect[e.group(1)] = e.group(2)
         else:
             tname = m.group("thread")
+            if tname == "init":  # the thread of the initial writes
+                raise LitmusError("a thread may not be named init", no)
             if tname in threads:
                 raise LitmusError(f"duplicate thread {tname}", no)
             instrs = [_parse_instr(entry, arch, bno) for bno, entry in entries]
-            for ins, nxt in zip(instrs, instrs[1:] + [None]):
-                if isinstance(ins, Branch) and nxt != LabelDef(ins.label):
+            for k, ins in enumerate(instrs):
+                if ins.__class__ is Branch and instrs[k + 1:k + 2] != [LabelDef(ins.label)]:
                     raise LitmusError(
                         f"branch target {ins.label} must label the next instruction", no
                     )
@@ -403,219 +421,181 @@ class ProjectedTest:
         return len(self.events)
 
 
-def _event_names(count: int):
+def _event_names(count: int) -> list:
     letters = string.ascii_lowercase
-    for k in range(count):
-        if k < len(letters):
-            yield letters[k]
-        else:
-            yield letters[k % 26] + str(k // 26)
+    return [letters[k] if k < 26 else letters[k % 26] + str(k // 26) for k in range(count)]
 
 
-class _ThreadSim:
-    """Static evaluation of one thread.
+def _evaluate(tname: str, instrs: list, regs: dict):
+    """Statically evaluate one thread in one pass over its instructions.
 
-    Next to each register's static value it keeps the register's taint:
-    the loads (indexes into mems) whose values flow into it.  A tainted
-    address gives addr, a tainted stored value data, and a tainted cr0
-    at a branch ctrl.
+    regs maps each register to its value: an int, a location name, or None
+    when only the run decides it.  Each register also has a taint, the
+    loads whose values flow into it, as a bitmask of the thread's access
+    indexes: a load taints its destination with its address's taint plus
+    its own bit, xor and add join their operands' taints, mov clears it
+    and cmp hands its register's taint to cr0.
+
+    Returns the accesses [(instruction index, action)], each register's
+    last writer (a load's access index, ("const", n) or ("unknown",)), and
+    the dependencies and fences as rectangles (kind, rows, cols) of access
+    bitmasks.  A tainted address or stored value relates its taint to the
+    access (addr, data); a fence relates the accesses before it to those
+    after it; a branch relates cr0's taint to the accesses after it (ctrl)
+    and after each later isync or isb (ctrl+isync, ctrl+isb).  cols
+    -(1 << k) is every access from k on.
     """
-
-    def __init__(self, tname, instrs, regstate):
-        self.tname = tname
-        self.regs = regstate
-        self.taint = {}  # reg -> frozenset of load indexes
-        self.reg_last = {}  # reg -> ("load", idx) | ("const", n) | ("unknown",)
-        self.mems = []  # (instr_idx, MemRead | MemWrite)
-        self.fences = []  # (instr_idx, kind)
-        self.branches = []  # (instr_idx, taint of cr0)
-        self.addr, self.data = [], []  # (load idx, access idx)
-        for reg, val in regstate.items():
-            if val[0] == "int":
-                self.reg_last[reg] = ("const", val[1])
-        for idx, ins in enumerate(instrs):
-            self._step(idx, ins)
-
-    def _loc_of(self, reg, what):
-        val = self.regs.get(reg, ("unknown",))
-        if val[0] != "loc":
-            raise LitmusError(
-                f"{self.tname}: {what} register {reg} must hold a location address"
-            )
-        return val[1]
-
-    def _access(self, idx, action, addr_reg):
-        m = len(self.mems)
-        self.mems.append((idx, action))
-        self.addr += [(s, m) for s in self.taint.get(addr_reg, ())]
-        return m
-
-    def _taint(self, *regs):
-        return frozenset().union(*(self.taint.get(r, ()) for r in regs))
-
-    def _set(self, reg, val, taint, line=None):
-        if val[0] == "int":
-            try:
-                str(val[1])  # observed states print it
-            except ValueError:  # past the interpreter's limit on integer digits
-                raise LitmusError(f"{self.tname}: value of {reg} is too long", line) from None
-        self.regs[reg] = val
-        self.taint[reg] = taint
-        self.reg_last[reg] = ("const", val[1]) if val[0] == "int" else ("unknown",)
-
-    def _step(self, idx, ins):
-        if isinstance(ins, MovConst):
-            self._set(ins.dst, ("int", ins.val), frozenset())
-        elif isinstance(ins, Load):
-            loc = self._loc_of(ins.addr, "address")
-            m = self._access(idx, MemRead(loc), ins.addr)
-            self._set(ins.dst, ("unknown",), self._taint(ins.addr) | {m})
-            self.reg_last[ins.dst] = ("load", m)
-        elif isinstance(ins, Store):
-            loc = self._loc_of(ins.addr, "address")
-            val = self.regs.get(ins.src, ("unknown",))
-            if val[0] != "int":
+    taint, acts, rects, branches = {}, [], [], []
+    last = {reg: ("const", v) for reg, v in regs.items() if v.__class__ is int}
+    for idx, ins in enumerate(instrs):
+        cls = ins.__class__
+        if cls is Load or cls is Store:
+            loc, k = regs.get(ins.addr), len(acts)
+            if loc.__class__ is not str:
                 raise LitmusError(
-                    f"{self.tname}: stored value in {ins.src} must be a static integer"
+                    f"{tname}: address register {ins.addr} must hold a location address"
                 )
-            m = self._access(idx, MemWrite(loc, val[1]), ins.addr)
-            self.data += [(s, m) for s in self._taint(ins.src)]
-        elif isinstance(ins, Xor):
-            va, vb = self.regs.get(ins.a, ("unknown",)), self.regs.get(ins.b, ("unknown",))
-            if ins.a == ins.b:
-                out = ("int", 0)  # x^x=0 even when x is runtime-dependent
-            elif va[0] == "int" and vb[0] == "int":
-                out = ("int", va[1] ^ vb[1])
+            t = taint.get(ins.addr, 0)
+            if t:
+                rects.append(("addr", t, 1 << k))
+            if cls is Load:
+                acts.append((idx, MemRead(loc)))
+                regs[ins.dst], taint[ins.dst], last[ins.dst] = None, t | 1 << k, k
+                continue
+            val = regs.get(ins.src)
+            if val.__class__ is not int:
+                raise LitmusError(
+                    f"{tname}: stored value in {ins.src} must be a static integer"
+                )
+            acts.append((idx, MemWrite(loc, val)))
+            t = taint.get(ins.src, 0)
+            if t:
+                rects.append(("data", t, 1 << k))
+        elif cls is MovConst:
+            regs[ins.dst], taint[ins.dst], last[ins.dst] = ins.val, 0, ("const", ins.val)
+        elif cls is Xor or cls is Add:
+            a, b, t = regs.get(ins.a), ins.b, taint.get(ins.a, 0)
+            if b.__class__ is str:  # a register; add may take an immediate
+                b, t = regs.get(b), t | taint.get(b, 0)
+            if cls is Xor and ins.a == ins.b:
+                v = 0  # x^x=0 even when x is runtime-dependent
+            elif a.__class__ is int and b.__class__ is int:
+                v = a ^ b if cls is Xor else a + b
+            elif cls is Add and (a.__class__ is str or b.__class__ is str):
+                if a.__class__ is str and b == 0:
+                    v = a
+                elif b.__class__ is str and a == 0:
+                    v = b
+                else:
+                    raise LitmusError(f"{tname}: address arithmetic beyond +0 is not supported")
             else:
-                out = ("unknown",)
-            self._set(ins.dst, out, self._taint(ins.a, ins.b), ins.line)
-        elif isinstance(ins, Add):
-            va = self.regs.get(ins.a, ("unknown",))
-            if isinstance(ins.b, str):
-                vb = self.regs.get(ins.b, ("unknown",))
-                srcs = self._taint(ins.a, ins.b)
+                v = None
+            if v.__class__ is int:
+                try:
+                    str(v)  # observed states print it
+                except ValueError:  # past the interpreter's limit on integer digits
+                    msg = f"{tname}: value of {ins.dst} is too long"
+                    raise LitmusError(msg, ins.line) from None
+                last[ins.dst] = ("const", v)
             else:
-                vb = ("int", ins.b)
-                srcs = self._taint(ins.a)
-            self._set(ins.dst, self._add_vals(va, vb), srcs, ins.line)
-        elif isinstance(ins, Cmp):
-            self.regs["cr0"] = ("unknown",)
-            self.taint["cr0"] = self._taint(ins.reg)
-        elif isinstance(ins, Branch):
-            self.branches.append((idx, self._taint("cr0")))
-        elif isinstance(ins, Fence):
-            self.fences.append((idx, ins.kind))
-        elif not isinstance(ins, LabelDef):  # pragma: no cover
-            raise LitmusError(f"unhandled instruction {ins!r}")
-
-    def _add_vals(self, va, vb):
-        vals = (va, vb)
-        if all(v[0] == "int" for v in vals):
-            return ("int", va[1] + vb[1])
-        if any(v[0] == "loc" for v in vals):
-            loc = next(v for v in vals if v[0] == "loc")
-            other = vb if loc is va else va
-            if other[0] == "int" and other[1] == 0:
-                return loc
-            raise LitmusError(
-                f"{self.tname}: address arithmetic beyond +0 is not supported"
-            )
-        return ("unknown",)
-
-    def relations(self) -> dict:
-        """Pairs of access indexes for po, each fence kind and each dependency."""
-        at = [instr for instr, _ in self.mems]
-
-        def after(i):
-            return [k for k, j in enumerate(at) if j > i]
-
-        rels = {
-            "po": [(a, b) for a in range(len(at)) for b in range(a + 1, len(at))],
-            "addr": self.addr,
-            "data": self.data,
-            "ctrl": [],
-        }
-        for fi, kind in self.fences:
-            before = [k for k, j in enumerate(at) if j < fi]
-            rels.setdefault(kind, []).extend((a, b) for a in before for b in after(fi))
-        for bi, srcs in self.branches:
-            rels["ctrl"] += [(s, b) for s in srcs for b in after(bi)]
-            for fi, kind in self.fences:
-                if fi > bi and kind in _CTRL_FENCES:
-                    rels.setdefault("ctrl+" + kind, []).extend(
-                        (s, b) for s in srcs for b in after(fi)
-                    )
-        return rels
+                last[ins.dst] = ("unknown",)
+            regs[ins.dst], taint[ins.dst] = v, t
+        elif cls is Cmp:
+            regs["cr0"], taint["cr0"] = None, taint.get(ins.reg, 0)
+        elif cls is Branch:
+            t = taint.get("cr0", 0)
+            if t:
+                branches.append(t)
+                rects.append(("ctrl", t, -(1 << len(acts))))
+        elif cls is Fence:
+            k = len(acts)
+            rects.append((ins.kind, (1 << k) - 1, -(1 << k)))
+            if ins.kind in _CTRL_FENCES:
+                rects += [("ctrl+" + ins.kind, t, -(1 << k)) for t in branches]
+    return acts, last, rects
 
 
 def project(test: LitmusTest) -> ProjectedTest:
-    sims = {}
-    for tname, instrs in test.threads.items():
-        regstate = {
-            reg: val for (qual, reg), val in test.init_regs.items() if qual in (None, tname)
-        }
-        sims[tname] = _ThreadSim(tname, instrs, regstate)
+    # a thread-qualified register wins over an unqualified one
+    shared, own = {}, {}
+    for (qual, reg), (_, val) in test.init_regs.items():
+        (shared if qual is None else own.setdefault(qual, {}))[reg] = val
+    threads = [
+        (tname, *_evaluate(tname, instrs, {**shared, **own.get(tname, {})}))
+        for tname, instrs in test.threads.items()
+    ]
 
-    locations = sorted({act.loc for sim in sims.values() for _, act in sim.mems})
+    locations = sorted({act.loc for _, acts, _, _ in threads for _, act in acts})
     if not locations:
         raise LitmusError("test accesses no memory")
+    init_locs, nl = test.init_locs, len(locations)
+    events = [Event(k, "init", k, MemWrite(loc, init_locs.get(loc, 0)))
+              for k, loc in enumerate(locations)]
+    n = nl + sum(len(acts) for _, acts, _, _ in threads)
+    names = {k: "i" + loc for k, loc in enumerate(locations)}
+    names.update(zip(range(nl, n), _event_names(n - nl)))
 
-    events = []
-    names = {}
-    for k, loc in enumerate(locations):
-        events.append(Event(k, "init", k, MemWrite(loc, test.init_locs.get(loc, 0))))
-        names[k] = "i" + loc
-    init_ids = tuple(range(len(locations)))
-
-    # program accesses in (thread, po) order; a thread's accesses are
-    # consecutive ids from base, so its local pairs shift by base
-    pairs = {k: [] for k in ("po",) + DEP_KINDS + ALL_FENCE_KINDS}
+    # a thread's accesses are the consecutive ids from base: po, po-loc and
+    # same-thread are built row by row over that range, and each rectangle
+    # row by row of its rows
+    po = po_loc = same = 0
+    for i in range(nl):  # the initial writes are one thread
+        same |= (1 << nl) - 1 << i * n
+    bits = dict.fromkeys(DEP_KINDS + ALL_FENCE_KINDS, 0)
     reg_sources = {}
-    for tname, sim in sims.items():
+    for tname, acts, last, rects in threads:
         base = len(events)
-        for instr_idx, act in sim.mems:
-            events.append(Event(len(events), tname, instr_idx, act))
-        for kind, local in sim.relations().items():
-            pairs[kind] += [(base + a, base + b) for a, b in local]
-        for reg, last in sim.reg_last.items():
-            reg_sources[(tname, reg)] = (
-                ("event", base + last[1]) if last[0] == "load" else last
-            )
-    program = range(len(locations), len(events))
-    names.update(zip(program, _event_names(len(program))))
+        events += [Event(base + k, tname, idx, act) for k, (idx, act) in enumerate(acts)]
+        span, later = (1 << len(acts)) - 1 << base, {}  # later: loc -> accesses after i
+        for i in range(len(events) - 1, base - 1, -1):
+            loc, shift = events[i].action.loc, i * n
+            same |= span << shift
+            po |= (span & -(2 << i)) << shift
+            row = later.get(loc, 0)
+            po_loc |= row << shift
+            later[loc] = row | 1 << i
+        for kind, rows, cols in rects:
+            cols = cols << base & span
+            while rows and cols:
+                low = rows & -rows
+                bits[kind] |= cols << (base + low.bit_length() - 1) * n
+                rows ^= low
+        for reg, src in last.items():
+            reg_sources[(tname, reg)] = ("event", base + src) if src.__class__ is int else src
+    bits["ctrl+cfence"] = bits["ctrl+isync"] | bits["ctrl+isb"]
+    none = Relation(n, 0)  # most kinds are empty, and a relation is immutable
 
-    n = len(events)
-    pairs["ctrl+cfence"] = pairs["ctrl+isync"] + pairs["ctrl+isb"]
-    deps = {k: Relation.from_pairs(n, pairs[k]) for k in DEP_KINDS}
-    po = Relation.from_pairs(n, pairs["po"])
     projected = ProjectedTest(
         name=test.name,
         arch=test.arch,
         events=tuple(events),
-        po=po,
-        po_loc=po & same_loc(events),
-        same_thread=same_thread(events),
-        deps=deps,
-        fences={k: Relation.from_pairs(n, pairs[k]) for k in ALL_FENCE_KINDS},
+        po=Relation(n, po),
+        po_loc=Relation(n, po_loc),
+        same_thread=Relation(n, same),
+        deps={k: Relation(n, bits[k]) if bits[k] else none for k in DEP_KINDS},
+        fences={k: Relation(n, bits[k]) if bits[k] else none for k in ALL_FENCE_KINDS},
         final=test.final,
         expect=test.expect,
         names=names,
         locations=tuple(locations),
-        threads=tuple(sims),
+        threads=tuple(test.threads),
         reg_sources=reg_sources,
-        init_ids=init_ids,
+        init_ids=tuple(range(nl)),
     )
     _validate_final(projected)
     return projected
 
 
-def atoms(cond):
+def atoms(cond) -> list:
     """The RegEq and LocEq atoms of a final condition, left to right."""
-    if isinstance(cond, (And, Or)):
-        for item in cond.items:
-            yield from atoms(item)
-    else:
-        yield cond
+    out, todo = [], [cond]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is And or node.__class__ is Or:
+            todo += reversed(node.items)
+        else:
+            out.append(node)
+    return out
 
 
 def _validate_final(t: ProjectedTest):

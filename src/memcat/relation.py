@@ -311,28 +311,6 @@ def restrict(r: Relation, src: str, tgt: str, events: Sequence[Event]) -> Relati
     return Relation(r.n, r.bits & direction_mask(r.n, events, src, tgt))
 
 
-def same_thread(events: Sequence[Event]) -> Relation:
-    """All pairs of events on the same thread, (e, e) included."""
-    threads: dict[str, int] = {}
-    for e in events:
-        threads[e.thread] = threads.get(e.thread, 0) | 1 << e.id
-    n, bits = len(events), 0
-    for e in events:
-        bits |= threads[e.thread] << e.id * n
-    return Relation(n, bits)
-
-
-def same_loc(events: Sequence[Event]) -> Relation:
-    """All pairs of distinct events on the same location."""
-    groups: dict[str, int] = {}
-    for e in events:
-        groups[e.action.loc] = groups.get(e.action.loc, 0) | 1 << e.id
-    n, bits = len(events), 0
-    for e in events:
-        bits |= (groups[e.action.loc] & ~(1 << e.id)) << e.id * n
-    return Relation(n, bits)
-
-
 # ------------------------------------------------------------------ candidate
 
 

@@ -11,7 +11,7 @@ from memcat.cli import main
 from memcat.executions import enumerate_candidates
 from memcat.models import models_dir
 
-from test_litmus import COMPUTED_HUGE_INTEGERS, HUGE_INTEGERS, REJECTED
+from test_litmus import COMPUTED_HUGE_INTEGERS, CORR_READER, HUGE_INTEGERS, REJECTED
 
 
 def invoke(*args, env=None):
@@ -176,6 +176,18 @@ def test_value_computed_past_the_digit_limit_is_usage_error(tmp_path):
     assert res.exit_code == 2
     err = getattr(res, "stderr", "") or res.output
     assert "line 4: T0: value of r2 is too long" in err
+    assert "Traceback" not in err
+
+
+def test_machine_refuses_a_thread_named_init(tmp_path):
+    # the machine takes thread init's events for initial writes, so coRR with
+    # its reader renamed once parted the machine (2 behaviors) from Power (3)
+    f = tmp_path / "corr-init.litmus"
+    f.write_text(CORR_READER)
+    res = invoke("machine", "--format", "jsonl", str(f))
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert "line 5: a thread may not be named init" in err
     assert "Traceback" not in err
 
 
@@ -469,6 +481,19 @@ def test_machine_trace_records_match_snapshot(bound):
     )
     assert res.exit_code == 0, res.output
     assert jsonl(res) == snapshot[bound]
+
+
+def test_cycles_records_match_snapshot():
+    # every bundled test and both .thr shapes; the name mp is the .thr shape,
+    # so the litmus mp goes by its path.  Frozen: the projection and the
+    # miner are the only inputs of these records
+    snapshot = json.loads(Path(__file__).with_name("cycles_snapshot.json").read_text())
+    res = invoke(
+        "cycles", "--format", "jsonl", *suite.names(), "ww+rw+r",
+        str(suite.suite_dir() / "mp.litmus"),
+    )
+    assert res.exit_code == 0, res.output
+    assert jsonl(res) == snapshot
 
 
 def test_machine_evaluates_power_once_per_candidate(monkeypatch):

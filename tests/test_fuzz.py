@@ -64,8 +64,11 @@ def inputs(sources, words):
     return edited(sources, words) | st.text(max_size=200)
 
 
+LITMUS_INPUTS = inputs(_sources(suite.suite_dir().glob("*.litmus")), LITMUS_WORDS)
+
+
 @FUZZ
-@given(inputs(_sources(suite.suite_dir().glob("*.litmus")), LITMUS_WORDS))
+@given(LITMUS_INPUTS)
 def test_litmus_reader_raises_only_litmus_errors(text):
     try:
         project(parse_litmus(text))

@@ -20,11 +20,31 @@ from memcat.relation import (
     closure,
     compose,
     restrict,
-    same_loc,
-    same_thread,
 )
 
 from oracles import brute_fr, closure_pairs, compose_pairs, is_acyclic_pairs
+
+
+def same_thread(events):
+    """All pairs of events on the same thread, (e, e) included."""
+    threads = {}
+    for e in events:
+        threads[e.thread] = threads.get(e.thread, 0) | 1 << e.id
+    n, bits = len(events), 0
+    for e in events:
+        bits |= threads[e.thread] << e.id * n
+    return Relation(n, bits)
+
+
+def same_loc(events):
+    """All pairs of distinct events on the same location."""
+    groups = {}
+    for e in events:
+        groups[e.action.loc] = groups.get(e.action.loc, 0) | 1 << e.id
+    n, bits = len(events), 0
+    for e in events:
+        bits |= (groups[e.action.loc] & ~(1 << e.id)) << e.id * n
+    return Relation(n, bits)
 
 
 def rel(n, *pairs):
