@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -38,6 +37,7 @@ from .relation import (
     Bundles,
     Candidate,
     Packing,
+    Record,
     Relation,
     check_acyclic,
     check_irreflexive,
@@ -52,80 +52,89 @@ class CatError(Exception):
 # ----------------------------------------------------------------------- AST
 
 
-@dataclass(frozen=True)
-class Name:
-    value: str
+class Name(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
+class _Binary(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: object, right: object):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Inter:
-    left: object
-    right: object
+class Union(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: object
-    right: object
+class Inter(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: object
-    right: object
+class Diff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus:
-    expr: object
+class Seq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Star:
-    expr: object
+class Plus(Record):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: object):
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class DirFilter:
-    dir: str
-    expr: object
+class Star(Record):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: object):
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    expr: object
-    pos: str = field(compare=False)  # keyword's file:line:col, for errors
+class DirFilter(Record):
+    __slots__ = ("dir", "expr")
+
+    def __init__(self, dir: str, expr: object):
+        self.dir, self.expr = dir, expr
 
 
-@dataclass(frozen=True)
-class LetRec:
-    bindings: tuple  # ((name, expr), ...)
-    pos: str = field(compare=False)  # keyword's file:line:col, for errors
+class Let(Record, uncompared=("pos",)):
+    __slots__ = ("name", "expr", "pos")  # pos: keyword's file:line:col, for errors
+
+    def __init__(self, name: str, expr: object, pos: str):
+        self.name, self.expr, self.pos = name, expr, pos
 
 
-@dataclass(frozen=True)
-class Check:
-    kind: str  # "acyclic" | "irreflexive"
-    expr: object
-    name: str
-    pos: str = field(compare=False)  # keyword's file:line:col, for errors
+class LetRec(Record, uncompared=("pos",)):
+    __slots__ = ("bindings", "pos")  # bindings: ((name, expr), ...)
+
+    def __init__(self, bindings: tuple, pos: str):
+        self.bindings, self.pos = bindings, pos
 
 
-@dataclass(frozen=True)
-class Model:
-    statements: tuple
+class Check(Record, uncompared=("pos",)):
+    __slots__ = ("kind", "expr", "name", "pos")  # kind: "acyclic" | "irreflexive"
+
+    def __init__(self, kind: str, expr: object, name: str, pos: str):
+        self.kind, self.expr, self.name = kind, expr, name
+        self.pos = pos
+
+
+class Model(Record):
+    __slots__ = ("statements", "__dict__")  # __dict__ holds plan
+
+    def __init__(self, statements: tuple):
+        self.statements = statements
+
     plan = cached_property(lambda self: _compile(self))  # compiled at the first bind
 
 
@@ -305,7 +314,7 @@ class _Parser:
                     self.next()
                     name = self.expect("name")[1]
                 elif comment:
-                    name = re.sub(r"\s+", "-", comment.lower())
+                    name = "-".join(comment.lower().split())
                 else:
                     name = f"check-{check_index}"
                 out.append(Check(value, expr, name, self.position(tok)))
@@ -366,7 +375,7 @@ def _check_monotone(stmt: LetRec):
         elif isinstance(node, Diff):
             walk(node.left, in_subtrahend)
             walk(node.right, True)
-        elif isinstance(node, (Union, Inter, Seq)):
+        elif isinstance(node, _Binary):
             walk(node.left, in_subtrahend)
             walk(node.right, in_subtrahend)
         elif isinstance(node, (Plus, Star, DirFilter)):

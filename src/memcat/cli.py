@@ -119,9 +119,12 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit_jsonl(records):
-    for rec in records:
-        click.echo(json.dumps(rec, sort_keys=True))
+    if records:
+        click.echo("\n".join(map(_JSON.encode, records)))
 
 
 def _checks_cell(checks: dict) -> str:
@@ -368,7 +371,11 @@ def _load_program(arg: str):
 @_format_option
 @click.argument("inputs", nargs=-1, required=True)
 def cycles(fmt, inputs):
-    """Mine critical cycles and coherence shapes from thread programs."""
+    """Mine critical cycles and coherence shapes from thread programs.
+
+    Each input is a file (.litmus, else .thr), else a bundled .thr shape,
+    else a bundled test: `cycles mp` mines mp.thr, so the bundled
+    mp.litmus has to be given by its path."""
     records = []
     errors = 0
     for arg in _expand(inputs):

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .litmus import ALL_FENCE_KINDS, ProjectedTest
-from .relation import is_write
+from .relation import Record, is_write
 
 
 class ThrError(Exception):
@@ -45,44 +44,48 @@ _FENCE_RANK = (
 _PO_FAMILY = ("po", "fence", "dp")
 
 
-@dataclass(frozen=True)
-class StaticAccess:
-    uid: int
-    thread: str
-    po_index: int
-    direction: str  # "R" | "W"
-    location: str
+class StaticAccess(Record):
+    __slots__ = ("uid", "thread", "po_index", "direction", "location")  # direction: "R" | "W"
+
+    def __init__(self, uid: int, thread: str, po_index: int, direction: str, location: str):
+        self.uid, self.thread, self.po_index = uid, thread, po_index
+        self.direction, self.location = direction, location
 
 
-@dataclass(frozen=True)
-class Edge:
-    kind: str  # po | fence | dp | rf | fr | co
-    detail: Optional[str]  # fence or dependency kind on po-family edges
-    external: bool
+class Edge(Record):
+    """kind: po | fence | dp | rf | fr | co; detail: a po-family edge's fence or dependency."""
+
+    __slots__ = ("kind", "detail", "external")
+
+    def __init__(self, kind: str, detail: Optional[str], external: bool):
+        self.kind, self.detail, self.external = kind, detail, external
 
 
-@dataclass(frozen=True)
-class LabeledCycle:
+class LabeledCycle(Record):
     """edges[i] connects accesses[i] to accesses[(i+1) % n]."""
 
-    accesses: tuple
-    edges: tuple
-    critical: bool
+    __slots__ = ("accesses", "edges", "critical")
+
+    def __init__(self, accesses: tuple, edges: tuple, critical: bool):
+        self.accesses, self.edges, self.critical = accesses, edges, critical
 
 
-@dataclass(frozen=True)
-class PatternName:
-    systematic: str
-    classic: Optional[str]
-    name: str
+class PatternName(Record):
+    __slots__ = ("systematic", "classic", "name")
+
+    def __init__(self, systematic: str, classic: Optional[str], name: str):
+        self.systematic, self.classic, self.name = systematic, classic, name
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    accesses: tuple
-    fence_between: dict  # (uid, uid) -> strongest fence kind separating them
-    dep_between: dict  # (uid, uid) -> dependency kind, exact endpoints
+class Program(Record):
+    """(uid, uid) -> the strongest fence separating them, and the dependency kind
+    of exact endpoints, in fence_between and dep_between."""
+
+    __slots__ = ("name", "accesses", "fence_between", "dep_between")
+
+    def __init__(self, name: str, accesses: tuple, fence_between: dict, dep_between: dict):
+        self.name, self.accesses = name, accesses
+        self.fence_between, self.dep_between = fence_between, dep_between
 
 
 # -------------------------------------------------------------------- inputs

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .relation import Event, MemRead, MemWrite, Relation
+from .relation import Event, MemRead, MemWrite, Record, Relation
 
 
 ARCH_FENCES = {
@@ -58,60 +57,69 @@ class LitmusError(Exception):
 # ------------------------------------------------------------- instructions
 
 
-@dataclass(frozen=True)
-class MovConst:
-    dst: str
-    val: int
+class MovConst(Record):
+    __slots__ = ("dst", "val")
+
+    def __init__(self, dst: str, val: int):
+        self.dst, self.val = dst, val
 
 
-@dataclass(frozen=True)
-class Load:
-    dst: str
-    addr: str
+class Load(Record):
+    __slots__ = ("dst", "addr")
+
+    def __init__(self, dst: str, addr: str):
+        self.dst, self.addr = dst, addr
 
 
-@dataclass(frozen=True)
-class Store:
-    addr: str
-    src: str
+class Store(Record):
+    __slots__ = ("addr", "src")
+
+    def __init__(self, addr: str, src: str):
+        self.addr, self.src = addr, src
 
 
-@dataclass(frozen=True)
-class Xor:
-    dst: str
-    a: str
-    b: str
-    line: int = field(compare=False)  # for errors in the value it computes
+class Xor(Record, uncompared=("line",)):
+    __slots__ = ("dst", "a", "b", "line")  # line: for errors in the value it computes
+
+    def __init__(self, dst: str, a: str, b: str, line: int):
+        self.dst, self.a, self.b = dst, a, b
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Add:
-    dst: str
-    a: str
-    b: Union[str, int]
-    line: int = field(compare=False)  # for errors in the value it computes
+class Add(Record, uncompared=("line",)):
+    __slots__ = ("dst", "a", "b", "line")  # line: for errors in the value it computes
+
+    def __init__(self, dst: str, a: str, b: Union[str, int], line: int):
+        self.dst, self.a, self.b = dst, a, b
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Cmp:
-    reg: str
-    val: int
+class Cmp(Record):
+    __slots__ = ("reg", "val")
+
+    def __init__(self, reg: str, val: int):
+        self.reg, self.val = reg, val
 
 
-@dataclass(frozen=True)
-class Branch:
-    kind: str
-    label: str
+class Branch(Record):
+    __slots__ = ("kind", "label")
+
+    def __init__(self, kind: str, label: str):
+        self.kind, self.label = kind, label
 
 
-@dataclass(frozen=True)
-class LabelDef:
-    name: str
+class LabelDef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Fence:
-    kind: str
+class Fence(Record):
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
 
 
 Instr = Union[MovConst, Load, Store, Xor, Add, Cmp, Branch, LabelDef, Fence]
@@ -120,44 +128,53 @@ Instr = Union[MovConst, Load, Store, Xor, Add, Cmp, Branch, LabelDef, Fence]
 # ------------------------------------------------------------ final condition
 
 
-@dataclass(frozen=True)
-class RegEq:
-    thread: str
-    reg: str
-    value: int
+class RegEq(Record):
+    __slots__ = ("thread", "reg", "value")
+
+    def __init__(self, thread: str, reg: str, value: int):
+        self.thread, self.reg, self.value = thread, reg, value
 
 
-@dataclass(frozen=True)
-class LocEq:
-    loc: str
-    value: int
+class LocEq(Record):
+    __slots__ = ("loc", "value")
+
+    def __init__(self, loc: str, value: int):
+        self.loc, self.value = loc, value
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple
+class And(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple
+class Or(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Final:
-    quant: str
-    cond: object
+class Final(Record):
+    __slots__ = ("quant", "cond")
+
+    def __init__(self, quant: str, cond: object):
+        self.quant, self.cond = quant, cond
 
 
-@dataclass
-class LitmusTest:
-    name: str
-    arch: str
-    init_locs: dict
-    init_regs: dict  # (thread | None, reg) -> ("int", n) | ("loc", name)
-    threads: dict  # name -> [Instr], in declaration order
-    final: Final
-    expect: dict
+class LitmusTest(Record):
+    """init_regs: (thread | None, reg) -> ("int", n) | ("loc", name);
+    threads: name -> [Instr], in declaration order."""
+
+    __slots__ = ("name", "arch", "init_locs", "init_regs", "threads", "final", "expect")
+    __hash__ = None  # its dicts are mutable
+
+    def __init__(self, name: str, arch: str, init_locs: dict, init_regs: dict,
+                 threads: dict, final: Final, expect: dict):
+        self.name, self.arch, self.init_locs = name, arch, init_locs
+        self.init_regs, self.threads = init_regs, threads
+        self.final, self.expect = final, expect
 
 
 # ------------------------------------------------------------------- parsing
@@ -396,25 +413,24 @@ def parse_litmus(text: str) -> LitmusTest:
 # ---------------------------------------------------------------- projection
 
 
-@dataclass
-class ProjectedTest:
-    """Memory events of a test plus every statically known relation."""
+class ProjectedTest(Record):
+    """Memory events of a test plus every statically known relation.
+    same_thread splits rf, co and fr into internal and external parts;
+    reg_sources: (thread, reg) -> ("event", eid) | ("const", n) | ("unknown",)."""
 
-    name: str
-    arch: str
-    events: tuple
-    po: Relation
-    po_loc: Relation
-    same_thread: Relation  # splits rf, co and fr into internal and external
-    deps: dict
-    fences: dict
-    final: Final
-    expect: dict
-    names: dict
-    locations: tuple
-    threads: tuple
-    reg_sources: dict  # (thread, reg) -> ("event", eid) | ("const", n) | ("unknown",)
-    init_ids: tuple
+    __slots__ = ("name", "arch", "events", "po", "po_loc", "same_thread", "deps", "fences",
+                 "final", "expect", "names", "locations", "threads", "reg_sources", "init_ids")
+    __hash__ = None  # its dicts are mutable
+
+    def __init__(self, name: str, arch: str, events: tuple, po: Relation, po_loc: Relation,
+                 same_thread: Relation, deps: dict, fences: dict, final: Final, expect: dict,
+                 names: dict, locations: tuple, threads: tuple, reg_sources: dict,
+                 init_ids: tuple):
+        self.name, self.arch, self.events = name, arch, events
+        self.po, self.po_loc, self.same_thread = po, po_loc, same_thread
+        self.deps, self.fences, self.final = deps, fences, final
+        self.expect, self.names, self.locations = expect, names, locations
+        self.threads, self.reg_sources, self.init_ids = threads, reg_sources, init_ids
 
     @property
     def n(self) -> int:

@@ -97,7 +97,6 @@ that cannot fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -269,14 +268,17 @@ def _invisible(p, rf, fr, po_loc, last, first, earlier):
             | p.domain(first & ~fr) & p.codomain(rf & ~po_loc))
 
 
-@dataclass(eq=False)
 class MachineContext:
     """One candidate on the machine: block j of its chunk's premises.
     Its labels, need, block and rf sources are built when first read."""
 
-    cand: Candidate
-    premises: Bundles = field(repr=False)
-    j: int
+    __slots__ = ("cand", "premises", "j", "__dict__")  # __dict__ holds the cached properties
+
+    def __init__(self, cand: Candidate, premises: Bundles, j: int):
+        self.cand, self.premises, self.j = cand, premises, j
+
+    def __repr__(self) -> str:
+        return f"MachineContext(cand={self.cand!r}, j={self.j!r})"
 
     @cached_property
     def rf_src(self) -> dict:  # read id -> write id

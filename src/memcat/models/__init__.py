@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from ..cat import CatError, Check, Empty, Let, Model, bind, parse_cat, run_model
 from ..executions import enumerate_candidates, final_outcome
 from ..litmus import ProjectedTest
+from ..relation import Record
 
 BUILTIN_MODELS = ("sc", "tso", "cpp-ra", "power", "power-as-arm", "arm", "arm-llh")
 
@@ -44,7 +44,7 @@ def _drop_dynamic_ppo(model: Model) -> Model:
     # is derivable from the program text
     return Model(
         tuple(
-            replace(s, expr=Empty())
+            Let(s.name, Empty(), s.pos)
             if isinstance(s, Let) and s.name in ("rdw", "detour")
             else s
             for s in model.statements
@@ -59,11 +59,14 @@ def _load(path: Path, static_ppo: bool) -> Model:
 
 
 def load_builtin(name: str, static_ppo: bool = False) -> Model:
-    if name not in available_models():
+    """The model of name, one of available_models(): the stem of a .cat
+    file in models_dir() that does not start with "_"."""
+    path = models_dir() / f"{name}.cat"
+    if not name or name[0] == "_" or Path(name).name != name or not path.exists():
         raise FileNotFoundError(
             f"no model {name!r} in {models_dir()} (available: {', '.join(available_models())})"
         )
-    return _load(models_dir() / f"{name}.cat", static_ppo)
+    return _load(path, static_ppo)
 
 
 def load_model(spec: str, static_ppo: bool = False) -> Model:
@@ -78,17 +81,20 @@ def golden_table() -> dict:
     return json.loads((BUNDLED_DIR / "golden.json").read_text())
 
 
-@dataclass(frozen=True)
-class TestResult:
-    name: str
-    model: str
-    verdict: str  # "allowed" | "forbidden"
-    candidates: int
-    passing: int
-    satisfying: int
-    witness: Optional[object] = None  # a Candidate hitting the final, if any
-    states: tuple = ()  # observed states over model-passing candidates
-    check_failures: dict = field(default_factory=dict)  # check name -> count
+class TestResult(Record):
+    """verdict: "allowed" | "forbidden"; witness: a Candidate hitting the final, if any;
+    states: observed over model-passing candidates; check_failures: check name -> count."""
+
+    __slots__ = ("name", "model", "verdict", "candidates", "passing", "satisfying", "witness",
+                 "states", "check_failures")
+
+    def __init__(self, name: str, model: str, verdict: str, candidates: int, passing: int,
+                 satisfying: int, witness: Optional[object] = None, states: tuple = (),
+                 check_failures: Optional[dict] = None):
+        self.name, self.model, self.verdict = name, model, verdict
+        self.candidates, self.passing, self.satisfying = candidates, passing, satisfying
+        self.witness, self.states = witness, states
+        self.check_failures = {} if check_failures is None else check_failures
 
 
 def evaluate_test(

@@ -13,7 +13,6 @@ operations return fresh relations; instances are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -25,29 +24,60 @@ if TYPE_CHECKING:
 # --------------------------------------------------------------------- events
 
 
-@dataclass(frozen=True)
-class MemRead:
-    loc: str
-    value: Optional[int] = None
+class Record:
+    """Dataclass value semantics, the fields being the __slots__ of a class
+    and its bases: equal to a record of its class whose fields but those
+    named in uncompared are equal (with eq=False, only to itself), hashed
+    by those, shown Class(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True, uncompared: tuple = ()):
+        super().__init_subclass__()
+        slots = (f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+        cls._fields = tuple(f for f in slots if f != "__dict__")
+        cls._key = attrgetter("__class__", *(f for f in cls._fields if f not in uncompared))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class MemWrite:
-    loc: str
-    value: int
+class MemRead(Record):
+    __slots__ = ("loc", "value")
+
+    def __init__(self, loc: str, value: Optional[int] = None):
+        self.loc, self.value = loc, value
+
+
+class MemWrite(Record):
+    __slots__ = ("loc", "value")
+
+    def __init__(self, loc: str, value: int):
+        self.loc, self.value = loc, value
 
 
 Action = Union[MemRead, MemWrite]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A single labelled node; id doubles as its index in the universe."""
 
-    id: int
-    thread: str
-    po_index: int
-    action: Action
+    __slots__ = ("id", "thread", "po_index", "action")
+
+    def __init__(self, id: int, thread: str, po_index: int, action: Action):
+        self.id, self.thread = id, thread
+        self.po_index, self.action = po_index, action
 
 
 def is_read(event: Event) -> bool:
@@ -333,8 +363,7 @@ class Bundles(dict):
         return Relation(self.pack.n, self.blocks(name)[j])
 
 
-@dataclass(eq=False)
-class Candidate:
+class Candidate(Record, eq=False):
     """A candidate execution: its events, each read's value filled in, and
     block j of chunk, which holds its rf, co and fr.
 
@@ -344,10 +373,11 @@ class Candidate:
     fields, built once per test.
     """
 
-    events: tuple[Event, ...]
-    source: "ProjectedTest"
-    chunk: Bundles
-    j: int
+    __slots__ = ("events", "source", "chunk", "j")
+
+    def __init__(self, events: tuple, source: "ProjectedTest", chunk: Bundles, j: int):
+        self.events, self.source = events, source
+        self.chunk, self.j = chunk, j
 
     po = property(attrgetter("source.po"))
     po_loc = property(attrgetter("source.po_loc"))

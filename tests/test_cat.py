@@ -1,6 +1,7 @@
 """Model language: lexer, parser, evaluator."""
 
 import itertools
+import re
 import sys
 from types import SimpleNamespace
 
@@ -124,6 +125,13 @@ def test_comment_names_following_check_then_clears():
     c1, c2 = m.statements
     assert c1.name == "sc-per-location"
     assert c2.name == "check-2"
+
+
+def test_comment_whitespace_of_any_kind_becomes_one_hyphen():
+    comment = "Per\tLocation\n\u00a0 SC\u2003order"
+    m = parse_cat(f"(*  {comment} *)\nacyclic po")
+    assert m.statements[0].name == "per-location-sc-order"
+    assert m.statements[0].name == re.sub(r"\s+", "-", comment.lower())
 
 
 def test_as_name_wins_over_comment():

@@ -3,7 +3,6 @@
 import json
 import re
 import runpy
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -897,7 +896,7 @@ def front_end(front, text):
         t = proj(parsed)
     except LitmusError as exc:
         return str(exc)
-    return parsed, {f.name: getattr(t, f.name) for f in fields(t)}
+    return parsed, {f: getattr(t, f) for f in t._fields}
 
 
 LEAN = (parse_litmus, project)

@@ -130,6 +130,20 @@ def test_all_builtin_models_present(monkeypatch):
         load_builtin("_axioms")  # an include fragment is not a model
 
 
+def test_load_builtin_takes_exactly_the_listed_names(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    for name in ("trivial", "_fragment", "sub/nested"):
+        (tmp_path / f"{name}.cat").write_text("acyclic 0\n")
+    monkeypatch.setenv(MODELS_DIR_VAR, str(tmp_path))
+    assert available_models() == ["trivial"]
+    for name in available_models():
+        load_builtin(name)
+    for name in ("", "_fragment", "sub/nested", "./trivial", "trivial/", str(tmp_path / "trivial"),
+                 "missing"):
+        with pytest.raises(FileNotFoundError, match="available: trivial\\)"):
+            load_builtin(name)
+
+
 def test_axioms_and_ppo_fixpoint_live_in_one_fragment_each():
     def holders(pattern):
         return sorted(

@@ -1,14 +1,21 @@
 """Relational algebra unit tests. Derived expectations come from oracles.py."""
 
+import importlib
+import inspect
 import itertools
 import operator
+import pkgutil
 import random
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memcat.cat import DIRS
+import memcat
+from memcat import suite
+from memcat.cat import DIRS, Empty, Inter, Let, Name, Union
+from memcat.litmus import Xor
 from memcat.relation import (
     Candidate,
     Event,
@@ -387,3 +394,42 @@ def test_constructor_rejects_bits_outside_universe():
     for bits in (1 << 4, -1):
         with pytest.raises(ValueError):
             Relation(2, bits)
+
+
+# (a, b, whether a == b): records compare like the frozen dataclasses they
+# replace, pos and line left out
+RECORDS = [
+    (MemRead("x", 1), MemWrite("x", 1), False),
+    (MemRead("x", 1), MemRead("x", 1), True),
+    (MemRead("x"), MemRead("x", 1), False),
+    (Event(0, "T0", 0, MemRead("x")), Event(0, "T0", 0, MemRead("x")), True),
+    (Event(0, "T0", 0, MemRead("x")), Event(0, "T0", 0, MemWrite("x", None)), False),
+    (Let("a", Name("po"), "m.cat:1:1"), Let("a", Name("po"), "m.cat:2:5"), True),
+    (Let("a", Name("po"), "m.cat:1:1"), Let("a", Name("rf"), "m.cat:1:1"), False),
+    (Xor("r1", "r2", "r2", 3), Xor("r1", "r2", "r2", 4), True),
+    (Union(Name("po"), Name("rf")), Inter(Name("po"), Name("rf")), False),
+    (Empty(), Empty(), True),
+]
+
+
+@pytest.mark.parametrize("a, b, equal", RECORDS, ids=[f"{a!r}-{b!r}" for a, b, _ in RECORDS])
+def test_records_have_dataclass_value_semantics(a, b, equal):
+    assert (a == b) is equal and (a != b) is not equal
+    assert not equal or hash(a) == hash(b)
+    for r in (a, b):
+        assert r  # Empty() included: no record is falsy
+        shadow = make_dataclass(type(r).__name__, r._fields)
+        assert repr(r) == repr(shadow(*(getattr(r, f) for f in r._fields)))
+
+
+def test_no_memcat_class_is_a_dataclass():
+    names = [m.name for m in pkgutil.walk_packages(memcat.__path__, "memcat.")]
+    classes = [c for name in names for _, c in inspect.getmembers(
+        importlib.import_module(name), inspect.isclass) if c.__module__.startswith("memcat.")]
+    assert len(classes) > 40
+    assert [c for c in classes if hasattr(c, "__dataclass_fields__")] == []
+    t = suite.load("mp")  # mutable records stay unhashable, and eq=False ones compare by identity
+    with pytest.raises(TypeError):
+        hash(t)
+    cand = Candidate(t.events, t, None, 0)
+    assert cand != Candidate(t.events, t, None, 0) and cand == cand
