@@ -7,16 +7,19 @@ from the same records the jsonl mode prints, so the two views never
 disagree.  Exit codes are a CI contract: 0 all pass, 1 a verdict
 mismatch or divergence, 2 usage, parse, unreadable-file or model
 evaluation errors.
+
+The front end is argparse: one parser per subcommand, built once at
+import, whose options may also follow the test names.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import json
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import suite
 from .cat import CatError
@@ -37,15 +40,9 @@ from .machine import (  # noqa: F401
 from .models import evaluate_test, load_model
 
 
-def _format_option(f):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["table", "jsonl"]),
-        default="table",
-        show_default=True,
-        help="report style",
-    )(f)
+class UsageError(Exception):
+    """A usage, parse, unreadable-file or model evaluation error: exit 2,
+    reported by the subcommand's parser."""
 
 
 def _model_label(spec: str) -> str:
@@ -56,9 +53,9 @@ def _load_model(spec: str, static_ppo: bool = False):
     try:
         return load_model(spec, static_ppo)
     except (OSError, CatError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"{spec}: {exc}")
+        raise UsageError(f"{spec}: {exc}")
 
 
 def _expand(args):
@@ -79,26 +76,16 @@ def _load_tests(args):
             elif arg in suite.names():
                 tests.append(suite.load(arg))
             else:
-                raise click.UsageError(f"{arg}: not a file or bundled test")
+                raise UsageError(f"{arg}: not a file or bundled test")
         except (LitmusError, OSError, UnicodeDecodeError) as exc:
-            raise click.UsageError(f"{arg}: {exc}")
+            raise UsageError(f"{arg}: {exc}")
     return tests
-
-
-def _max_candidates_option(f):
-    return click.option(
-        "--max-candidates",
-        default=MAX_CANDIDATES,
-        show_default=True,
-        type=click.IntRange(min=1),
-        help="max candidate executions per test; a test with more is a usage error",
-    )(f)
 
 
 def _bounded(tests, limit):
     for t in tests:
         if (count := count_candidates(t)) > limit:
-            raise click.UsageError(f"{t.name}: {count} candidates exceed --max-candidates {limit}")
+            raise UsageError(f"{t.name}: {count} candidates exceed --max-candidates {limit}")
     return tests
 
 
@@ -106,7 +93,7 @@ def _evaluate(t, model, spec, **kw):
     try:
         return evaluate_test(t, model, _model_label(spec), **kw)
     except CatError as exc:  # names the failing statement's file:line:col
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _table(headers, rows) -> str:
@@ -124,40 +111,76 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 def _emit_jsonl(records):
     if records:
-        click.echo("\n".join(map(_JSON.encode, records)))
+        print("\n".join(map(_JSON.encode, records)))
 
 
 def _checks_cell(checks: dict) -> str:
     return " ".join(f"{k}:{v}" for k, v in sorted(checks.items())) or "-"
 
 
-@click.group()
-def main():
-    """Weak-memory workbench: axiomatic models over litmus executions."""
+def _at_least_1(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
 
 
-@main.command()
-@click.option(
-    "-m",
-    "--model",
-    "model_spec",
-    required=True,
-    help="builtin model name or .cat file",
+_PARSER = argparse.ArgumentParser(
+    prog="memcat", description="Weak-memory workbench: axiomatic models over litmus executions."
 )
-@click.option(
-    "--prune-sc-per-location",
-    "prune",
-    is_flag=True,
-    help="skip candidates that fail the model's own sc-per-location check",
+_SUBPARSERS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required=True)
+_COMMANDS = {}  # subcommand name -> its parser
+
+
+def _option(*flags, **kw):
+    return flags, kw
+
+
+_FORMAT = _option(
+    "--format", dest="fmt", choices=("table", "jsonl"), default="table",
+    help="report style (default: %(default)s)",
 )
-@click.option(
-    "--static-ppo",
-    is_flag=True,
-    help="drop execution-dependent ppo ingredients (rdw, detour)",
+_MAX_CANDIDATES = _option(
+    "--max-candidates", type=_at_least_1, default=MAX_CANDIDATES,
+    help="max candidate executions per test; a test with more is a usage error "
+    "(default: %(default)s)",
 )
-@_max_candidates_option
-@_format_option
-@click.argument("tests", nargs=-1, required=True)
+
+
+def _command(*options, inputs="tests"):
+    """Make the decorated function the subcommand of its name, taking
+    options, each an _option, then one or more inputs."""
+
+    def register(fn):
+        sub = _SUBPARSERS.add_parser(
+            fn.__name__, help=fn.__doc__.partition("\n")[0], description=fn.__doc__,
+            allow_abbrev=False,
+        )
+        for flags, kw in options:
+            sub.add_argument(*flags, **kw)
+        sub.add_argument(inputs, nargs="+", metavar=inputs[:-1].upper())
+        sub.set_defaults(command=fn)
+        # parse_intermixed_args formats the usage on every call unless it is set
+        sub.usage = sub.format_usage().removeprefix("usage: ")
+        _COMMANDS[fn.__name__] = sub
+        return fn
+
+    return register
+
+
+@_command(
+    _option("-m", "--model", dest="model_spec", metavar="MODEL", required=True,
+            help="builtin model name or .cat file"),
+    _option("--prune-sc-per-location", dest="prune", action="store_true",
+            help="skip candidates that fail the model's own sc-per-location check"),
+    _option("--static-ppo", action="store_true",
+            help="drop execution-dependent ppo ingredients (rdw, detour)"),
+    _MAX_CANDIDATES,
+    _FORMAT,
+)
 def run(model_spec, prune, static_ppo, max_candidates, fmt, tests):
     """Evaluate one model over litmus tests."""
     model = _load_model(model_spec, static_ppo)
@@ -185,46 +208,22 @@ def run(model_spec, prune, static_ppo, max_candidates, fmt, tests):
         _emit_jsonl(records)
     else:
         ok_cell = {True: "yes", False: "NO", None: "-"}
-        rows = [
-            [
-                r["test"],
-                r["verdict"],
-                r["expected"] or "-",
-                ok_cell[r["ok"]],
-                r["candidates"],
-                r["passing"],
-                r["satisfying"],
-                _checks_cell(r["checks"]),
-                " | ".join(r["states"]) or "-",
-            ]
-            for r in records
-        ]
-        click.echo(
-            _table(
-                (
-                    "test",
-                    "verdict",
-                    "expected",
-                    "ok",
-                    "cands",
-                    "passing",
-                    "satisfying",
-                    "failed-checks",
-                    "states",
-                ),
-                rows,
-            )
-        )
+        rows = [[r["test"], r["verdict"], r["expected"] or "-", ok_cell[r["ok"]], r["candidates"],
+                 r["passing"], r["satisfying"], _checks_cell(r["checks"]),
+                 " | ".join(r["states"]) or "-"] for r in records]
+        headers = ("test", "verdict", "expected", "ok", "cands", "passing", "satisfying",
+                   "failed-checks", "states")
+        print(_table(headers, rows))
     if any(r["ok"] is False for r in records):
         sys.exit(1)
 
 
-@main.command()
-@click.option("-a", "spec_a", required=True, help="first model")
-@click.option("-b", "spec_b", required=True, help="second model")
-@_max_candidates_option
-@_format_option
-@click.argument("tests", nargs=-1, required=True)
+@_command(
+    _option("-a", dest="spec_a", metavar="MODEL", required=True, help="first model"),
+    _option("-b", dest="spec_b", metavar="MODEL", required=True, help="second model"),
+    _MAX_CANDIDATES,
+    _FORMAT,
+)
 def compare(spec_a, spec_b, max_candidates, fmt, tests):
     """Diff two models' verdicts and allowed states."""
     model_a = _load_model(spec_a)
@@ -254,39 +253,23 @@ def compare(spec_a, spec_b, max_candidates, fmt, tests):
     else:
         divergent = [r for r in records if r["diverges"]]
         if not divergent:
-            click.echo(f"no divergences between {label_a} and {label_b}")
+            print(f"no divergences between {label_a} and {label_b}")
         else:
-            click.echo(f"a = {label_a}, b = {label_b}")
-            rows = [
-                [
-                    r["test"],
-                    r["verdict_a"],
-                    r["verdict_b"],
-                    _checks_cell(r["checks_a"]),
-                    _checks_cell(r["checks_b"]),
-                ]
-                for r in divergent
-            ]
-            click.echo(
-                _table(("test", "a", "b", "a-failed-checks", "b-failed-checks"), rows)
-            )
+            print(f"a = {label_a}, b = {label_b}")
+            rows = [[r["test"], r["verdict_a"], r["verdict_b"], _checks_cell(r["checks_a"]),
+                     _checks_cell(r["checks_b"])] for r in divergent]
+            print(_table(("test", "a", "b", "a-failed-checks", "b-failed-checks"), rows))
     if any(r["diverges"] for r in records):
         sys.exit(1)
 
 
-@main.command()
-@click.option(
-    "--bound",
-    default=DEFAULT_BOUND,
-    show_default=True,
-    type=click.IntRange(min=1),
-    help="max memory events (incl. init) for exhaustive machine runs",
+@_command(
+    _option("--bound", type=_at_least_1, default=DEFAULT_BOUND,
+            help="max memory events (incl. init) for exhaustive machine runs "
+            "(default: %(default)s)"),
+    _option("--trace", action="store_true", help="dump one annotated machine replay per test"),
+    _FORMAT,
 )
-@click.option(
-    "--trace", is_flag=True, help="dump one annotated machine replay per test"
-)
-@_format_option
-@click.argument("tests", nargs=-1, required=True)
 def machine(bound, trace, fmt, tests):
     """Cross-check the operational machine against axiomatic Power."""
     power = _load_model("power")
@@ -299,7 +282,7 @@ def machine(bound, trace, fmt, tests):
         except BoundError as exc:
             return {**base, "skipped": True, "warning": str(exc)}
         except CatError as exc:  # an unbound name, or no ppo/fence/prop/hb
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         rec = {
             **base,
             "skipped": False,
@@ -319,33 +302,20 @@ def machine(bound, trace, fmt, tests):
     records = sorted(map(work, loaded), key=lambda r: r["test"])
     for rec in records:
         if rec.get("warning"):
-            click.echo(f"warning: skipped {rec['warning']}", err=True)
+            print(f"warning: skipped {rec['warning']}", file=sys.stderr)
     if fmt == "jsonl":
         _emit_jsonl(records)
     else:
-        rows = []
-        for r in records:
-            if r["skipped"]:
-                rows.append([r["test"], r["events"], "skipped", "-", "-"])
-            else:
-                rows.append(
-                    [
-                        r["test"],
-                        r["events"],
-                        "PASS" if r["equal"] else "FAIL",
-                        r["machine_behaviors"],
-                        r["axiomatic_behaviors"],
-                    ]
-                )
-        click.echo(
-            _table(("test", "events", "status", "machine", "axiomatic"), rows)
-        )
+        rows = [[r["test"], r["events"], "skipped", "-", "-"] if r["skipped"] else
+                [r["test"], r["events"], "PASS" if r["equal"] else "FAIL",
+                 r["machine_behaviors"], r["axiomatic_behaviors"]] for r in records]
+        print(_table(("test", "events", "status", "machine", "axiomatic"), rows))
         for r in records:
             if r.get("trace") is not None:
-                click.echo("")
-                click.echo(f"trace {r['test']}")
+                print()
+                print(f"trace {r['test']}")
                 for line in r["trace"]:
-                    click.echo(f"  {line}")
+                    print(f"  {line}")
     if any(r.get("equal") is False for r in records):
         sys.exit(1)
 
@@ -356,7 +326,7 @@ def _load_program(arg: str):
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         if path.suffix == ".litmus":
             return program_from_litmus(project(parse_litmus(text)))
         return parse_thr(text, name=path.stem)
@@ -364,12 +334,10 @@ def _load_program(arg: str):
         return parse_thr(suite.thr_source(arg), name=arg)
     if arg in suite.names():
         return program_from_litmus(suite.load(arg))
-    raise click.UsageError(f"{arg}: not a file or bundled program")
+    raise UsageError(f"{arg}: not a file or bundled program")
 
 
-@main.command()
-@_format_option
-@click.argument("inputs", nargs=-1, required=True)
+@_command(_FORMAT, inputs="inputs")
 def cycles(fmt, inputs):
     """Mine critical cycles and coherence shapes from thread programs.
 
@@ -381,8 +349,8 @@ def cycles(fmt, inputs):
     for arg in _expand(inputs):
         try:
             program = _load_program(arg)
-        except (ThrError, LitmusError, OSError, click.UsageError) as exc:
-            click.echo(f"error: {arg}: {exc}", err=True)
+        except (ThrError, LitmusError, OSError, UsageError) as exc:
+            print(f"error: {arg}: {exc}", file=sys.stderr)
             errors += 1
             continue
         records.extend(mine(program))
@@ -394,16 +362,47 @@ def cycles(fmt, inputs):
             [r["input"], r["name"], r["systematic"], r["classic"] or "-", r["axiom"]]
             for r in records
         ]
-        click.echo(
-            _table(("input", "name", "systematic", "classic", "axiom"), rows)
-        )
-        click.echo("")
-        click.echo("frequency")
-        click.echo(_table(("name", "count"), frequency(records)))
+        print(_table(("input", "name", "systematic", "classic", "axiom"), rows))
+        print()
+        print("frequency")
+        print(_table(("name", "count"), frequency(records)))
     else:
-        click.echo("no cycles")
+        print("no cycles")
     if errors:
         sys.exit(2)
+
+
+def _call(argv):
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    opts = vars(sub.parse_intermixed_args(argv[1:]) if sub else _PARSER.parse_args(argv))
+    command = opts.pop("command")
+    try:
+        command(**opts)
+    except UsageError as exc:
+        _COMMANDS[command.__name__].error(str(exc))
+
+
+def main(args=None, prog_name=None):
+    """Run `memcat <args>`, sys.argv[1:] by default; any exit code but 0
+    ends it in SystemExit.  prog_name is taken for click's calling
+    convention and unused: usage always names memcat."""
+    try:
+        try:
+            _call(sys.argv[1:] if args is None else list(args))
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: exit 1, and give the flush at exit nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+
+
+# the entry forms of click's callers: CliRunner reads main.name and calls
+# main.main(args=..., prog_name=...), as the benchmark's fork server does
+main.name, main.main = "memcat", main
 
 
 if __name__ == "__main__":

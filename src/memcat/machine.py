@@ -77,10 +77,15 @@ one quadrant of label pairs; a NEVER is a label that needs itself:
 
 where last, first and earlier pair each read with its last po-loc-earlier
 write, its first po-loc-later write and its po-loc-earlier reads.  Over a
-chunk of Power's candidates each quadrant is one bundle, and the graph
-over 2n labels, a(e) = e and b(e) = n + e, is their union: one closure
-decides every candidate of the chunk.  machine_context builds it at the
-chunk's first candidate and machine_accepts reads the candidate's byte.
+chunk of Power's candidates each quadrant is one bundle over the n
+events: AA = need_aa | block_aa, AB = need_ab, BA = need_ba | block_ba
+and BB = need_bb | block_bb, each block off the diagonal.  A cycle of
+labels runs through second labels alone, or from first label to first
+label, directly or through second labels; so a candidate is rejected
+exactly when loops(BB+ | (AA | AB;BB*;BA)+) is set, and two closures and
+two compositions decide every candidate of the chunk.  machine_context
+computes these verdicts at the chunk's first candidate and
+machine_accepts reads the candidate's byte.
 What depends on the test alone, the rectangles, label positions (a
 read's labels sit at one index whatever its rf source; only the label
 tuples name the source) and each read's po-loc neighbours, is fixed once
@@ -228,7 +233,7 @@ def _premises(t, c):
     quadrants' Bundles, with prop, and with rejected: byte j is nonzero
     iff the machine rejects candidate j.
     """
-    p, n = c.pack, t.n
+    p = c.pack
     ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in _layout(t).masks)
     rf, co, fr, po_loc = c["rf"], c["co"], c["fr"], c["po-loc"]
     ppo, fence, prop, hb = c["ppo"], c["fence"], c["prop"], c["hb"]
@@ -250,12 +255,11 @@ def _premises(t, c):
         block_ba=ppo_fence & rm,  # cr:ppo-write and cr:ppo-read
         block_bb=order & ww,  # cpw:order
     )
-    # a label never wedges itself
-    aa, bb = b["need_aa"] | b["block_aa"] & ~diag, b["need_bb"] | b["block_bb"] & ~diag
-    labels = Packing(2 * n, p.m)
-    graph = (p.embed(aa, labels) | p.embed(b["need_ab"], labels, 0, n)
-             | p.embed(b["need_ba"] | b["block_ba"], labels, n, 0) | p.embed(bb, labels, n, n))
-    b.rejected = labels.loops(labels.closure(graph))
+    # the label graph's quadrants, bb closed to BB+; a label never wedges itself
+    aa, ab = b["need_aa"] | b["block_aa"] & ~diag, b["need_ab"]
+    ba, bb = b["need_ba"] | b["block_ba"], p.closure(b["need_bb"] | b["block_bb"] & ~diag)
+    # a cycle runs through second labels alone, or from first label to first label
+    b.rejected = p.loops(bb | p.closure(aa | p.compose(p.compose(ab, bb | diag), ba)))
     return b
 
 
@@ -328,15 +332,15 @@ def machine_context(cand, env):
     env of the caller's evaluation of Power on cand, run_model(power, cand).env.
     The premises and verdicts of all of the chunk's candidates are
     computed at the first of them, from the chunk's bundles (env.chunk),
-    and kept on the chunk as its machine; labels, the event-to-label table
+    once that env is seen to bind all four, and kept on the chunk as its
+    machine; labels, the event-to-label table
     and the po-loc neighbours come from _layout, once per test.
     """
-    names = ("ppo", "fence", "prop", "hb")
-    if missing := [k for k in names if k not in env]:
-        raise CatError(f"power model binds no {', '.join(missing)}")
     chunk = env.chunk
     premises = getattr(chunk, "machine", None)
     if premises is None:
+        if missing := [k for k in ("ppo", "fence", "prop", "hb") if k not in env]:
+            raise CatError(f"power model binds no {', '.join(missing)}")
         premises = chunk.machine = _premises(cand.source, chunk)
     return MachineContext(cand, premises, cand.j)
 

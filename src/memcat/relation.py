@@ -242,18 +242,6 @@ class Packing:
             acc |= bits >> i * self.n & self.rows
         return acc * self.col0 & self.diag
 
-    def embed(self, bits: int, wide: "Packing", row: int = 0, col: int = 0) -> int:
-        """The bundle of bits in wide, a packing of as many relations over
-        a universe at least as large: each pair (i, j) moves to
-        (row + i, col + j)."""
-        src, out, size = self.to_bytes(bits), bytearray(wide.m * wide.size), wide.size
-        for i in range(self.size):  # each block's bytes to the start of wide's block
-            out[i::size] = src[i::self.size]
-        moved, acc, rows = int.from_bytes(out, "little"), 0, ((1 << self.n) - 1) * wide.rep
-        for i in range(self.n):  # then each row to wide's row stride
-            acc |= (moved >> i * self.n & rows) << i * wide.n
-        return acc << row * wide.n + col
-
     def loops(self, bits: int) -> bytes:
         """Byte j is nonzero iff relation j has a pair (i, i)."""
         bits &= self.diag

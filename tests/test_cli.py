@@ -1,11 +1,15 @@
 """End-to-end checks of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import memcat.cli
 from memcat import cat, models, suite
 from memcat.cli import main
 from memcat.executions import enumerate_candidates
@@ -38,6 +42,60 @@ def test_help_lists_subcommands():
     assert res.exit_code == 0
     for sub in ("run", "compare", "machine", "cycles"):
         assert sub in res.output
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("run", "mp", "-m", "sc", "--format", "jsonl", "sb"), 0),
+        (("machine", "--bound", "0", "mp"), 2),
+        (("run", "-m", "sc", "--max-candidates", "0", "mp"), 2),
+        (("run", "-m", "sc", "--format", "xml", "mp"), 2),
+        (("nonesuch", "mp"), 2),
+        ((), 2),
+        (("run", "--help"), 0),
+    ],
+    ids=["options-after-tests", "bound-0", "max-candidates-0", "format-xml",
+         "unknown-subcommand", "bare", "run-help"],
+)
+def test_parsing(args, code):
+    res = invoke(*args)
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    if "--help" in args:
+        for option in ("-m", "--model", "--prune-sc-per-location", "--static-ppo",
+                       "--max-candidates", "--format"):
+            assert option in res.output
+    elif code == 0:
+        first = invoke("run", "-m", "sc", "--format", "jsonl", "mp", "sb")
+        assert [r["test"] for r in jsonl(res)] == ["mp", "sb"]
+        assert jsonl(res) == jsonl(first)
+
+
+# the suite's records pass stdout's buffer, so printing them fails; mp's
+# stay in it until memcat flushes
+@pytest.mark.parametrize("inputs", [suite.names(), ["mp"]], ids=["suite", "mp"])
+def test_closed_stdout_exits_1_without_traceback(inputs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a pipe's default
+    env["PYTHONPATH"] = str(Path(memcat.cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "memcat.cli", "cycles", "--format", "jsonl", *inputs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the first write
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
+
+
+def test_interrupt_exits_1_with_aborted(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(memcat.cli, "_load_tests", interrupted)
+    res = invoke("run", "-m", "sc", "mp")
+    assert res.exit_code == 1
+    assert "Aborted!" in (getattr(res, "stderr", "") or res.output)
 
 
 def test_run_power_table_cites_failing_check():
