@@ -504,13 +504,14 @@ def _fixpoint(env: dict, group: list) -> None:
 
 
 def _compile(model: Model) -> tuple:
-    """Compile model's statements, in order, into (per_test, per_chunk,
-    dirs).  per_test holds the steps of the lets and let recs that read
-    only names all candidates of a test share, and per_chunk the rest,
-    checks included; a step is (statement position, function of a chunk).
+    """Compile model's statements, in order, into (at_bind, per_chunk,
+    dirs).  at_bind holds the steps of the lets and let recs that read
+    only names all candidates of a test share, which bind runs once, and
+    per_chunk the rest, checks included; a step is (statement position,
+    function of a chunk).
     dirs holds the direction filters whose masks the steps read."""
     names, static = set(_TEST_NAMES + _CANDIDATE_NAMES), set(_TEST_NAMES)
-    per_test, per_chunk, dirs = [], [], set()
+    at_bind, per_chunk, dirs = [], [], set()
     read = set()  # the names the statement being compiled reads
     ops = {Union: lambda p, a, b: a | b, Inter: lambda p, a, b: a & b,
            Diff: lambda p, a, b: a & ~b, Seq: Packing.compose}
@@ -571,8 +572,8 @@ def _compile(model: Model) -> tuple:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
         once = own is not None and read <= static.union(own)
         static.update(own if once else ())
-        (per_test if once else per_chunk).append((stmt.pos, f))
-    return per_test, per_chunk, dirs
+        (at_bind if once else per_chunk).append((stmt.pos, f))
+    return at_bind, per_chunk, dirs
 
 
 def _run(steps: list, c: _Chunk) -> None:
@@ -599,11 +600,11 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     result: its verdict and an env that wraps bits in a Relation only when
     a name is read, from which its checks are built only when read.
     """
-    (per_test, per_chunk, dirs), n = model.plan, t.n
+    (at_bind, per_chunk, dirs), n = model.plan, t.n
     shared = _Chunk(Packing.single(n), {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs})
     shared.update({"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": shared.pack.diag})
     shared.update((k, r.bits) for k, r in {**t.deps, **t.fences}.items())
-    _run(per_test, shared)
+    _run(at_bind, shared)
     same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its _Chunk
 
     def evaluate(chunk: Bundles) -> list:

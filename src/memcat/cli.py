@@ -19,6 +19,7 @@ import glob
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import suite
@@ -67,13 +68,14 @@ def _expand(args):
 
 
 def _load_tests(args):
-    tests = []
+    # the bundled names, looked up at the first input that is not a file
+    tests, bundled = [], cache(lambda: set(suite.names()))
     for arg in _expand(args):
         path = Path(arg)
         try:
             if path.is_file():
                 tests.append(project(parse_litmus(path.read_text())))
-            elif arg in suite.names():
+            elif arg in bundled():
                 tests.append(suite.load(arg))
             else:
                 raise UsageError(f"{arg}: not a file or bundled test")
@@ -320,7 +322,8 @@ def machine(bound, trace, fmt, tests):
         sys.exit(1)
 
 
-def _load_program(arg: str):
+def _load_program(arg: str, names):
+    """arg's program; names() gives the bundled .thr shapes' and tests' names."""
     path = Path(arg)
     if path.is_file():
         try:
@@ -330,11 +333,12 @@ def _load_program(arg: str):
         if path.suffix == ".litmus":
             return program_from_litmus(project(parse_litmus(text)))
         return parse_thr(text, name=path.stem)
-    if arg in suite.thr_names():
+    shapes, bundled = names()
+    if arg in shapes:
         return parse_thr(suite.thr_source(arg), name=arg)
-    if arg in suite.names():
+    if arg in bundled:
         return program_from_litmus(suite.load(arg))
-    raise UsageError(f"{arg}: not a file or bundled program")
+    raise UsageError("not a file or bundled program")
 
 
 @_command(_FORMAT, inputs="inputs")
@@ -344,11 +348,11 @@ def cycles(fmt, inputs):
     Each input is a file (.litmus, else .thr), else a bundled .thr shape,
     else a bundled test: `cycles mp` mines mp.thr, so the bundled
     mp.litmus has to be given by its path."""
-    records = []
-    errors = 0
+    # the bundled names, looked up at the first input that is not a file
+    records, errors, names = [], 0, cache(lambda: (set(suite.thr_names()), set(suite.names())))
     for arg in _expand(inputs):
         try:
-            program = _load_program(arg)
+            program = _load_program(arg, names)
         except (ThrError, LitmusError, OSError, UsageError) as exc:
             print(f"error: {arg}: {exc}", file=sys.stderr)
             errors += 1

@@ -7,14 +7,14 @@ write permutations lexicographically, rf sources in ascending event id,
 coherence choices in the outer loop.  Candidates come in chunks of
 CHUNK consecutive ones: each chunk packs its candidates' rf, co and fr
 once, one bundle each (relation.Bundles), and a candidate is a block of
-its chunk.  Each rf choice is turned into a block's bytes once per test
-and each co order once per enumeration, so a chunk's rf and co are joins
-of bytes.
+its chunk.  Each rf choice and each co order is turned into a block's
+bytes once per enumeration, so a chunk's rf and co are joins of bytes.
 
-A test's final condition is compiled once per test: each atom resolves
-to a constant, a read or a location's writes, and each key of read
-values and co-last writes is formatted and tested once.
-count_candidates counts a test's candidates without enumerating them.
+final_outcome compiles a test's final condition once per call, and a
+walk over the candidates calls it once: each atom resolves to a
+constant, a read or a location's writes, and each key of read values
+and co-last writes is formatted and tested once.  count_candidates
+counts a test's candidates without enumerating them.
 """
 
 from __future__ import annotations
@@ -72,25 +72,6 @@ def _fr(pack: Packing, rf: int, co: int, links) -> int:
     return fr
 
 
-def per_test(build):
-    """Memoise build(t) on the last test it was called with, by identity.
-
-    Candidates come test by test, so one entry serves every candidate of
-    a test; the pair is replaced whole, so a reader never sees a test
-    with another test's value.
-    """
-    last = [(None, None)]
-
-    def cached(t):
-        pair = last[0]
-        if pair[0] is not t:
-            pair = last[0] = (t, build(t))
-        return pair[1]
-
-    return cached
-
-
-@per_test
 def _space(t: ProjectedTest) -> tuple:
     """t's candidates as (rf choices, co orders, links): per rf choice its
     events and rf bytes, a relation's block (Packing.join); per location
@@ -133,11 +114,10 @@ def _order(n: int, writes: list) -> int:
     return bits
 
 
-@per_test
 def final_outcome(t: ProjectedTest):
     """t's final condition as a function giving a candidate's (observed
     state, that state joined by "; ", truth).  The atoms resolve once per
-    test; the outcome depends only on its key, the registers' constants or
+    call; the outcome depends only on its key, the registers' constants or
     read values and the locations' co-last writes, and is made once per
     key."""
     regs = sorted({(a.thread, a.reg) for a in atoms(t.final.cond) if isinstance(a, RegEq)})
@@ -172,6 +152,7 @@ def final_outcome(t: ProjectedTest):
         if writes:
             co = cand.chunk.blocks("co")[cand.j]
             key += tuple([tuple([w for w in ws if not co >> w * n & full]) for ws in writes])
+        # the memo hits on most passing candidates of wide tests, though on no suite test
         return memo.get(key) or memo.setdefault(key, make(key))
 
     cond = compile_cond(t.final.cond)

@@ -88,8 +88,8 @@ computes these verdicts at the chunk's first candidate and
 machine_accepts reads the candidate's byte.
 What depends on the test alone, the rectangles, label positions (a
 read's labels sit at one index whatever its rf source; only the label
-tuples name the source) and each read's po-loc neighbours, is fixed once
-per test.
+tuples name the source) and each read's po-loc neighbours, is the
+layout, built with the premises of each chunk and kept on them.
 
 A candidate's labels and its need and block bitmasks, in that label
 order, are built from its block of the quadrants only when read.
@@ -106,7 +106,7 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .cat import CatError
-from .executions import final_outcome, per_test
+from .executions import final_outcome
 from .relation import (
     Bundles,
     Candidate,
@@ -166,7 +166,6 @@ class _Layout(NamedTuple):
     masks: tuple
 
 
-@per_test
 def _layout(t):
     """t's _Layout.
 
@@ -174,29 +173,25 @@ def _layout(t):
     same index whatever r's rf source; cp(w) is the next bit, and init
     writes have none.
     """
-    events, n, po_loc = t.events, t.n, t.po_loc
+    events, n, one = t.events, t.n, Packing.single(t.n)
     writes = [e for e in events if is_write(e) and e.thread != "init"]
     reads = [e for e in events if is_read(e)]
     slot = [0] * n
     for k, e in enumerate(writes + reads):
         slot[e.id] = 1 << 2 * k
     w, r, i = _mask(writes), _mask(reads), _mask(e for e in events if e.thread == "init")
-    last = first = earlier = 0
-    for x in reads:
-        before = [e for e in events if (e.id, x.id) in po_loc]
-        after = [e for e in events if is_write(e) and (x.id, e.id) in po_loc]
-        ws = [e for e in before if is_write(e)]
-        if ws:
-            last |= 1 << x.id * n + max(ws, key=lambda e: e.po_index).id
-        if after:
-            first |= 1 << x.id * n + min(after, key=lambda e: e.po_index).id
-        earlier |= _mask(e for e in before if is_read(e)) << x.id * n
 
     def rect(rows, cols):
         return sum(cols << e * n for e in range(n) if rows >> e & 1)
 
-    masks = (rect(w, w), rect(w, r), rect(r, r), rect(r, w), rect(r, w | r), rect(w, i),
-             rect(r, i), rect(w | r, w | r) & Packing.single(n).diag, last, first, earlier)
+    ww, rw, rr = rect(w, w), rect(r, w), rect(r, r)
+    back = t.po_loc.inverse().bits
+
+    def nearest(po):  # (r, w) for read r's nearest write w along po, po-loc or its inverse
+        return po & rw & ~one.compose(po & rw, po & ww)
+
+    masks = (ww, rect(w, r), rr, rw, rect(r, w | r), rect(w, i), rect(r, i),
+             rect(w | r, w | r) & one.diag, nearest(back), nearest(t.po_loc.bits), back & rr)
     write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
     return _Layout(tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
                    w, slot, masks)
@@ -230,11 +225,11 @@ def _premises(t, c):
     Each premise is one of the chunk's event bundles masked to a
     rectangle of events, in one quadrant of labels (see the module
     docstring); a label that can never fire needs itself.  Returns the
-    quadrants' Bundles, with prop, and with rejected: byte j is nonzero
-    iff the machine rejects candidate j.
+    quadrants' Bundles, with prop, with t's layout, and with rejected:
+    byte j is nonzero iff the machine rejects candidate j.
     """
-    p = c.pack
-    ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in _layout(t).masks)
+    p, layout = c.pack, _layout(t)
+    ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in layout.masks)
     rf, co, fr, po_loc = c["rf"], c["co"], c["fr"], c["po-loc"]
     ppo, fence, prop, hb = c["ppo"], c["fence"], c["prop"], c["hb"]
     order, ppo_fence, diag = po_loc | prop, ppo | fence, p.diag
@@ -260,6 +255,7 @@ def _premises(t, c):
     ba, bb = b["need_ba"] | b["block_ba"], p.closure(b["need_bb"] | b["block_bb"] & ~diag)
     # a cycle runs through second labels alone, or from first label to first label
     b.rejected = p.loops(bb | p.closure(aa | p.compose(p.compose(ab, bb | diag), ba)))
+    b.layout = layout
     return b
 
 
@@ -290,7 +286,7 @@ class MachineContext:
 
     @cached_property
     def labels(self) -> tuple:  # all pending labels, index = label id
-        lay, src = _layout(self.cand.source), self.rf_src
+        lay, src = self.premises.layout, self.rf_src
         return lay.write_labels + tuple(
             x for r in lay.read_ids for x in (("sr", src[r], r), ("cr", src[r], r)))
 
@@ -313,12 +309,12 @@ class MachineContext:
     @cached_property
     def _bitmasks(self) -> tuple:
         """(need, block) as label bitmasks, indexed by label id."""
-        lay, j, b = _layout(self.cand.source), self.j, self.premises
+        b, j = self.premises, self.j
         aa, ab, ba, bb = (b.relation(k, j).inverse().row for k in _NEED)  # by the label needing
         out_aa, out_ba, out_bb = (b.relation(k, j).row for k in _BLOCK)
-        firsts = partial(_firsts, lay.slot)
+        firsts = partial(_firsts, b.layout.slot)
         need, block = [], []
-        for e in lay.write_ids + lay.read_ids:
+        for e in b.layout.write_ids + b.layout.read_ids:
             need += [NEVER if aa(e) >> e & 1 else firsts(aa(e)) | firsts(ba(e)) << 1,
                      NEVER if bb(e) >> e & 1 else firsts(ab(e)) | firsts(bb(e)) << 1]
             block += [firsts(out_aa(e)), firsts(out_ba(e)) | firsts(out_bb(e)) << 1]
@@ -333,8 +329,8 @@ def machine_context(cand, env):
     The premises and verdicts of all of the chunk's candidates are
     computed at the first of them, from the chunk's bundles (env.chunk),
     once that env is seen to bind all four, and kept on the chunk as its
-    machine; labels, the event-to-label table
-    and the po-loc neighbours come from _layout, once per test.
+    machine, with the layout they share: labels, the event-to-label table
+    and the po-loc neighbours, built once per chunk.
     """
     chunk = env.chunk
     premises = getattr(chunk, "machine", None)
@@ -407,8 +403,7 @@ def witness_path(ctx):
     machine_accepts rejects the candidate.
     """
     cand, preds = ctx.cand, _preds(ctx)
-    lay = _layout(cand.source)
-    writes, slot = lay.writes, lay.slot
+    writes, slot = ctx.premises.layout.writes, ctx.premises.layout.slot
     ahead = cand.co.bits | Packing.single(cand.n).closure(ctx.prop.bits)
     prefer = list(preds)
     for w1, w2 in Relation(cand.n, ahead).pairs():
@@ -465,21 +460,6 @@ def trace_lines(ctx, path):
     ]
 
 
-@per_test
-def _behavior(t):
-    """A function giving a candidate of t's behavior: its rf pairs, made
-    once per rf choice, and its observed state joined by "; "."""
-    outcome, rfs = final_outcome(t), {}
-
-    def behavior(cand):
-        bits = cand.chunk.blocks("rf")[cand.j]
-        if bits not in rfs:
-            rfs[bits] = frozenset(Relation(t.n, bits).pairs())
-        return rfs[bits], outcome(cand)[1]
-
-    return behavior
-
-
 def cross_check(t, model, bound: int = DEFAULT_BOUND):
     """Machine and model behaviors of t, evaluating model once per candidate.
 
@@ -492,13 +472,13 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
     accepted, allowed, first = set(), set(), None
-    judge, behavior = bind(model, t), _behavior(t)
+    judge, outcome = bind(model, t), final_outcome(t)
     for cand in enumerate_candidates(t):
         result = run_model(judge, cand)
         ctx = machine_context(cand, result.env)
         accepts = machine_accepts(ctx)
         if accepts or result.passed:
-            seen = behavior(cand)
+            seen = frozenset(cand.rf.pairs()), outcome(cand)[1]
             if accepts:
                 accepted.add(seen)
                 first = first or ctx
@@ -520,5 +500,6 @@ def model_behaviors(t, model):
     from .cat import bind, run_model
     from .executions import enumerate_candidates
 
-    judge, behavior = bind(model, t), _behavior(t)
-    return {behavior(c) for c in enumerate_candidates(t) if run_model(judge, c).passed}
+    judge, outcome = bind(model, t), final_outcome(t)
+    return {(frozenset(c.rf.pairs()), outcome(c)[1])
+            for c in enumerate_candidates(t) if run_model(judge, c).passed}

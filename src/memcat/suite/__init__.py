@@ -5,8 +5,11 @@ from pathlib import Path
 from ..litmus import ProjectedTest, parse_litmus, project
 
 
+_DIR = Path(__file__).resolve().parent
+
+
 def suite_dir() -> Path:
-    return Path(__file__).resolve().parent
+    return _DIR
 
 
 def names() -> list:

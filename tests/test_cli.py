@@ -445,6 +445,17 @@ def test_cycles_parse_error_continues_but_exits_nonzero(tmp_path):
     assert "bad.thr" in err
 
 
+@pytest.mark.parametrize("arg", ["nonesuch", "{}/missing.litmus"],
+                         ids=["unknown-name", "missing-litmus"])
+def test_cycles_names_an_unknown_input_once(tmp_path, arg):
+    arg = arg.format(tmp_path)
+    res = invoke("cycles", arg)
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert f"error: {arg}: not a file or bundled program\n" in err
+    assert err.count(arg) == 1
+
+
 def test_cycles_straight_line_has_none(tmp_path):
     f = tmp_path / "line.thr"
     f.write_text("T0: Wx Wy\n")

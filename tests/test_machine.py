@@ -1,6 +1,8 @@
 """Operational machine: acceptance, witness paths, path derivation."""
 
+import gc
 import runpy
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +11,7 @@ import pytest
 
 from memcat import machine, suite
 from memcat.cat import bind, run_model
-from memcat.executions import enumerate_candidates, evaluate_final
+from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import parse_litmus, project
 from memcat.machine import (
     NEVER,
@@ -23,7 +25,7 @@ from memcat.machine import (
     trace_lines,
     witness_path,
 )
-from memcat.models import load_builtin
+from memcat.models import evaluate_test, load_builtin
 from memcat.relation import Packing, closure, compose, is_read, is_write, restrict
 
 from test_executions import CHUNKED, reference_state
@@ -397,6 +399,23 @@ def mask(events):
     return sum(1 << e.id for e in events)
 
 
+def reference_neighbours(t):
+    """The po-loc scan machine._layout replaced: the bits of last, first
+    and earlier, found per read by testing every event against po-loc."""
+    events, n, po_loc = t.events, t.n, t.po_loc
+    last = first = earlier = 0
+    for x in (e for e in events if is_read(e)):
+        before = [e for e in events if (e.id, x.id) in po_loc]
+        after = [e for e in events if is_write(e) and (x.id, e.id) in po_loc]
+        ws = [e for e in before if is_write(e)]
+        if ws:
+            last |= 1 << x.id * n + max(ws, key=lambda e: e.po_index).id
+        if after:
+            first |= 1 << x.id * n + min(after, key=lambda e: e.po_index).id
+        earlier |= mask(e for e in before if is_read(e)) << x.id * n
+    return last, first, earlier
+
+
 def candidate_context(cand, env):
     """The per-candidate builder the chunk's premises replaced: one
     candidate's rf, co and Power relations, as ints, turned into label
@@ -515,10 +534,11 @@ def test_machine_decides_each_chunk_once_and_answers_each_candidate(power, monke
     assert calls == {"_premises": 3, "machine_context": 600, "machine_accepts": 600}
 
 
-def generated(workload, seed):
+def generated(workload, seed, mine_only=False):
     """perfbench/gen.py's tests for one workload and seed, projected."""
     gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
-    return [project(parse_litmus(text)) for _, text, _, _ in gen["generate"](workload, seed)]
+    return [project(parse_litmus(text))
+            for _, text, _, _ in gen["generate"](workload, seed, mine_only)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -526,6 +546,28 @@ def test_machine_context_agrees_with_reference_on_generated_tests(power, seed):
     # the machine's own benchmark inputs: 8-9 events, 30-90 candidates each
     counts = [assert_test_matches_reference(t, power) for t in generated("xcheck", seed)]
     assert len(counts) == 20 and all(chunks == 1 for _, chunks in counts)
+
+
+def test_layout_neighbours_match_the_po_loc_scan():
+    # every input of the benchmark's wide and xcheck seeds 1-3, mined ones too
+    tests = suite_and_neighbour_tests() + [
+        t for w in ("wide", "xcheck") for seed in (1, 2, 3) for mine in (False, True)
+        for t in generated(w, seed, mine)]
+    for t in tests:
+        assert machine._layout(t).masks[-3:] == reference_neighbours(t), t.name
+    assert len(tests) == 397
+
+
+def test_no_module_keeps_a_test_alive(power):
+    # each walk builds the tables it needs, so once its results are dropped
+    # only the caller refers to the test
+    frame, t = sys._getframe(), suite.load("mp")
+    result, behaviors = evaluate_test(t, power), machine.cross_check(t, power)
+    states = [observed_state(cand) for cand in enumerate_candidates(t)]
+    assert result.witness and behaviors[2] and len(states) == 4
+    del result, behaviors
+    gc.collect()
+    assert [r for r in gc.get_referrers(t) if r is not frame] == []
 
 
 # one thread reads x, writes x, then reads x twice: the first read has a
@@ -701,8 +743,8 @@ def test_witness_path_exists_exactly_when_the_machine_accepts(power):
 
 
 def test_behaviors_match_a_per_candidate_reference(power):
-    # each rf choice's pairs are made once and each state once per key;
-    # fed test after test, as cross_check and the CLI feed them
+    # each state is made once per key; fed test after test, as
+    # cross_check and the CLI feed them
     for t in [suite.load(name) for name in ("2+2w", "coWW", "iriw", "mp")] + [CHUNKED]:
         want = {(frozenset(cand.rf.pairs()), "; ".join(reference_state(cand)))
                 for cand, _, passed in contexts(t, power) if passed}
