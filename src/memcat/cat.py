@@ -18,7 +18,13 @@ names every candidate of a test shares (po, po-loc, deps, fences, 0, id
 and lets built from them) runs once per test (bind), on a chunk of one;
 the rest runs once per chunk, on the chunk's rf, co and fr, which
 enumeration packs once, and on those shared values, each repeated into
-every block when a step first reads it.  A chunk's verdicts, and its
+every block when a step first reads it.  An expression the model
+closes more than once (e+, e* or an acyclic check) is closed once per
+chunk, unless it reads a name of the let rec being solved.  Sequence,
+intersection and the left side of a difference give 0 without
+evaluating their other side when an operand, a name evaluated first,
+is empty.  A let rec runs a binding again only when a recursive name
+it reads has changed since it last ran.  A chunk's verdicts, and its
 failures per check, are read from its per-check failure bytes; a
 candidate's check results are built from them only when read.
 """
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, reduce
 from pathlib import Path
@@ -419,17 +426,27 @@ class _Chunk(Bundles):
     """A chunk as a bound model evaluated it: each name's bundle (a name of
     shared, the one-block bits of the names all candidates share, is
     repeated into every block when first read); masks, each direction
-    filter's mask repeated into every block; per check (its result if ok,
-    bytes whose byte j is nonzero if candidate j fails it, its test and
-    bundle); and loops, the union of the relations whose loops fail a
+    filter's mask repeated into every block; closures, the bits of e+ by
+    slot for each e the model closes more than once; per check (its result
+    if ok, bytes whose byte j is nonzero if candidate j fails it, its test
+    and bundle); and loops, the union of the relations whose loops fail a
     check."""
 
     def __init__(self, pack: Packing, masks: dict, shared: Optional[Mapping] = None):
         super().__init__(pack)
         self.masks, self.shared, self.checks, self.loops = masks, shared or {}, [], 0
+        self.closures = {}
 
     def __missing__(self, name: str) -> int:
         return self.setdefault(name, self.shared[name] * self.pack.rep)
+
+    def closed(self, i: int, f: Callable) -> int:
+        """Bits of e+ for the expression e in closure slot i, f being e as a
+        function of a chunk: taken at the first call on the chunk."""
+        got = self.closures.get(i)
+        if got is None:
+            got = self.closures[i] = self.pack.closure(f(self))
+        return got
 
     def failures(self, skip: Optional[str] = None) -> dict:
         """Check name -> the chunk's candidates failing it, if any; one that
@@ -489,18 +506,51 @@ class ModelResult(NamedTuple):
 
 
 def _fixpoint(env: dict, group: list) -> None:
-    """Set the group's least fixpoint in env."""
-    # chaotic iteration; all operators that may see recursive names are
-    # monotone, so this terminates
-    env.update((name, 0) for name, _ in group)
-    changed = True
-    while changed:
-        changed = False
-        for name, f in group:
-            new = f(env)
-            if new != env[name]:
-                env[name] = new
-                changed = True
+    """Set the group's least fixpoint in env.
+
+    group holds (name, function of env, readers), readers being the
+    indices of the bindings that read name.  Every binding runs once from
+    0, then again only when a name it reads has changed since it last
+    ran: chaotic iteration on a worklist, which ends at the least
+    fixpoint because every operator that may see a recursive name is
+    monotone, and needs no confirming pass."""
+    env.update((name, 0) for name, _, _ in group)
+    todo = set(range(len(group)))
+    while todo:
+        for i, (name, f, readers) in enumerate(group):
+            if i in todo:
+                todo.discard(i)
+                new = f(env)
+                if new != env[name]:
+                    env[name] = new
+                    todo |= readers
+
+
+def _walk(node, rec: set, closed: list) -> set:
+    """The names node reads; appends to closed each expression node closes
+    (e+ or e*) that reads no name of rec, with the names it reads."""
+    if isinstance(node, Name):
+        return {node.value}
+    if isinstance(node, Empty):
+        return set()
+    if isinstance(node, _Binary):
+        return _walk(node.left, rec, closed) | _walk(node.right, rec, closed)
+    read = _walk(node.expr, rec, closed)
+    if isinstance(node, (Plus, Star)) and read.isdisjoint(rec):
+        closed.append((node.expr, frozenset(read)))
+    return read
+
+
+def _reads(stmt, closed: list) -> list:
+    """The names each expression of stmt reads; appends to closed what
+    stmt closes, as _walk does, an acyclic check's expression included."""
+    if isinstance(stmt, LetRec):
+        own = {name for name, _ in stmt.bindings}
+        return [_walk(expr, own, closed) for _, expr in stmt.bindings]
+    read = _walk(stmt.expr, (), closed)
+    if isinstance(stmt, Check) and stmt.kind == "acyclic":
+        closed.append((stmt.expr, frozenset(read)))
+    return [read]
 
 
 def _compile(model: Model) -> tuple:
@@ -509,18 +559,36 @@ def _compile(model: Model) -> tuple:
     only names all candidates of a test share, which bind runs once, and
     per_chunk the rest, checks included; a step is (statement position,
     function of a chunk).
-    dirs holds the direction filters whose masks the steps read."""
+    dirs holds the direction filters whose masks the steps read.
+
+    An expression the model closes more than once (in e+, e* or an
+    acyclic check) gets a slot, and where it reads no name of the let rec
+    being solved its closure is taken once per chunk (_Chunk.closed)."""
     names, static = set(_TEST_NAMES + _CANDIDATE_NAMES), set(_TEST_NAMES)
     at_bind, per_chunk, dirs = [], [], set()
-    read = set()  # the names the statement being compiled reads
-    ops = {Union: lambda p, a, b: a | b, Inter: lambda p, a, b: a & b,
-           Diff: lambda p, a, b: a & ~b, Seq: Packing.compose}
+    rec = set()  # the names of the let rec being compiled
+    leaf = (Name, Empty)
+    times = Counter()  # (expression, the names it reads) -> times the model closes it
+    walked = []  # per statement, the names each of its expressions reads
+    for stmt in model.statements:
+        closed = []
+        try:
+            reads = _reads(stmt, closed)
+            times.update(closed)
+        except RecursionError:
+            break  # reported after the errors of the statements before it
+        walked.append(reads)
+    slots = {e: (i, read) for i, (e, read) in enumerate(k for k, t in times.items() if t > 1)}
+
+    def slot(expr) -> Optional[int]:
+        """expr's closure slot, unless expr reads a name of the let rec being solved."""
+        i, read = slots.get(expr, (None, ()))
+        return i if rec.isdisjoint(read) else None
 
     def compile_expr(node):
         if isinstance(node, Name):
             if node.value not in names:
                 raise CatError(f"unbound name {node.value!r}")
-            read.add(node.value)
             return operator.itemgetter(node.value)
         if isinstance(node, Empty):
             return lambda c: 0
@@ -529,10 +597,24 @@ def _compile(model: Model) -> tuple:
             dirs.add(d)
             return lambda c: f(c) & c.masks[d]
         if isinstance(node, (Plus, Star)):
-            f, star = compile_expr(node.expr), isinstance(node, Star)
-            return lambda c: c.pack.closure(f(c), star)
-        op, f, g = ops[type(node)], compile_expr(node.left), compile_expr(node.right)
-        return lambda c: op(c.pack, f(c), g(c))
+            f, star, i = compile_expr(node.expr), isinstance(node, Star), slot(node.expr)
+            if i is None:
+                return lambda c: c.pack.closure(f(c), star)
+            if star:
+                return lambda c: c.closed(i, f) | c.pack.diag
+            return lambda c: c.closed(i, f)
+        f, g = compile_expr(node.left), compile_expr(node.right)
+        if isinstance(node, Union):
+            return lambda c: f(c) | g(c)
+        if isinstance(node, Diff):  # an empty operand evaluated first spares the other
+            return lambda c: (a := f(c)) and a & ~g(c)
+        if isinstance(node.right, leaf) and not isinstance(node.left, leaf):  # the name first
+            if isinstance(node, Inter):
+                return lambda c: (b := g(c)) and f(c) & b
+            return lambda c: (b := g(c)) and c.pack.compose(f(c), b)
+        if isinstance(node, Inter):
+            return lambda c: (a := f(c)) and a & g(c)
+        return lambda c: (a := f(c)) and c.pack.compose(a, g(c))
 
     def declare(*new):
         for name in new:
@@ -541,38 +623,45 @@ def _compile(model: Model) -> tuple:
             names.add(name)
         return new
 
-    def step(stmt):
+    def step(stmt, reads):
         """stmt as a function of a chunk, and the names it binds (None for a check)."""
         if isinstance(stmt, Let):
             f = compile_expr(stmt.expr)
             return (lambda c: operator.setitem(c, stmt.name, f(c))), declare(stmt.name)
         if isinstance(stmt, LetRec):
             own = declare(*(name for name, _ in stmt.bindings))
-            group = [(name, compile_expr(expr)) for name, expr in stmt.bindings]
+            rec.update(own)
+            group = [(name, compile_expr(expr), {j for j, read in enumerate(reads) if name in read})
+                     for name, expr in stmt.bindings]
             return (lambda c: _fixpoint(c, group)), own
         f = compile_expr(stmt.expr)
         test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
-        ok = CheckResult(stmt.name, stmt.kind, True, None)
+        ok, i = CheckResult(stmt.name, stmt.kind, True, None), slot(stmt.expr)
 
         def check(c):
             bits, p = f(c), c.pack
-            loops = p.closure(bits) if test is check_acyclic else bits
+            if test is check_irreflexive:
+                loops = bits
+            else:
+                loops = p.closure(bits) if i is None else c.closed(i, lambda _: bits)
             c.loops |= loops
             c.checks.append((ok, p.loops(loops), test, bits))
 
         return check, None
 
-    for stmt in model.statements:
-        read.clear()
+    for stmt, reads in zip(model.statements, walked):
+        rec.clear()
         try:
-            f, own = step(stmt)
+            f, own = step(stmt, reads)
         except CatError as exc:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
-        once = own is not None and read <= static.union(own)
+        once = own is not None and set().union(*reads) <= static.union(own)
         static.update(own if once else ())
         (at_bind if once else per_chunk).append((stmt.pos, f))
+    if len(walked) < len(model.statements):
+        raise CatError(f"{model.statements[len(walked)].pos}: {_TOO_DEEP}")
     return at_bind, per_chunk, dirs
 
 

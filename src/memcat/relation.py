@@ -192,7 +192,8 @@ class Packing:
     every block, so bits * rep repeats one relation in every block.  |, &
     and a & ~b act blockwise on bundles as they are; compose and closure
     act blockwise here, each step ANDing a broadcast column with a
-    broadcast row.  Packing.single(n) lays out one relation."""
+    broadcast row, and skipping a step whose column or row is empty in
+    every block.  Packing.single(n) lays out one relation."""
 
     __slots__ = ("n", "m", "size", "rep", "col0", "cols", "rows", "diag")
 
@@ -212,20 +213,24 @@ class Packing:
         """Bits of a;b."""
         if not a or not b:
             return 0
-        n, acc, full = self.n, 0, (1 << self.n) - 1
-        for k in range(n):
-            row = b >> k * n & self.rows
-            if row:  # copy row k of b into every row of a that has bit k
-                acc |= (a >> k & self.cols) * full & row * self.col0
+        n, cols, rows, acc, full = self.n, self.cols, self.rows, 0, (1 << self.n) - 1
+        for k in range(n):  # steps whose column of a or row of b is empty add nothing
+            col = a >> k & cols
+            if col:
+                row = b >> k * n & rows
+                if row:  # copy row k of b into every row of a that has bit k
+                    acc |= col * full & row * self.col0
         return acc
 
     def closure(self, bits: int, reflexive: bool = False) -> int:
         """Bits of r+ (with reflexive=True, r*) for r given by its bits."""
-        n, full = self.n, (1 << self.n) - 1
+        n, cols, rows, full = self.n, self.cols, self.rows, (1 << self.n) - 1
         for k in range(n if bits else 0):  # Warshall: every row with bit k gains row k
-            row = bits >> k * n & self.rows
-            if row:
-                bits |= (bits >> k & self.cols) * full & row * self.col0
+            col = bits >> k & cols
+            if col:
+                row = bits >> k * n & rows
+                if row:
+                    bits |= col * full & row * self.col0
         return bits | self.diag if reflexive else bits
 
     def domain(self, bits: int) -> int:

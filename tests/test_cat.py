@@ -34,6 +34,7 @@ from memcat.cat import (
 from memcat.executions import enumerate_candidates
 from memcat.litmus import parse_litmus, project
 from memcat.relation import (
+    Packing,
     Relation,
     check_acyclic,
     check_irreflexive,
@@ -420,6 +421,8 @@ def expressions(names, subtrahends=None):
 
 
 NAMED = STATIC + DYNAMIC + ["s", "d"]
+# operands empty on every candidate of ORACLE_TESTS, none of which has a sync or mfence
+EMPTY_OPERANDS = st.sampled_from([Empty(), Name("0"), Name("sync"), Name("mfence")])
 STATIC_EXPRESSIONS = expressions(STATIC)
 MIXED_EXPRESSIONS = expressions(STATIC + DYNAMIC + ["s"])
 STATIC_REC_EXPRESSIONS = expressions(STATIC + ["s", "sr"], STATIC_EXPRESSIONS)
@@ -429,14 +432,24 @@ CHECKED_EXPRESSIONS = expressions(NAMED + ["sr", "a", "b"])
 
 @st.composite
 def generated_models(draw):
-    """A static let, a mixed let, a static and a mixed let rec, two checks."""
+    """A static let, a mixed let, a static and a mixed let rec, two checks.
+    One expression is closed in the mixed let rec (where it may read a or
+    b), in a let and by a third check, an acyclic one; and a let is a
+    sequence or an intersection one of whose operands is empty."""
+    reading_a_or_b = st.builds(Seq, st.sampled_from([Name("a"), Name("b")]), REC_EXPRESSIONS)
+    closed, close = draw(REC_EXPRESSIONS | reading_a_or_b), st.sampled_from([Plus, Star])
+    op, empty, other = draw(st.sampled_from([Seq, Inter])), draw(EMPTY_OPERANDS), draw(CHECKED_EXPRESSIONS)
     return Model((
         Let("s", draw(STATIC_EXPRESSIONS), POS),
         Let("d", draw(MIXED_EXPRESSIONS), POS),
         LetRec((("sr", draw(STATIC_REC_EXPRESSIONS)),), POS),
-        LetRec((("a", draw(REC_EXPRESSIONS)), ("b", draw(REC_EXPRESSIONS))), POS),
+        LetRec((("a", Union(draw(REC_EXPRESSIONS), draw(close)(closed))),
+                ("b", draw(REC_EXPRESSIONS))), POS),
         Check("acyclic", draw(CHECKED_EXPRESSIONS), "first", POS),
         Check("irreflexive", draw(CHECKED_EXPRESSIONS), "second", POS),
+        Let("c", draw(close)(closed), POS),
+        Let("e", op(empty, other) if draw(st.booleans()) else op(other, empty), POS),
+        Check("acyclic", closed, "third", POS),
     ))
 
 
@@ -515,7 +528,7 @@ def test_let_rec_is_solved_once_per_chunk(monkeypatch):
     solved = []
 
     def counted(env, group):
-        solved.append(tuple(name for name, _ in group))
+        solved.append(tuple(name for name, *_ in group))
         return fixpoint(env, group)
 
     fixpoint = cat._fixpoint
@@ -529,6 +542,40 @@ def test_let_rec_is_solved_once_per_chunk(monkeypatch):
             run_model(judge, cand)
         assert solved == [("ii", "ic", "ci", "cc")] * -(-len(cands) // chunk)
     assert len(cands) > 3
+
+
+def test_power_closes_hb_once_per_chunk(monkeypatch):
+    # power closes hb four times: hb* in prop-base, prop and observation,
+    # and acyclic hb (no thin air)
+    closed, closure = [], Packing.closure
+
+    def counted(pack, bits, reflexive=False):
+        closed.append(bits)
+        return closure(pack, bits, reflexive)
+
+    monkeypatch.setattr(Packing, "closure", counted)
+    t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
+    cands, judge = list(enumerate_candidates(t)), bind(power, t)
+    closed.clear()  # drop the closures taken while binding, if any
+    chunk = run_model(judge, cands[0]).env.chunk
+    assert all(run_model(judge, cand).env.chunk is chunk for cand in cands)  # one chunk
+    assert chunk["hb"] and closed.count(chunk["hb"]) == 1
+
+
+def test_a_closure_reading_its_let_rec_is_taken_at_every_pass():
+    # (a;po)+ is closed three times, but inside the let rec it reads a,
+    # which changes from pass to pass: the closure shared by the let and
+    # the check must not be the one taken on the first pass
+    e = Seq(Name("a"), Name("po"))
+    model = Model((LetRec((("a", Union(Name("rf"), Plus(e))),), POS),
+                   Let("c", Star(e), POS), Check("acyclic", e, "third", POS)))
+    cands, grew = mp_candidates(), False
+    judge = bind(model, cands[0].source)
+    for cand in cands:
+        want, got = reference_run(model, cand), run_model(judge, cand)
+        assert (got.env, got.checks) == (want.env, want.checks)
+        grew |= want.env["a"] != cand.rf  # a took more than one pass
+    assert grew
 
 
 def test_env_membership_builds_no_relation(monkeypatch):
@@ -658,6 +705,14 @@ def test_too_deep_to_bind_names_its_statement(kind):
     model = Model((STATEMENTS[kind](expr),))
     with pytest.raises(CatError, match=f"^{TOO_DEEP}$"):
         bind(model, suite.load("mp"))
+
+
+def test_an_earlier_error_is_reported_before_a_too_deep_statement():
+    deep = _nested(sys.getrecursionlimit() + 100, "rf")
+    model = Model((Let("a", Name("mystery"), "m.cat:1:1"), Let("b", deep, "m.cat:2:1")))
+    with pytest.raises(CatError) as exc:
+        bind(model, suite.load("mp"))
+    assert str(exc.value) == str(_reference_error(model)) == "m.cat:1:1: unbound name 'mystery'"
 
 
 @pytest.mark.parametrize("kind", ["let", "let-rec"])

@@ -21,6 +21,7 @@ from memcat.relation import (
     Event,
     MemRead,
     MemWrite,
+    Packing,
     Relation,
     check_acyclic,
     check_irreflexive,
@@ -301,6 +302,44 @@ def test_split_scope_partitions_and_matches_threads():
 def test_split_scope_of_empty():
     internal, external = split_scope(Relation.empty(4), _sb_like_events())
     assert not internal.pairs() and not external.pairs()
+
+
+@st.composite
+def sparse_bundles(draw):
+    """(n, ps, qs): two lists of m sparse pair sets over n <= 12 events;
+    in each list, the rows and the columns outside a drawn set are empty
+    in every pair set."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+
+    def blocks():
+        rows, cols = (sorted(draw(st.sets(st.integers(0, n - 1)))) for _ in "rc")
+        if not rows or not cols:
+            return [set()] * m
+        pair = st.tuples(st.sampled_from(rows), st.sampled_from(cols))
+        return [draw(st.sets(pair, max_size=2 * n)) for _ in range(m)]
+
+    return n, blocks(), blocks()
+
+
+@given(sparse_bundles())
+@settings(max_examples=200, deadline=None)
+def test_packing_kernels_match_pair_sets_block_by_block(case):
+    n, ps, qs = case
+    pack, one, nodes = Packing(n, len(ps)), Packing.single(n), range(n)
+
+    def bundle(sets):
+        return pack.join(one.to_bytes(Relation.from_pairs(n, s).bits) for s in sets)
+
+    def blocks(bits):
+        return [set(Relation(n, b).pairs()) for b in pack.split(bits)]
+
+    a, b = bundle(ps), bundle(qs)
+    plus = [closure_pairs(p, nodes) for p in ps]
+    assert blocks(pack.compose(a, b)) == [compose_pairs(p, q) for p, q in zip(ps, qs)]
+    assert blocks(pack.closure(a)) == plus
+    assert blocks(pack.closure(a, reflexive=True)) == [c | {(i, i) for i in nodes} for c in plus]
+    for bits, sets in ((a, ps), (pack.closure(a), plus)):
+        assert [bool(x) for x in pack.loops(bits)] == [any(x == y for x, y in s) for s in sets]
 
 
 # ------------------------------------------------------------- algebra laws
