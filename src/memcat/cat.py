@@ -145,11 +145,9 @@ class Model(Record):
     plan = cached_property(lambda self: _compile(self))  # compiled at the first bind
 
 
-DIRS = {
-    "RR": ("R", "R"), "RW": ("R", "W"), "WR": ("W", "R"), "WW": ("W", "W"),
-    "RM": ("R", "M"), "MR": ("M", "R"), "MW": ("M", "W"), "MM": ("M", "M"),
-}
+DIRS = {src + tgt: (src, tgt) for src in "RWM" for tgt in "RWM"}
 
+_BINARY = {"|": (1, Union), "&": (2, Inter), "\\": (2, Diff), ";": (3, Seq)}
 _KEYWORDS = {"let", "rec", "and", "acyclic", "irreflexive", "as", "include"}
 _IDENT = "[A-Za-z0-9_.-]"
 # ctrl+isync, ctrl+isb and ctrl+cfence lex as single names
@@ -239,28 +237,17 @@ class _Parser:
             raise self.error(tok, f"expected {value or kind}, got {_describe(tok)}")
         return tok
 
-    # expression grammar: union < inter/diff < seq < postfix < primary
-    def expr(self):
-        node = self.inter()
-        while self.peek()[:2] == ("op", "|"):
-            self.next()
-            node = Union(node, self.inter())
-        return node
-
-    def inter(self):
-        node = self.seq()
-        while self.peek()[0] == "op" and self.peek()[1] in ("&", "\\"):
-            op = self.next()[1]
-            rhs = self.seq()
-            node = Inter(node, rhs) if op == "&" else Diff(node, rhs)
-        return node
-
-    def seq(self):
+    # expression grammar: union < inter/diff < seq < postfix < primary, each
+    # binary operator left-associative at its level of _BINARY
+    def expr(self, level=1):
         node = self.postfix()
-        while self.peek()[:2] == ("op", ";"):
+        while True:
+            tok = self.peek()
+            op = _BINARY.get(tok[1]) if tok[0] == "op" else None
+            if op is None or op[0] < level:
+                return node
             self.next()
-            node = Seq(node, self.postfix())
-        return node
+            node = op[1](node, self.expr(op[0] + 1))
 
     def postfix(self):
         node = self.primary()

@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from typing import Optional
 
-from .litmus import ALL_FENCE_KINDS, ProjectedTest
+from .litmus import ALL_FENCE_KINDS, DEP_KINDS, ProjectedTest
 from .relation import Record, is_write
 
 
@@ -32,14 +32,17 @@ class ThrError(Exception):
     pass
 
 
-_DEP_KINDS = ("addr", "data", "ctrl", "ctrl+isync", "ctrl+isb")
+# ctrl+cfence, the union of ctrl+isync and ctrl+isb, labels no pair
+_DEP_KINDS = tuple(kind for kind in DEP_KINDS if kind != "ctrl+cfence")
 
-# preference when several fences separate the same access pair
-_FENCE_RANK = (
+# when several fences, or several dependencies, relate one pair, the kind
+# listed first labels it
+_RANK = {kind: rank for rank, kind in enumerate((
     "sync", "dmb", "dsb", "mfence",
     "lwsync", "dmb.st", "dsb.st", "eieio",
     "isync", "isb",
-)
+    "addr", "data", "ctrl+isync", "ctrl+isb", "ctrl",
+))}
 
 _PO_FAMILY = ("po", "fence", "dp")
 
@@ -107,83 +110,64 @@ def parse_thr(text: str, name: str = "thr") -> Program:
         m = _LINE_RE.match(line)
         if not m:
             raise ThrError(f"line {lineno}: expected '<thread>: <accesses>'")
-        thread, rest = m.group(1), m.group(2)
+        thread, rest = m.groups()
         if thread in seen:
             raise ThrError(f"line {lineno}: duplicate thread {thread}")
         seen.add(thread)
-        row = []
-        gaps = []  # one annotation slot between consecutive accesses
-        pending = None
+        base = len(accesses)
+        gaps = []  # gaps[i]: the annotation after the thread's access i, or None
         for tok in rest.split():
             if _ACCESS_RE.match(tok):
-                if row:
-                    gaps.append(pending)
-                    pending = None
-                row.append((tok[0], tok[1:]))
+                accesses.append(StaticAccess(len(accesses), thread, len(gaps), tok[0], tok[1:]))
+                gaps.append(None)
             elif tok in ALL_FENCE_KINDS or tok in _DEP_KINDS:
-                if not row:
+                if not gaps:
                     raise ThrError(f"line {lineno}: {tok} before any access")
-                if pending is not None:
+                if gaps[-1] is not None:
                     raise ThrError(f"line {lineno}: two annotations in a row")
-                pending = tok
+                gaps[-1] = tok
             else:
                 raise ThrError(f"line {lineno}: cannot parse token {tok!r}")
-        if pending is not None:
-            raise ThrError(f"line {lineno}: trailing annotation on {thread}")
-        if not row:
+        if not gaps:
             raise ThrError(f"line {lineno}: thread {thread} has no accesses")
-        base = len(accesses)
-        for idx, (d, loc) in enumerate(row):
-            accesses.append(StaticAccess(base + idx, thread, idx, d, loc))
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                kinds = [
-                    g for g in gaps[i:j] if g is not None and g not in _DEP_KINDS
-                ]
-                if kinds:
-                    fence_between[(base + i, base + j)] = min(
-                        kinds, key=_FENCE_RANK.index
-                    )
-        for i, g in enumerate(gaps):
+        if gaps[-1] is not None:
+            raise ThrError(f"line {lineno}: trailing annotation on {thread}")
+        for k, g in enumerate(gaps, base):
             if g in _DEP_KINDS:
-                dep_between[(base + i, base + i + 1)] = g
+                dep_between[(k, k + 1)] = g
+            elif g is not None:  # the fence separates accesses base..k from those after k
+                for a in range(base, k + 1):
+                    for b in range(k + 1, len(accesses)):
+                        _strongest(fence_between, (a, b), g)
     if not accesses:
         raise ThrError("no threads declared")
     return Program(name, tuple(accesses), fence_between, dep_between)
 
 
 def program_from_litmus(t: ProjectedTest) -> Program:
-    init = set(t.init_ids)
-    uid_of = {}
-    accesses = []
-    counters = {}
-    for e in t.events:
-        if e.id in init:
-            continue
-        idx = counters.get(e.thread, 0)
-        counters[e.thread] = idx + 1
-        uid_of[e.id] = len(accesses)
-        accesses.append(
-            StaticAccess(
-                len(accesses),
-                e.thread,
-                idx,
-                "W" if is_write(e) else "R",
-                e.action.loc,
-            )
-        )
+    # the accesses follow the initial writes, each thread's on consecutive ids
+    skip = len(t.init_ids)
+    first = {}
+    accesses = tuple(
+        StaticAccess(uid, e.thread, uid - first.setdefault(e.thread, uid),
+                     "W" if is_write(e) else "R", e.action.loc)
+        for uid, e in enumerate(t.events[skip:])
+    )
     fence_between = {}
-    for kind in ALL_FENCE_KINDS:
-        for a, b in t.fences[kind].pairs():
-            pair = (uid_of[a], uid_of[b])
-            cur = fence_between.get(pair)
-            if cur is None or _FENCE_RANK.index(kind) < _FENCE_RANK.index(cur):
-                fence_between[pair] = kind
     dep_between = {}
-    for kind in ("addr", "data", "ctrl+isync", "ctrl+isb", "ctrl"):
-        for a, b in t.deps[kind].pairs():
-            dep_between.setdefault((uid_of[a], uid_of[b]), kind)
-    return Program(t.name, tuple(accesses), fence_between, dep_between)
+    for between, relations, kinds in ((fence_between, t.fences, ALL_FENCE_KINDS),
+                                      (dep_between, t.deps, _DEP_KINDS)):
+        for kind in kinds:
+            for a, b in relations[kind].pairs():
+                _strongest(between, (a - skip, b - skip), kind)
+    return Program(t.name, accesses, fence_between, dep_between)
+
+
+def _strongest(between: dict, pair: tuple, kind: str) -> None:
+    """Label pair with kind unless a kind listed before it in _RANK labels it."""
+    held = between.get(pair)
+    if held is None or _RANK[kind] < _RANK[held]:
+        between[pair] = kind
 
 
 # --------------------------------------------------------------- enumeration
@@ -308,6 +292,16 @@ def _extends(path: list, a: StaticAccess) -> bool:
     return same_thread < 2 and same_loc < 3
 
 
+# a same-location po pair's directions -> the com edge that closes it alone,
+# and the two that close it through another thread's write
+_COHERENCE = {
+    "WW": ("co", ()),
+    "RW": ("rf", ("co", "rf")),
+    "WR": (None, ("fr", "co")),
+    "RR": (None, ("fr", "rf")),
+}
+
+
 def _coherence_shapes(program: Program, threads: dict, by_loc: dict) -> list:
     shapes = []
     for accs in threads.values():
@@ -315,28 +309,14 @@ def _coherence_shapes(program: Program, threads: dict, by_loc: dict) -> list:
             for b in accs[i + 1 :]:
                 if a.location != b.location:
                     continue
-                pair = a.direction + b.direction
                 po = _edge_between(a, b, program)
-                if pair == "WW":
-                    shapes.append(
-                        _canonical([a, b], [po, Edge("co", None, False)], False)
-                    )
-                elif pair == "RW":
-                    shapes.append(
-                        _canonical([a, b], [po, Edge("rf", None, False)], False)
-                    )
+                alone, through = _COHERENCE[a.direction + b.direction]
+                if alone:
+                    shapes.append(_canonical([a, b], [po, Edge(alone, None, False)], False))
+                tail = [Edge(kind, None, True) for kind in through]
                 for w in by_loc[a.location]:
-                    if w.direction != "W" or w.thread == a.thread:
-                        continue
-                    if pair == "RW":
-                        tail = [Edge("co", None, True), Edge("rf", None, True)]
-                    elif pair == "WR":
-                        tail = [Edge("fr", None, True), Edge("co", None, True)]
-                    elif pair == "RR":
-                        tail = [Edge("fr", None, True), Edge("rf", None, True)]
-                    else:
-                        continue
-                    shapes.append(_canonical([a, b, w], [po] + tail, False))
+                    if tail and w.direction == "W" and w.thread != a.thread:
+                        shapes.append(_canonical([a, b, w], [po] + tail, False))
     shapes.sort(key=_sort_key)
     return shapes
 

@@ -105,6 +105,9 @@ from __future__ import annotations
 from functools import cached_property, partial
 from typing import NamedTuple
 
+# cat, executions and models are called through their modules, so a binding
+# replaced on the module (as by a tracer) is the one called
+from . import cat, executions, models
 from .cat import CatError
 from .executions import final_outcome
 from .relation import (
@@ -466,15 +469,12 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     Returns (machine behaviors, model behaviors, context of the first
     machine-accepted candidate or None); the model's env feeds the machine.
     """
-    from .cat import bind, run_model
-    from .executions import enumerate_candidates
-
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
     accepted, allowed, first = set(), set(), None
-    judge, outcome = bind(model, t), final_outcome(t)
-    for cand in enumerate_candidates(t):
-        result = run_model(judge, cand)
+    judge, outcome = cat.bind(model, t), final_outcome(t)
+    for cand in executions.enumerate_candidates(t):
+        result = cat.run_model(judge, cand)
         ctx = machine_context(cand, result.env)
         accepts = machine_accepts(ctx)
         if accepts or result.passed:
@@ -490,16 +490,11 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
 def enumerate_accepted(t, bound: int = DEFAULT_BOUND):
     """Behaviors {(rf pairs, observed state)} with an accepted machine run,
     the state joined by "; "."""
-    from .models import load_builtin
-
-    return cross_check(t, load_builtin("power"), bound)[0]
+    return cross_check(t, models.load_builtin("power"), bound)[0]
 
 
 def model_behaviors(t, model):
     """Behaviors the axiomatic model allows; same shape as enumerate_accepted."""
-    from .cat import bind, run_model
-    from .executions import enumerate_candidates
-
-    judge, outcome = bind(model, t), final_outcome(t)
+    judge, outcome = cat.bind(model, t), final_outcome(t)
     return {(frozenset(c.rf.pairs()), outcome(c)[1])
-            for c in enumerate_candidates(t) if run_model(judge, c).passed}
+            for c in executions.enumerate_candidates(t) if cat.run_model(judge, c).passed}

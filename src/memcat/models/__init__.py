@@ -117,7 +117,6 @@ def evaluate_test(
         )
     total = passing = satisfying = 0
     witness = None
-    all_passing_satisfy = True
     states = set()
     failures = Counter()  # check name -> candidates failing it
     judge, outcome, skip = bind(model, t), final_outcome(t), PRUNE_CHECK if prune else None
@@ -135,10 +134,8 @@ def evaluate_test(
             satisfying += 1
             if witness is None:
                 witness = cand
-        else:
-            all_passing_satisfy = False
     if t.final.quant == "forall":
-        allowed = passing > 0 and all_passing_satisfy
+        allowed = 0 < passing == satisfying
     else:  # exists and observed ask whether the final is reachable
         allowed = satisfying > 0
     return TestResult(

@@ -291,6 +291,17 @@ def test_direction_filter_evaluates_by_event_kind():
     }
 
 
+@pytest.mark.parametrize("src, tgt", [(s, t) for s in "RWM" for t in "RWM"])
+def test_every_direction_filter_parses_and_evaluates(src, tgt):
+    cand = mp_candidates()[0]
+    res = run_model(parse_cat(f"let f = {src}{tgt}(po)\nacyclic po"), cand)
+    p = candidate_pairs(cand)
+    kinds = {"R": p["reads"], "W": p["writes"], "M": p["reads"] | p["writes"]}
+    assert set(res.env["f"].pairs()) == {
+        (a, b) for a, b in p["po"] if a in kinds[src] and b in kinds[tgt]
+    }
+
+
 def test_failed_check_reports_name_and_witness():
     res = run_model(parse_cat("irreflexive id as refl"), mp_candidates()[0])
     assert not res.passed

@@ -1,7 +1,10 @@
 """Static cycle mining: parsing, enumeration, reduction, naming, axioms."""
 
 import random
+import re
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,14 @@ from hypothesis import strategies as st
 
 from memcat import suite
 from memcat.cycles import (
+    Edge,
     LabeledCycle,
+    Program,
+    StaticAccess,
     ThrError,
+    _canonical,
+    _edge_between,
+    _sort_key,
     classify,
     find_critical_cycles,
     location_condition,
@@ -21,6 +30,8 @@ from memcat.cycles import (
     reduce_cycle,
     thread_condition,
 )
+from memcat.litmus import ALL_FENCE_KINDS, DEP_KINDS, parse_litmus, project
+from memcat.relation import is_write
 
 
 def prog(*lines, name="p"):
@@ -405,3 +416,216 @@ def test_mined_cycles_are_wellformed(threads):
                 for i in range(len(c.accesses))
             )
     mine(p)  # the full pipeline must not choke on any of these
+
+
+# ---------------------------------------------------- reference front ends
+
+# The two front ends and the coherence shapes as the miner first wrote them:
+# a per-pair min over the gaps between two accesses in parse_thr, a rank
+# comparison per fence pair in program_from_litmus, and an if-chain of
+# closing edges per shape.  Kept as the reference the rewritten ones, which
+# state each rule once, must equal.
+
+_REF_DEP_KINDS = ("addr", "data", "ctrl", "ctrl+isync", "ctrl+isb")
+_REF_FENCE_RANK = (
+    "sync", "dmb", "dsb", "mfence",
+    "lwsync", "dmb.st", "dsb.st", "eieio",
+    "isync", "isb",
+)
+_REF_ACCESS_RE = re.compile(r"^([RW])([a-z]\w*)$")
+_REF_LINE_RE = re.compile(r"^(\w+)\s*:\s*(.*)$")
+
+
+def reference_parse_thr(text, name="thr"):
+    accesses = []
+    fence_between = {}
+    dep_between = {}
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _REF_LINE_RE.match(line)
+        if not m:
+            raise ThrError(f"line {lineno}: expected '<thread>: <accesses>'")
+        thread, rest = m.group(1), m.group(2)
+        if thread in seen:
+            raise ThrError(f"line {lineno}: duplicate thread {thread}")
+        seen.add(thread)
+        row = []
+        gaps = []  # one annotation slot between consecutive accesses
+        pending = None
+        for tok in rest.split():
+            if _REF_ACCESS_RE.match(tok):
+                if row:
+                    gaps.append(pending)
+                    pending = None
+                row.append((tok[0], tok[1:]))
+            elif tok in ALL_FENCE_KINDS or tok in _REF_DEP_KINDS:
+                if not row:
+                    raise ThrError(f"line {lineno}: {tok} before any access")
+                if pending is not None:
+                    raise ThrError(f"line {lineno}: two annotations in a row")
+                pending = tok
+            else:
+                raise ThrError(f"line {lineno}: cannot parse token {tok!r}")
+        if pending is not None:
+            raise ThrError(f"line {lineno}: trailing annotation on {thread}")
+        if not row:
+            raise ThrError(f"line {lineno}: thread {thread} has no accesses")
+        base = len(accesses)
+        for idx, (d, loc) in enumerate(row):
+            accesses.append(StaticAccess(base + idx, thread, idx, d, loc))
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                kinds = [
+                    g for g in gaps[i:j] if g is not None and g not in _REF_DEP_KINDS
+                ]
+                if kinds:
+                    fence_between[(base + i, base + j)] = min(
+                        kinds, key=_REF_FENCE_RANK.index
+                    )
+        for i, g in enumerate(gaps):
+            if g in _REF_DEP_KINDS:
+                dep_between[(base + i, base + i + 1)] = g
+    if not accesses:
+        raise ThrError("no threads declared")
+    return Program(name, tuple(accesses), fence_between, dep_between)
+
+
+def reference_program_from_litmus(t):
+    init = set(t.init_ids)
+    uid_of = {}
+    accesses = []
+    counters = {}
+    for e in t.events:
+        if e.id in init:
+            continue
+        idx = counters.get(e.thread, 0)
+        counters[e.thread] = idx + 1
+        uid_of[e.id] = len(accesses)
+        accesses.append(
+            StaticAccess(
+                len(accesses),
+                e.thread,
+                idx,
+                "W" if is_write(e) else "R",
+                e.action.loc,
+            )
+        )
+    fence_between = {}
+    for kind in ALL_FENCE_KINDS:
+        for a, b in t.fences[kind].pairs():
+            pair = (uid_of[a], uid_of[b])
+            cur = fence_between.get(pair)
+            if cur is None or _REF_FENCE_RANK.index(kind) < _REF_FENCE_RANK.index(cur):
+                fence_between[pair] = kind
+    dep_between = {}
+    for kind in ("addr", "data", "ctrl+isync", "ctrl+isb", "ctrl"):
+        for a, b in t.deps[kind].pairs():
+            dep_between.setdefault((uid_of[a], uid_of[b]), kind)
+    return Program(t.name, tuple(accesses), fence_between, dep_between)
+
+
+def reference_coherence_shapes(program, threads, by_loc):
+    shapes = []
+    for accs in threads.values():
+        for i, a in enumerate(accs):
+            for b in accs[i + 1 :]:
+                if a.location != b.location:
+                    continue
+                pair = a.direction + b.direction
+                po = _edge_between(a, b, program)
+                if pair == "WW":
+                    shapes.append(
+                        _canonical([a, b], [po, Edge("co", None, False)], False)
+                    )
+                elif pair == "RW":
+                    shapes.append(
+                        _canonical([a, b], [po, Edge("rf", None, False)], False)
+                    )
+                for w in by_loc[a.location]:
+                    if w.direction != "W" or w.thread == a.thread:
+                        continue
+                    if pair == "RW":
+                        tail = [Edge("co", None, True), Edge("rf", None, True)]
+                    elif pair == "WR":
+                        tail = [Edge("fr", None, True), Edge("co", None, True)]
+                    elif pair == "RR":
+                        tail = [Edge("fr", None, True), Edge("rf", None, True)]
+                    else:
+                        continue
+                    shapes.append(_canonical([a, b, w], [po] + tail, False))
+    shapes.sort(key=_sort_key)
+    return shapes
+
+
+def reference_find_critical_cycles(program):
+    """The critical cycles as mined today, then the reference shapes."""
+    threads, by_loc = {}, {}
+    for a in program.accesses:
+        threads.setdefault(a.thread, []).append(a)
+        by_loc.setdefault(a.location, []).append(a)
+    critical = [c for c in find_critical_cycles(program) if c.critical]
+    return critical + reference_coherence_shapes(program, threads, by_loc)
+
+
+def thr_front_end(parse, text):
+    """The program and its cycles, or the ThrError message."""
+    try:
+        program = parse(text, name="p")
+    except ThrError as e:
+        return str(e)
+    cycles = (find_critical_cycles if parse is parse_thr else reference_find_critical_cycles)
+    return program, cycles(program)
+
+
+def test_shapes_and_projections_match_reference_front_ends():
+    """The suite, both .thr shapes and perfbench/gen.py's wide and xcheck
+    seeds 1-3, with and without mine_only."""
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
+    texts = [suite.source(name) for name in suite.names()]
+    for workload in ("wide", "xcheck"):
+        for seed in (1, 2, 3):
+            for mine_only in (False, True):
+                texts += [text for _, text, _, _ in gen["generate"](workload, seed, mine_only)]
+    assert len(texts) == 395
+    for text in texts:
+        t = project(parse_litmus(text))
+        got, want = program_from_litmus(t), reference_program_from_litmus(t)
+        assert got == want, t.name
+        assert find_critical_cycles(got) == reference_find_critical_cycles(want), t.name
+    for name in suite.thr_names():
+        text = suite.thr_source(name)
+        assert thr_front_end(parse_thr, text) == thr_front_end(reference_parse_thr, text)
+
+
+THR_ACCESSES = st.sampled_from([d + loc for d in "RW" for loc in "xyz"])
+THR_ANNOTATIONS = st.sampled_from(ALL_FENCE_KINDS + DEP_KINDS)
+# a thread's accesses, each but the last maybe followed by a fence or dependency
+THR_BODY = st.tuples(
+    st.lists(st.tuples(THR_ACCESSES, st.none() | THR_ANNOTATIONS), max_size=3),
+    THR_ACCESSES,
+).map(lambda body: " ".join([tok for pair in body[0] for tok in pair if tok] + [body[1]]))
+THR_MALFORMED = st.sampled_from(
+    ["", "# a comment", "Wx Wy", "T0 Wx", "T0: Wx", "T9:", "T8: W", "T7: Wx frob Ry",
+     "T6: Rx1", "T5: sync Wx", "T4: Wx lwsync sync Ry", "T4: Wx ctrl+cfence Ry", "T4: Wx sync"]
+) | st.lists(st.sampled_from(["Wx", "Ry"]) | THR_ANNOTATIONS, max_size=4).map(
+    lambda toks: "T4: " + " ".join(toks)
+)
+
+
+@st.composite
+def thr_texts(draw):
+    """Threads T0, T1, ... and maybe one malformed line among them."""
+    lines = [f"T{i}: {body}" for i, body in enumerate(draw(st.lists(THR_BODY, max_size=4)))]
+    for bad in draw(st.lists(THR_MALFORMED, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(thr_texts())
+def test_parse_thr_matches_reference_on_drawn_text(text):
+    # the same program and cycles, or the same message with its line
+    assert thr_front_end(parse_thr, text) == thr_front_end(reference_parse_thr, text)
