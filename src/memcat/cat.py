@@ -11,29 +11,27 @@ before them (lowercased, spaces to hyphens), else positionally.
 `include "f.cat"` splices another file's statements in at load time, so
 a model is always one flat statement list.
 
-A model is compiled once, at its first bind, into functions of a chunk
-of consecutive candidates, whose relations are packed into one int each
-(a bundle, see relation.Packing).  Each let and let rec that reads only
-names every candidate of a test shares (po, po-loc, deps, fences, 0, id
-and lets built from them) runs once per test (bind), on a chunk of one;
-the rest runs once per chunk, on the chunk's rf, co and fr, which
-enumeration packs once, and on those shared values, each repeated into
-every block when a step first reads it.  An expression the model
-closes more than once (e+, e* or an acyclic check) is closed once per
-chunk, unless it reads a name of the let rec being solved.  Sequence,
-intersection and the left side of a difference give 0 without
-evaluating their other side when an operand, a name evaluated first,
-is empty.  A let rec runs a binding again only when a recursive name
-it reads has changed since it last ran.  A chunk's verdicts, and its
-failures per check, are read from its per-check failure bytes; a
-candidate's check results are built from them only when read.
+A model is compiled once, at its first bind, into one function per
+statement of a chunk of consecutive candidates, whose relations are
+packed into one int each (a bundle, see relation.Packing).  Every
+statement runs once per chunk, on the chunk's rf, co and fr, which
+enumeration packs once, and on the names every candidate of the test
+shares (po, po-loc, deps, fences, 0, id), repeated into every block when
+the chunk is made.  An expression the model closes (e+, e* or an acyclic
+check) is closed once per chunk, unless it reads a name of the let rec
+being solved.  Sequence, intersection and the left side of a difference
+give 0 without evaluating their other side when an operand, a name
+evaluated first, is empty.  A let rec runs a binding again only when a
+recursive name it reads has changed since it last ran.  A chunk's
+verdicts, and its failures per check, are read from its per-check
+failure bytes; a candidate's check results are built from them only
+when read.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, reduce
 from pathlib import Path
@@ -393,9 +391,9 @@ def parse_cat(text: str, path=None, include_dirs=()) -> Model:
 # ---------------------------------------------------------------- evaluation
 
 
-# the builtin names all candidates of a test share, and those that differ
-_TEST_NAMES = ("po", "po-loc", "0", "id") + DEP_KINDS + ALL_FENCE_KINDS
-_CANDIDATE_NAMES = ("rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
+# the builtin names: those all candidates of a test share, then those that differ
+_BUILTIN_NAMES = ("po", "po-loc", "0", "id") + DEP_KINDS + ALL_FENCE_KINDS + (
+    "rf", "rfe", "rfi", "co", "coe", "coi", "fr", "fre", "fri", "com")
 _TOO_DEEP = "expression nested too deeply to evaluate"
 
 
@@ -410,22 +408,16 @@ class CheckResult(NamedTuple):
 
 
 class _Chunk(Bundles):
-    """A chunk as a bound model evaluated it: each name's bundle (a name of
-    shared, the one-block bits of the names all candidates share, is
-    repeated into every block when first read); masks, each direction
-    filter's mask repeated into every block; closures, the bits of e+ by
-    slot for each e the model closes more than once; per check (its result
+    """A chunk as a bound model evaluated it: each name's bundle; masks,
+    each direction filter's mask repeated into every block; closures, the
+    bits of e+ by slot for each e the model closes; per check (its result
     if ok, bytes whose byte j is nonzero if candidate j fails it, its test
     and bundle); and loops, the union of the relations whose loops fail a
     check."""
 
-    def __init__(self, pack: Packing, masks: dict, shared: Optional[Mapping] = None):
+    def __init__(self, pack: Packing, masks: dict):
         super().__init__(pack)
-        self.masks, self.shared, self.checks, self.loops = masks, shared or {}, [], 0
-        self.closures = {}
-
-    def __missing__(self, name: str) -> int:
-        return self.setdefault(name, self.shared[name] * self.pack.rep)
+        self.masks, self.checks, self.loops, self.closures = masks, [], 0, {}
 
     def closed(self, i: int, f: Callable) -> int:
         """Bits of e+ for the expression e in closure slot i, f being e as a
@@ -448,8 +440,7 @@ class _Chunk(Bundles):
 
 class _Env(Mapping):
     """A candidate's names, read-only: its block of chunk, the chunk as the
-    model evaluated it, each name's bits wrapped in a Relation when read
-    (a shared name's one block as it is)."""
+    model evaluated it, each name's bits wrapped in a Relation when read."""
 
     __slots__ = ("chunk", "_j")
 
@@ -457,17 +448,16 @@ class _Env(Mapping):
         self.chunk, self._j = chunk, j
 
     def __getitem__(self, name: str) -> Relation:
-        bits = self.chunk.shared.get(name)
-        return self.chunk.relation(name, self._j) if bits is None else Relation(self.chunk.pack.n, bits)
+        return self.chunk.relation(name, self._j)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.chunk.shared or name in self.chunk
+        return name in self.chunk
 
     def __iter__(self):
-        return iter({**dict.fromkeys(self.chunk.shared), **self.chunk})
+        return iter(self.chunk)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return len(self.chunk)
 
     def checks(self) -> tuple:
         """Each check's result on the candidate, in model order."""
@@ -513,64 +503,26 @@ def _fixpoint(env: dict, group: list) -> None:
                     todo |= readers
 
 
-def _walk(node, rec: set, closed: list) -> set:
-    """The names node reads; appends to closed each expression node closes
-    (e+ or e*) that reads no name of rec, with the names it reads."""
+def _names(node) -> set:
+    """The names node reads."""
     if isinstance(node, Name):
         return {node.value}
-    if isinstance(node, Empty):
-        return set()
     if isinstance(node, _Binary):
-        return _walk(node.left, rec, closed) | _walk(node.right, rec, closed)
-    read = _walk(node.expr, rec, closed)
-    if isinstance(node, (Plus, Star)) and read.isdisjoint(rec):
-        closed.append((node.expr, frozenset(read)))
-    return read
-
-
-def _reads(stmt, closed: list) -> list:
-    """The names each expression of stmt reads; appends to closed what
-    stmt closes, as _walk does, an acyclic check's expression included."""
-    if isinstance(stmt, LetRec):
-        own = {name for name, _ in stmt.bindings}
-        return [_walk(expr, own, closed) for _, expr in stmt.bindings]
-    read = _walk(stmt.expr, (), closed)
-    if isinstance(stmt, Check) and stmt.kind == "acyclic":
-        closed.append((stmt.expr, frozenset(read)))
-    return [read]
+        return _names(node.left) | _names(node.right)
+    return set() if isinstance(node, Empty) else _names(node.expr)
 
 
 def _compile(model: Model) -> tuple:
-    """Compile model's statements, in order, into (at_bind, per_chunk,
-    dirs).  at_bind holds the steps of the lets and let recs that read
-    only names all candidates of a test share, which bind runs once, and
-    per_chunk the rest, checks included; a step is (statement position,
-    function of a chunk).
-    dirs holds the direction filters whose masks the steps read.
+    """Compile model's statements, in order, into (steps, dirs).  A step is
+    (statement position, function of a chunk), and every step runs once
+    per chunk.  dirs holds the direction filters whose masks the steps read.
 
-    An expression the model closes more than once (in e+, e* or an
-    acyclic check) gets a slot, and where it reads no name of the let rec
-    being solved its closure is taken once per chunk (_Chunk.closed)."""
-    names, static = set(_TEST_NAMES + _CANDIDATE_NAMES), set(_TEST_NAMES)
-    at_bind, per_chunk, dirs = [], [], set()
+    An expression the model closes (in e+, e* or an acyclic check) gets a
+    slot, and unless it reads a name of the let rec being compiled its
+    closure is taken once per chunk (_Chunk.closed)."""
+    names, steps, dirs, slots = set(_BUILTIN_NAMES), [], set(), {}
     rec = set()  # the names of the let rec being compiled
     leaf = (Name, Empty)
-    times = Counter()  # (expression, the names it reads) -> times the model closes it
-    walked = []  # per statement, the names each of its expressions reads
-    for stmt in model.statements:
-        closed = []
-        try:
-            reads = _reads(stmt, closed)
-            times.update(closed)
-        except RecursionError:
-            break  # reported after the errors of the statements before it
-        walked.append(reads)
-    slots = {e: (i, read) for i, (e, read) in enumerate(k for k, t in times.items() if t > 1)}
-
-    def slot(expr) -> Optional[int]:
-        """expr's closure slot, unless expr reads a name of the let rec being solved."""
-        i, read = slots.get(expr, (None, ()))
-        return i if rec.isdisjoint(read) else None
 
     def compile_expr(node):
         if isinstance(node, Name):
@@ -584,9 +536,10 @@ def _compile(model: Model) -> tuple:
             dirs.add(d)
             return lambda c: f(c) & c.masks[d]
         if isinstance(node, (Plus, Star)):
-            f, star, i = compile_expr(node.expr), isinstance(node, Star), slot(node.expr)
-            if i is None:
+            f, star = compile_expr(node.expr), isinstance(node, Star)
+            if rec and not rec.isdisjoint(_names(node.expr)):
                 return lambda c: c.pack.closure(f(c), star)
+            i = slots.setdefault(node.expr, len(slots))
             if star:
                 return lambda c: c.closed(i, f) | c.pack.diag
             return lambda c: c.closed(i, f)
@@ -610,86 +563,76 @@ def _compile(model: Model) -> tuple:
             names.add(name)
         return new
 
-    def step(stmt, reads):
-        """stmt as a function of a chunk, and the names it binds (None for a check)."""
+    def step(stmt):
+        """stmt as a function of a chunk."""
         if isinstance(stmt, Let):
             f = compile_expr(stmt.expr)
-            return (lambda c: operator.setitem(c, stmt.name, f(c))), declare(stmt.name)
+            declare(stmt.name)
+            return lambda c: operator.setitem(c, stmt.name, f(c))
         if isinstance(stmt, LetRec):
-            own = declare(*(name for name, _ in stmt.bindings))
-            rec.update(own)
+            rec.update(declare(*(name for name, _ in stmt.bindings)))
+            reads = [_names(expr) for _, expr in stmt.bindings]
             group = [(name, compile_expr(expr), {j for j, read in enumerate(reads) if name in read})
                      for name, expr in stmt.bindings]
-            return (lambda c: _fixpoint(c, group)), own
+            return lambda c: _fixpoint(c, group)
         f = compile_expr(stmt.expr)
         test = check_acyclic if stmt.kind == "acyclic" else check_irreflexive
-        ok, i = CheckResult(stmt.name, stmt.kind, True, None), slot(stmt.expr)
+        ok = CheckResult(stmt.name, stmt.kind, True, None)
+        i = slots.setdefault(stmt.expr, len(slots)) if test is check_acyclic else None
 
         def check(c):
-            bits, p = f(c), c.pack
-            if test is check_irreflexive:
-                loops = bits
-            else:
-                loops = p.closure(bits) if i is None else c.closed(i, lambda _: bits)
+            bits = f(c)
+            loops = bits if i is None else c.closed(i, lambda _: bits)
             c.loops |= loops
-            c.checks.append((ok, p.loops(loops), test, bits))
+            c.checks.append((ok, c.pack.loops(loops), test, bits))
 
-        return check, None
+        return check
 
-    for stmt, reads in zip(model.statements, walked):
+    for stmt in model.statements:
         rec.clear()
         try:
-            f, own = step(stmt, reads)
+            steps.append((stmt.pos, step(stmt)))
         except CatError as exc:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
-        once = own is not None and set().union(*reads) <= static.union(own)
-        static.update(own if once else ())
-        (at_bind if once else per_chunk).append((stmt.pos, f))
-    if len(walked) < len(model.statements):
-        raise CatError(f"{model.statements[len(walked)].pos}: {_TOO_DEEP}")
-    return at_bind, per_chunk, dirs
-
-
-def _run(steps: list, c: _Chunk) -> None:
-    try:
-        for pos, f in steps:
-            f(c)
-    except RecursionError:
-        raise CatError(f"{pos}: {_TOO_DEEP}") from None
+    return steps, dirs
 
 
 def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     """A function judging one candidate of t by model.
 
     The model is compiled at its first bind and kept on it (Model.plan),
-    so binding walks no expression.  Each let and let rec that reads
-    only names all candidates of t share (po, po-loc, deps, fences, 0, id
-    and lets built from them) runs here, once, on a chunk of one, and
-    each direction filter's mask is fixed.  The rest runs once per chunk
-    of candidates, which packs each relation of its candidates into one
-    int (a bundle, see Packing), on those values repeated into every block
-    when first read; a check gives a failure byte per candidate, and one
-    result per candidate is made then.  Judging a candidate evaluates its
-    chunk if it is not the one last evaluated and gives the candidate's
-    result: its verdict and an env that wraps bits in a Relation only when
-    a name is read, from which its checks are built only when read.
+    so binding walks no expression and evaluates nothing: it keeps the
+    bits of the names all candidates of t share (po, po-loc, deps,
+    fences, 0, id) and fixes each direction filter's mask.  Every
+    statement runs once per chunk of candidates, which packs each
+    relation of its candidates into one int (a bundle, see Packing), on
+    those bits repeated into every block; a check gives a failure byte
+    per candidate, and one result per candidate is made then.  Judging a
+    candidate evaluates its chunk if it is not the one last evaluated and
+    gives the candidate's result: its verdict and an env that wraps bits
+    in a Relation only when a name is read, from which its checks are
+    built only when read.
     """
-    (at_bind, per_chunk, dirs), n = model.plan, t.n
-    shared = _Chunk(Packing.single(n), {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs})
-    shared.update({"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": shared.pack.diag})
+    (steps, dirs), n = model.plan, t.n
+    masks = {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs}
+    shared = {"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": Packing.single(n).diag}
     shared.update((k, r.bits) for k, r in {**t.deps, **t.fences}.items())
-    _run(at_bind, shared)
-    same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its _Chunk
+    same, last = t.same_thread.bits, [None, None]  # the chunk last evaluated, its results
 
     def evaluate(chunk: Bundles) -> list:
         pack, rf, co, fr = chunk.pack, chunk["rf"], chunk["co"], chunk["fr"]
         rep, inner = pack.rep, same * pack.rep
-        c = _Chunk(pack, {d: mask * rep for d, mask in shared.masks.items()}, shared)
+        c = _Chunk(pack, {d: mask * rep for d, mask in masks.items()})
+        c.update((name, bits * rep) for name, bits in shared.items())
         c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
                  fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
-        _run(per_chunk, c)
+        try:
+            for pos, f in steps:
+                f(c)
+        except RecursionError:
+            raise CatError(f"{pos}: {_TOO_DEEP}") from None
         # byte j of loops' bytes is nonzero if candidate j fails some check
         return [ModelResult(not failed, _Env(c, j)) for j, failed in enumerate(pack.loops(c.loops))]
 

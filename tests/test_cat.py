@@ -547,8 +547,8 @@ def test_let_rec_is_solved_once_per_chunk(monkeypatch):
     t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
     for chunk in (executions.CHUNK, 3):
         monkeypatch.setattr(executions, "CHUNK", chunk)
+        solved.clear()
         cands, judge = list(enumerate_candidates(t)), bind(power, t)
-        solved.clear()  # drop the let recs solved once while binding, if any
         for cand in cands:
             run_model(judge, cand)
         assert solved == [("ii", "ic", "ci", "cc")] * -(-len(cands) // chunk)
@@ -567,10 +567,28 @@ def test_power_closes_hb_once_per_chunk(monkeypatch):
     monkeypatch.setattr(Packing, "closure", counted)
     t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
     cands, judge = list(enumerate_candidates(t)), bind(power, t)
-    closed.clear()  # drop the closures taken while binding, if any
     chunk = run_model(judge, cands[0]).env.chunk
     assert all(run_model(judge, cand).env.chunk is chunk for cand in cands)  # one chunk
     assert chunk["hb"] and closed.count(chunk["hb"]) == 1
+
+
+def test_binding_evaluates_nothing_and_a_chunk_runs_every_statement(monkeypatch):
+    # power's lets over names every candidate shares, such as cc0's addr;po,
+    # run with the chunk, once, as every other statement does
+    t, power = suite.load("mp+lwsync+addr"), models.load_builtin("power")
+    cands, calls = list(enumerate_candidates(t)), []
+    for name in ("compose", "closure"):
+        monkeypatch.setattr(Packing, name, lambda *a, f=getattr(Packing, name): calls.append(a) or f(*a))
+    judge = bind(power, t)
+    assert not calls
+    env = run_model(judge, cands[0]).env
+    lets = {s.name for s in power.statements if isinstance(s, Let)}
+    lets |= {name for s in power.statements if isinstance(s, LetRec) for name, _ in s.bindings}
+    assert calls and lets <= set(env)
+    assert len(env.chunk.checks) == sum(isinstance(s, Check) for s in power.statements)
+    made = len(calls)
+    assert all(run_model(judge, cand).env.chunk is env.chunk for cand in cands)  # one chunk
+    assert len(calls) == made
 
 
 def test_a_closure_reading_its_let_rec_is_taken_at_every_pass():

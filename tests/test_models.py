@@ -36,6 +36,7 @@ from test_executions import (
     reference_final,
     reference_state,
 )
+from test_machine import generated
 
 
 @pytest.fixture(scope="module")
@@ -206,19 +207,48 @@ def test_release_acquire_orders_message_passing_but_not_stores(tests, models):
     assert verdict(tests["iriw"], models["cpp-ra"]) == "allowed"
 
 
-def test_sc_model_agrees_with_acyclicity_oracle(tests, models):
-    for name in ("mp", "sb", "lb", "r", "2+2w", "coWW", "coRR"):
-        for cand in enumerate_candidates(tests[name]):
-            assert run_model(models["sc"], cand).passed == sc_allowed(cand), name
+# The paper's inclusions between instances of the generic model, which is
+# monotone in ppo, fences and prop: each candidate the first model allows,
+# the second allows too.  --static-ppo empties rdw and detour, which only
+# shrinks ppo.
+INCLUSIONS = [
+    ("sc", "tso"), ("sc", "power"), ("sc", "cpp-ra"), ("sc", "arm-llh"), ("tso", "cpp-ra"),
+    ("power-as-arm", "arm"), ("arm", "arm-llh"),
+    ("power", "power --static-ppo"), ("arm", "arm --static-ppo"),
+]
 
 
-def test_tso_model_agrees_with_store_order_oracle(tests, models):
-    for name in ("sb", "sb+ffences", "mp", "lb", "coWR"):
-        for cand in enumerate_candidates(tests[name]):
-            mfence = cand.fences["mfence"].pairs()
-            assert run_model(models["tso"], cand).passed == tso_allowed(
-                cand, mfence
-            ), name
+@pytest.fixture(scope="module")
+def judged(tests, models):
+    """Each candidate of the suite, tests/chunked.litmus and perfbench/gen.py's
+    wide and xcheck seeds 1-3, with its verdict by every bundled model and by
+    power and arm with --static-ppo: one enumeration per test."""
+    judges = {**models, **{f"{m} --static-ppo": load_builtin(m, static_ppo=True) for m in ("power", "arm")}}
+    corpus = [*tests.values(), CHUNKED, *(t for w in ("wide", "xcheck") for seed in (1, 2, 3)
+                                          for t in generated(w, seed))]
+    out = []
+    for t in corpus:
+        bound = {name: bind(model, t) for name, model in judges.items()}
+        out += [(cand, {name: judge(cand).passed for name, judge in bound.items()})
+                for cand in enumerate_candidates(t)]
+    assert (len(corpus), len(out)) == (126, 7566)
+    return out
+
+
+def test_stronger_models_allow_no_candidate_a_weaker_one_forbids(judged):
+    for i, (cand, passed) in enumerate(judged):
+        for strong, weak in INCLUSIONS:
+            assert passed[weak] or not passed[strong], (cand.source.name, i, strong, weak)
+
+
+def test_sc_model_agrees_with_acyclicity_oracle(judged):
+    for cand, passed in judged:
+        assert passed["sc"] == sc_allowed(cand), cand.source.name
+
+
+def test_tso_model_agrees_with_store_order_oracle(judged):
+    for cand, passed in judged:
+        assert passed["tso"] == tso_allowed(cand, cand.fences["mfence"].pairs()), cand.source.name
 
 
 def test_ppo_fixpoint_inclusions_on_a_fenced_test(tests, models):
