@@ -24,8 +24,10 @@ give 0 without evaluating their other side when an operand, a name
 evaluated first, is empty.  A let rec runs a binding again only when a
 recursive name it reads has changed since it last ran.  A chunk's
 verdicts, and its failures per check, are read from its per-check
-failure bytes; a candidate's check results are built from them only
-when read.
+failure bytes.  What is built per candidate is a record of its verdict,
+its chunk and its block; its env, its check results and the check it
+failed are built only when read, each check's bundle split into blocks
+at most once per chunk.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import operator
 import re
 from collections.abc import Mapping
 from functools import cached_property, reduce
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -418,6 +421,7 @@ class _Chunk(Bundles):
     def __init__(self, pack: Packing, masks: dict):
         super().__init__(pack)
         self.masks, self.checks, self.loops, self.closures = masks, [], 0, {}
+        self.split = {}  # check index -> its bundle's blocks
 
     def closed(self, i: int, f: Callable) -> int:
         """Bits of e+ for the expression e in closure slot i, f being e as a
@@ -436,6 +440,20 @@ class _Chunk(Bundles):
             if count := (bits & ~ignore).bit_count():
                 out[name] = out.get(name, 0) + count
         return out
+
+    def results(self, j: int) -> tuple:
+        """Each check's result on candidate j, in model order.  A failed
+        check's bundle is split into its blocks once per chunk, when a
+        candidate failing it is first read."""
+        out = []
+        for i, (ok, failed, test, bits) in enumerate(self.checks):
+            if failed[j]:
+                blocks = self.split.get(i)
+                if blocks is None:
+                    blocks = self.split[i] = self.pack.split(bits)
+                ok = CheckResult(ok.name, ok.kind, False, test(Relation(self.pack.n, blocks[j])))
+            out.append(ok)
+        return tuple(out)
 
 
 class _Env(Mapping):
@@ -459,27 +477,27 @@ class _Env(Mapping):
     def __len__(self) -> int:
         return len(self.chunk)
 
-    def checks(self) -> tuple:
-        """Each check's result on the candidate, in model order."""
-        c, j = self.chunk, self._j
-        return tuple(CheckResult(ok.name, ok.kind, False, test(Relation(c.pack.n, c.pack.split(bits)[j])))
-                     if failed[j] else ok for ok, failed, test, bits in c.checks)
-
 
 class ModelResult(NamedTuple):
+    """A candidate's verdict, and where the rest is read from: block j of
+    chunk, the chunk as the model evaluated it.  Its env, checks and the
+    check it failed are built only when read."""
+
     passed: bool
-    env: Mapping  # name -> Relation, the candidate's block of its chunk
+    chunk: _Chunk
+    j: int
 
     @property
-    def checks(self) -> tuple:  # each check's CheckResult, built when read
-        return self.env.checks()
+    def env(self) -> Mapping:  # name -> Relation, the candidate's block of its chunk
+        return _Env(self.chunk, self.j)
+
+    @property
+    def checks(self) -> tuple:  # each check's CheckResult
+        return self.chunk.results(self.j)
 
     @property
     def failed(self) -> Optional[str]:
-        for c in self.checks:
-            if not c.ok:
-                return c.name
-        return None
+        return next((ok.name for ok, failed, *_ in self.chunk.checks if failed[self.j]), None)
 
 
 def _fixpoint(env: dict, group: list) -> None:
@@ -609,11 +627,11 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     statement runs once per chunk of candidates, which packs each
     relation of its candidates into one int (a bundle, see Packing), on
     those bits repeated into every block; a check gives a failure byte
-    per candidate, and one result per candidate is made then.  Judging a
-    candidate evaluates its chunk if it is not the one last evaluated and
-    gives the candidate's result: its verdict and an env that wraps bits
-    in a Relation only when a name is read, from which its checks are
-    built only when read.
+    per candidate, and one ModelResult per candidate is made then: its
+    verdict, the chunk and its block.  Judging a candidate evaluates its
+    chunk if it is not the one last evaluated and gives the candidate's
+    result, whose env wraps bits in a Relation only when a name is read
+    and whose checks are built only when read.
     """
     (steps, dirs), n = model.plan, t.n
     masks = {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs}
@@ -633,8 +651,10 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
                 f(c)
         except RecursionError:
             raise CatError(f"{pos}: {_TOO_DEEP}") from None
-        # byte j of loops' bytes is nonzero if candidate j fails some check
-        return [ModelResult(not failed, _Env(c, j)) for j, failed in enumerate(pack.loops(c.loops))]
+        # byte j of loops' bytes is nonzero if candidate j fails some check;
+        # tuple.__new__ makes each result without a call into Python
+        passed = map(operator.not_, pack.loops(c.loops))
+        return list(map(tuple.__new__, repeat(ModelResult), zip(passed, repeat(c), range(pack.m))))
 
     def judge(cand: Candidate) -> ModelResult:
         if cand.source is not t:

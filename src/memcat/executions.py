@@ -7,13 +7,17 @@ write permutations lexicographically, rf sources in ascending event id,
 coherence choices in the outer loop.  Candidates come in chunks of
 CHUNK consecutive ones: each chunk packs its candidates' rf, co and fr
 once, one bundle each (relation.Bundles), and a candidate is a block of
-its chunk.  Each rf choice and each co order is turned into a block's
-bytes once per enumeration, so a chunk's rf and co are joins of bytes.
+its chunk.  The tables are built once per enumeration (_space): per rf
+choice its events and rf bytes, per co order its co bytes and each
+location's co-last write; a chunk's rf and co are slices of those bytes
+laid end to end, in candidate order, and each chunk knows its space and
+the number of its first candidate.
 
-final_outcome compiles a test's final condition once per call, and a
-walk over the candidates calls it once: each atom resolves to a
-constant, a read or a location's writes, and each key of read values
-and co-last writes is formatted and tested once.  count_candidates
+final_outcome compiles a test's final condition once per call.  A
+candidate's register values depend only on its rf choice and its
+location values only on its co order, so a walk over the candidates
+reads each once per choice and once per order, and formats each
+distinct state and tests the condition on it once.  count_candidates
 counts a test's candidates without enumerating them.
 """
 
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+import operator
+from typing import Iterator, NamedTuple
 
 from .litmus import And, LocEq, Or, ProjectedTest, RegEq, atoms
 from .relation import Bundles, Candidate, Event, MemRead, Packing, is_read, is_write
@@ -51,15 +56,21 @@ def count_candidates(t: ProjectedTest) -> int:
 
 
 def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
-    n, one, (choices, per_loc, links) = t.n, Packing.single(t.n), _space(t)
-    co_orders = (one.to_bytes(sum(orders)) for orders in itertools.product(*per_loc))
-    picks = ((co, choice) for co in co_orders for choice in choices)
-    while block := list(itertools.islice(picks, CHUNK)):
-        pack = Packing(n, len(block))
-        rf, co = pack.join(rf for _, (_, rf) in block), pack.join(co for co, _ in block)
-        chunk = Bundles(pack, rf=rf, co=co, fr=_fr(pack, rf, co, links))
-        for j, (_, (events, _)) in enumerate(block):
-            yield Candidate(events, t, chunk, j)
+    space, size = _space(t), Packing.single(t.n).size
+    width = len(space.rf)
+    total = len(space.co) * width
+    # candidate k pairs co order k // width with rf choice k % width: the
+    # blocks of every candidate's rf and co, in candidate order
+    rfs, cos = b"".join(space.rf) * len(space.co), b"".join([co * width for co in space.co])
+    events = itertools.cycle(space.events)
+    for first in range(0, total, CHUNK):
+        pack = Packing(t.n, min(CHUNK, total - first))
+        start, end = first * size, (first + pack.m) * size
+        rf, co = pack.join([rfs[start:end]]), pack.join([cos[start:end]])
+        chunk = Bundles(pack, rf=rf, co=co, fr=_fr(pack, rf, co, space.links))
+        chunk.space, chunk.first = space, first  # for final_outcome's tables
+        yield from map(Candidate, itertools.islice(events, pack.m), itertools.repeat(t),
+                       itertools.repeat(chunk), range(pack.m))
 
 
 def _fr(pack: Packing, rf: int, co: int, links) -> int:
@@ -72,60 +83,97 @@ def _fr(pack: Packing, rf: int, co: int, links) -> int:
     return fr
 
 
-def _space(t: ProjectedTest) -> tuple:
-    """t's candidates as (rf choices, co orders, links): per rf choice its
-    events and rf bytes, a relation's block (Packing.join); per location
-    the bits of each co order; and each (write, read) that some choice's
-    rf holds."""
-    n, one = t.n, Packing.single(t.n)
+class _Space(NamedTuple):
+    """A test's candidates, as tables: per rf choice its events and its rf
+    bytes, a relation's block (Packing.join); per co order its co bytes and
+    each location's co-last write; and each (write, read) that some
+    choice's rf holds."""
+
+    events: list
+    rf: list
+    co: list
+    tops: list
+    links: list
+
+
+def _space(t: ProjectedTest) -> _Space:
+    """t's candidates as tables, each row built once."""
+    n, size = t.n, Packing.single(t.n).size
     writes_by_loc = {loc: [] for loc in t.locations}
     for e in t.events:
         if is_write(e):
             writes_by_loc[e.action.loc].append(e.id)
 
-    per_loc = []
+    orders, tops = [], []
     for loc in t.locations:
-        init, *rest = writes_by_loc[loc]  # init write has the smallest id
-        per_loc.append([_order(n, [init, *p]) for p in itertools.permutations(sorted(rest))])
-    # per read, (source, the read reading it) for each write it may read
-    sources = [
-        [(w, Event(r.id, r.thread, r.po_index, MemRead(r.action.loc, t.events[w].action.value)))
-         for w in sorted(writes_by_loc[r.action.loc])]
-        for r in t.events if is_read(r)
-    ]
+        bits, lasts = _orders(n, writes_by_loc[loc])  # the init write has the smallest id
+        orders.append(bits)
+        tops.append(lasts)
+    # per read, the read reading each write it may read and that rf pair's
+    # bit; a choice's events are t's followed by its picks, the reads taken
+    # from slot (t has at least two events)
+    picks, bits, links, slot = [], [], [], list(range(n))
+    for r in t.events:
+        if is_read(r):
+            loc, ws = r.action.loc, writes_by_loc[r.action.loc]
+            picks.append([Event(r.id, r.thread, r.po_index, MemRead(loc, t.events[w].action.value))
+                          for w in ws])
+            bits.append([1 << w * n + r.id for w in ws])
+            links += [(w, r.id) for w in ws]
+            slot[r.id] = n + len(picks) - 1
+    return _Space(
+        list(map(operator.itemgetter(*slot), map(t.events.__add__, itertools.product(*picks)))),
+        _to_bytes(map(sum, itertools.product(*bits)), size),
+        _to_bytes(map(sum, itertools.product(*orders)), size),
+        list(itertools.product(*tops)),
+        links,
+    )
 
-    choices = []
-    for pick in itertools.product(*sources):
-        events, rf = list(t.events), 0
-        for src, ev in pick:
-            events[ev.id] = ev
-            rf |= 1 << src * n + ev.id
-        choices.append((tuple(events), one.to_bytes(rf)))
-    links = [(w, ev.id) for options in sources for w, ev in options]
-    return choices, per_loc, links
+
+def _to_bytes(relations, size: int) -> list:
+    """Each relation's bytes, size bytes each (a block of a Packing)."""
+    return list(map(int.to_bytes, relations, itertools.repeat(size), itertools.repeat("little")))
 
 
-def _order(n: int, writes: list) -> int:
-    """Bits of the total order writes lists: each before all after it."""
-    bits = later = 0
-    for w in reversed(writes):
-        bits |= later << w * n
-        later |= 1 << w
-    return bits
+def _orders(n: int, writes: list) -> tuple:
+    """(bits, last writes) of each total order of writes, given ascending,
+    that starts with writes[0], the others in lexicographic order.  An
+    order's bits extend its prefix's, made once per prefix: each write
+    comes before all the writes left after it."""
+    bits, lasts = [], []
+
+    def place(acc, w, left, later):  # w next, then left, whose bits are later
+        acc |= later << w * n
+        if len(left) == 2:  # the last two, either way round
+            a, b = left
+            bits.extend((acc | 1 << a * n + b, acc | 1 << b * n + a))
+            lasts.extend((b, a))
+        elif len(left) < 2:
+            bits.append(acc)
+            lasts.append(left[0] if left else w)
+        else:
+            for i, v in enumerate(left):
+                place(acc, v, left[:i] + left[i + 1:], later ^ 1 << v)
+
+    place(0, writes[0], tuple(writes[1:]), sum(1 << v for v in writes[1:]))
+    return bits, lasts
 
 
 def final_outcome(t: ProjectedTest):
-    """t's final condition as a function giving a candidate's (observed
-    state, that state joined by "; ", truth).  The atoms resolve once per
-    call; the outcome depends only on its key, the registers' constants or
-    read values and the locations' co-last writes, and is made once per
-    key."""
+    """t's final condition as a function giving an enumerated candidate's
+    (observed state, that state joined by "; ", truth).  The atoms resolve
+    once per call.  The registers' values depend only on the candidate's rf
+    choice and the locations' on its co order: each is read once per
+    choice and once per order, when a candidate of it is first asked
+    about, and the outcome is made once per distinct state."""
     regs = sorted({(a.thread, a.reg) for a in atoms(t.final.cond) if isinstance(a, RegEq)})
     locs = sorted({a.loc for a in atoms(t.final.cond) if isinstance(a, LocEq)})
     sources = [(kind == "const", arg) for kind, arg in map(t.reg_sources.get, regs)]
-    writes = [[e.id for e in t.events if is_write(e) and e.action.loc == loc] for loc in locs]
+    at = [t.locations.index(loc) for loc in locs]  # each location's place in an order's tops
+    values = [e.action.value for e in t.events]  # each write's value
     names = [f"{th}:{reg}=" for th, reg in regs] + [f"{loc}=" for loc in locs]
-    n, full, memo = t.n, (1 << t.n) - 1, {}
+    # outcomes by state, and each half of a state by rf choice and by co order
+    memo, by_choice, by_order = {}, {}, {}
 
     def compile_cond(node):
         if isinstance(node, (And, Or)):
@@ -136,22 +184,22 @@ def final_outcome(t: ProjectedTest):
         return lambda values: values[i] == node.value
 
     def make(key):
-        values = list(key[:len(regs)])
-        if None in values:
-            read = sources[values.index(None)][1]
-            raise ValueError(f"read {read} has no value; not an enumerated candidate?")
-        for loc, top in zip(locs, key[len(regs):]):
-            if len(top) != 1:
-                raise ValueError(f"co on {loc} is not a total order")
-            values.append(t.events[top[0]].action.value)
-        state = tuple(map("{}{}".format, names, values))
-        return state, "; ".join(state), cond(values)
+        state = tuple(map("{}{}".format, names, key))
+        return state, "; ".join(state), cond(key)
 
     def outcome(cand):
-        key = tuple([arg if const else cand.events[arg].action.value for const, arg in sources])
-        if writes:
-            co = cand.chunk.blocks("co")[cand.j]
-            key += tuple([tuple([w for w in ws if not co >> w * n & full]) for ws in writes])
+        chunk = cand.chunk
+        order, choice = divmod(chunk.first + cand.j, len(chunk.space.events))
+        held = by_choice.get(choice)
+        if held is None:
+            events = chunk.space.events[choice]
+            held = by_choice[choice] = tuple(
+                [arg if const else events[arg].action.value for const, arg in sources])
+        last = by_order.get(order)
+        if last is None:
+            tops = chunk.space.tops[order]
+            last = by_order[order] = tuple([values[tops[i]] for i in at])
+        key = held + last
         # the memo hits on most passing candidates of wide tests, though on no suite test
         return memo.get(key) or memo.setdefault(key, make(key))
 

@@ -124,7 +124,7 @@ def evaluate_test(
         total += 1
         result = run_model(judge, cand)
         if not cand.j:  # the first of its chunk: count the chunk's failures
-            failures.update(result.env.chunk.failures(skip))
+            failures.update(result.chunk.failures(skip))
         if not result.passed:
             continue
         passing += 1

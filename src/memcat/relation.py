@@ -195,7 +195,7 @@ class Packing:
     broadcast row, and skipping a step whose column or row is empty in
     every block.  Packing.single(n) lays out one relation."""
 
-    __slots__ = ("n", "m", "size", "rep", "col0", "cols", "rows", "diag")
+    __slots__ = ("n", "m", "size", "rep", "col0", "cols", "rows", "diag", "low")
 
     def __init__(self, n: int, m: int):
         self.n, self.m, self.size = n, m, n * n // 8 + 1
@@ -203,6 +203,7 @@ class Packing:
         self.col0 = sum(1 << i * n for i in range(n))  # column 0 of one block
         self.cols, self.rows = self.col0 * self.rep, ((1 << n) - 1) * self.rep
         self.diag = sum(1 << i * (n + 1) for i in range(n)) * self.rep
+        self.low = (self.rep << n * n) - self.rep  # every block's n*n relation bits
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -248,12 +249,12 @@ class Packing:
         return acc * self.col0 & self.diag
 
     def loops(self, bits: int) -> bytes:
-        """Byte j is nonzero iff relation j has a pair (i, i)."""
-        bits &= self.diag
-        acc, step = 0, self.n + 1
-        for i in range(self.n):  # gather block j's diagonal at its bit 0
-            acc |= bits >> i * step
-        return self.to_bytes(acc & self.rep)[::self.size]
+        """Byte j is nonzero iff relation j has a pair (i, i): adding the
+        n*n relation bits to a block's diagonal carries into its spare bit
+        n*n exactly when the diagonal is not empty, and never past it (a
+        block has 8*size > n*n bits); one shift takes that bit to bit 0."""
+        carried = ((bits & self.diag) + self.low) >> self.n * self.n
+        return self.to_bytes(carried & self.rep)[::self.size]
 
     def to_bytes(self, bundle: int) -> bytes:
         return bundle.to_bytes(self.m * self.size, "little")

@@ -508,6 +508,31 @@ def test_models_match_reference_evaluator_on_several_chunks():
             assert (got.env, got.checks) == (want.env, want.checks), (name, cand.j)
 
 
+@pytest.mark.parametrize("name", ["sc", "power"])
+def test_reading_checks_splits_each_failed_check_once_per_chunk(monkeypatch, name):
+    # every candidate's checks, read twice over 3 chunks, split each check's
+    # bundle only on the chunks where some candidate fails it, once there
+    model, cands = models.load_builtin(name), list(enumerate_candidates(CHUNKED))
+    judge = bind(model, CHUNKED)
+    results = [run_model(judge, cand) for cand in cands]
+    split, splits = Packing.split, []
+
+    def counted(self, bits):
+        splits.append(bits)
+        return split(self, bits)
+
+    monkeypatch.setattr(Packing, "split", counted)
+    got = [(r.checks, r.failed) for r in results + results]
+    monkeypatch.undo()
+    chunks = {id(r.chunk): r.chunk for r in results}.values()
+    assert len(chunks) == 3
+    assert len(splits) == sum(any(failed) for c in chunks for _, failed, *_ in c.checks) >= 3
+    for cand, (checks, failed) in zip(cands + cands, got):
+        want = reference_run(model, cand).checks
+        assert checks == want
+        assert failed == next((c.name for c in want if not c.ok), None)
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chunk_boundaries_match_reference_evaluator(monkeypatch, chunk):
     # chunks of 1 and 3 split every oracle test, 3 also inside a co order

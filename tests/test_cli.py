@@ -565,6 +565,30 @@ def test_cycles_records_match_snapshot():
     assert jsonl(res) == snapshot
 
 
+CHUNKED_PATH = str(Path(__file__).with_name("chunked.litmus"))
+CHUNKED_SNAPSHOT = json.loads(Path(__file__).with_name("chunked_snapshot.json").read_text())
+
+
+@pytest.mark.parametrize("model", models.BUILTIN_MODELS)
+@pytest.mark.parametrize("prune", [False, True], ids=["plain", "pruned"])
+def test_chunked_run_records_match_snapshot(model, prune):
+    # chunked.litmus is the one input whose candidates span several chunks
+    # (600 candidates, boundaries at 256 and 512): a per-chunk table or
+    # count that leaked across a boundary would move these records
+    args = ("--prune-sc-per-location",) if prune else ()
+    res = invoke("run", "-m", model, *args, "--format", "jsonl", CHUNKED_PATH)
+    assert res.exit_code == 0, res.output
+    assert jsonl(res) == [CHUNKED_SNAPSHOT["pruned" if prune else "run"][model]]
+
+
+@pytest.mark.parametrize("command", [("compare", "-a", "sc", "-b", "power"), ("machine",)],
+                         ids=["compare", "machine"])
+def test_chunked_compare_and_machine_records_match_snapshot(command):
+    res = invoke(*command, "--format", "jsonl", CHUNKED_PATH)
+    assert res.exit_code == 0, res.output
+    assert jsonl(res) == [CHUNKED_SNAPSHOT[command[0]]]
+
+
 def test_machine_evaluates_power_once_per_candidate(monkeypatch):
     calls = {"run_model": 0, "parse_cat": 0}
 

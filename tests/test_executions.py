@@ -11,7 +11,9 @@ from memcat import executions
 from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import And, LocEq, Or, RegEq, atoms, parse_litmus, project
 from memcat.models import PRUNE_CHECK, load_builtin
-from memcat.relation import Event, MemRead, MemWrite, compose, is_read, is_write
+from memcat.relation import (
+    Bundles, Candidate, Event, MemRead, MemWrite, Packing, compose, is_read, is_write,
+)
 
 from oracles import candidate_pairs, count_expected_candidates, is_acyclic_pairs
 
@@ -293,6 +295,115 @@ def test_compiled_final_agrees_with_reference_on_forall_and_locations():
     assert len({observed_state(c) for c in cands}) == 4
     # the location final of the three-writer test, fed after another test
     assert_final_matches_reference(_cands(THREE_WRITES) + cands + _cands(THREE_WRITES))
+
+
+def walked_space(t):
+    """(rf choices, co orders, links) of t, walking every read once per rf
+    choice: per choice its events and rf bits, per location the bits of
+    each co order, and each (write, read) some choice's rf holds."""
+    n = t.n
+    writes = {loc: [e.id for e in t.events if is_write(e) and e.action.loc == loc]
+              for loc in t.locations}
+    per_loc = []
+    for init, *rest in writes.values():
+        orders = []
+        for p in itertools.permutations(rest):
+            bits = later = 0
+            for w in reversed((init, *p)):
+                bits |= later << w * n
+                later |= 1 << w
+            orders.append(bits)
+        per_loc.append(orders)
+    sources = [
+        [(w, Event(r.id, r.thread, r.po_index, MemRead(r.action.loc, t.events[w].action.value)))
+         for w in writes[r.action.loc]]
+        for r in t.events if is_read(r)
+    ]
+    choices = []
+    for pick in itertools.product(*sources):
+        events, rf = list(t.events), 0
+        for src, ev in pick:
+            events[ev.id] = ev
+            rf |= 1 << src * n + ev.id
+        choices.append((tuple(events), rf))
+    links = [(w, ev.id) for options in sources for w, ev in options]
+    return choices, per_loc, links
+
+
+def walked_candidates(t):
+    """enumerate_candidates(t) built from walked_space: each candidate's
+    choice and order packed into chunks of executions.CHUNK."""
+    n, one, (choices, per_loc, links) = t.n, Packing.single(t.n), walked_space(t)
+    picks = ((sum(orders), choice) for orders in itertools.product(*per_loc) for choice in choices)
+    while block := list(itertools.islice(picks, executions.CHUNK)):
+        pack = Packing(n, len(block))
+        rf = pack.join(one.to_bytes(rf) for _, (_, rf) in block)
+        co = pack.join(one.to_bytes(co) for co, _ in block)
+        chunk = Bundles(pack, rf=rf, co=co, fr=executions._fr(pack, rf, co, links))
+        for j, (_, (events, _)) in enumerate(block):
+            yield Candidate(events, t, chunk, j)
+
+
+def per_candidate_outcome(t):
+    """final_outcome(t) reading each candidate's read values and co-last
+    writes from the candidate itself."""
+    regs = sorted({(a.thread, a.reg) for a in atoms(t.final.cond) if isinstance(a, RegEq)})
+    locs = sorted({a.loc for a in atoms(t.final.cond) if isinstance(a, LocEq)})
+    sources = [t.reg_sources[reg] for reg in regs]
+    writes = [[e.id for e in t.events if is_write(e) and e.action.loc == loc] for loc in locs]
+    names = [f"{th}:{reg}=" for th, reg in regs] + [f"{loc}=" for loc in locs]
+    n, full = t.n, (1 << t.n) - 1
+
+    def holds(node, values):
+        if isinstance(node, (And, Or)):
+            return (all if isinstance(node, And) else any)(holds(x, values) for x in node.items)
+        key = f"{node.thread}:{node.reg}=" if isinstance(node, RegEq) else f"{node.loc}="
+        return values[names.index(key)] == node.value
+
+    def outcome(cand):
+        values = [arg if kind == "const" else cand.events[arg].action.value
+                  for kind, arg in sources]
+        co = cand.chunk.blocks("co")[cand.j]
+        for ws in writes:
+            (top,) = [w for w in ws if not co >> w * n & full]
+            values.append(t.events[top].action.value)
+        state = tuple(map("{}{}".format, names, values))
+        return state, "; ".join(state), holds(t.final.cond, values)
+
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The suite, chunked.litmus and perfbench/gen.py's wide and xcheck seeds 1-3."""
+    from test_machine import generated
+
+    return [*(suite.load(name) for name in suite.names()), CHUNKED,
+            *(t for w in ("wide", "xcheck") for seed in (1, 2, 3) for t in generated(w, seed))]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, executions.CHUNK])
+def test_tables_match_walked_candidates_and_outcomes(monkeypatch, corpus, chunk):
+    # enumeration takes each candidate's events and rf from its choice's
+    # row and its co from its order's, and final_outcome reads each half of
+    # an outcome once per choice and per order: every candidate must equal
+    # the one built by walking its reads, chunk by chunk, with its outcome
+    monkeypatch.setattr(executions, "CHUNK", chunk)
+    checked = 0
+    for t in corpus:
+        got, want = list(enumerate_candidates(t)), list(walked_candidates(t))
+        assert len(got) == len(want), t.name
+        outcome, reference = executions.final_outcome(t), per_candidate_outcome(t)
+        # the walked candidates first, so each table is filled in another order
+        outcomes = [reference(c) for c in want[::-1]][::-1]
+        for a, b, expected in zip(got, want, outcomes):
+            assert (a.j, a.events) == (b.j, b.events), t.name
+            for name in ("rf", "co", "fr"):
+                assert a.chunk.blocks(name)[a.j] == b.chunk.blocks(name)[b.j], (t.name, name)
+            assert outcome(a) == reference(a) == expected, t.name
+            assert (observed_state(a), evaluate_final(a)) == (expected[0], expected[2]), t.name
+        checked += len(got)
+    assert (len(corpus), checked) == (126, 7566)
 
 
 def test_count_candidates_matches_enumeration():

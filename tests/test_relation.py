@@ -342,6 +342,39 @@ def test_packing_kernels_match_pair_sets_block_by_block(case):
         assert [bool(x) for x in pack.loops(bits)] == [any(x == y for x, y in s) for s in sets]
 
 
+def gathered_loops(pack, bits):
+    """Packing.loops by gathering each block's diagonal at its bit 0, one
+    shift-or pass over the bundle per diagonal bit."""
+    bits &= pack.diag
+    acc = 0
+    for i in range(pack.n):
+        acc |= bits >> i * (pack.n + 1)
+    return pack.to_bytes(acc & pack.rep)[::pack.size]
+
+
+@st.composite
+def loop_bundles(draw):
+    """(n, blocks): up to 300 relations over n <= 16 events, n = 8 and 16
+    (n*n a multiple of 8, one spare byte per block) among them, each empty,
+    with a full diagonal, with one loop, or any bits."""
+    n = draw(st.sampled_from([8, 16]) | st.integers(1, 16))
+    full = sum(1 << i * (n + 1) for i in range(n))
+    one_loop = st.integers(0, n - 1).map(lambda i: 1 << i * (n + 1))
+    block = st.just(0) | st.just(full) | one_loop | st.integers(0, (1 << n * n) - 1)
+    return n, draw(st.lists(block, min_size=1, max_size=300))
+
+
+@given(loop_bundles())
+@settings(max_examples=300, deadline=None)
+def test_packing_loops_match_gathered_diagonals(case):
+    n, blocks = case
+    pack, one = Packing(n, len(blocks)), Packing.single(n)
+    bits = pack.join(map(one.to_bytes, blocks))
+    got = pack.loops(bits)
+    assert got == gathered_loops(pack, bits)
+    assert [bool(x) for x in got] == [bool(b & one.diag) for b in blocks]
+
+
 # ------------------------------------------------------------- algebra laws
 
 @given(small_relations(6), small_relations(6), small_relations(6))
