@@ -8,15 +8,12 @@ coherence choices in the outer loop.  Candidates come in chunks of
 CHUNK consecutive ones: each chunk packs its candidates' rf, co and fr
 once, one bundle each (relation.Bundles), and a candidate is a block of
 its chunk.  The tables are built once per enumeration (_space): per rf
-choice its events and rf bytes, per co order its co bytes and each
-location's co-last write; a chunk's rf and co are slices of those bytes
-laid end to end, in candidate order, and each chunk knows its space and
-the number of its first candidate.
+choice its events and rf bytes, per co order its co bytes; a chunk's rf
+and co are slices of those bytes laid end to end, in candidate order.
 
-final_outcome compiles a test's final condition once per call.  A
-candidate's register values depend only on its rf choice and its
-location values only on its co order, so a walk over the candidates
-reads each once per choice and once per order, and formats each
+final_outcome compiles a test's final condition once per call and reads
+each candidate's register values from its events and each location's
+value from its co-last write, so a walk over the candidates formats each
 distinct state and tests the condition on it once.  count_candidates
 counts a test's candidates without enumerating them.
 """
@@ -68,7 +65,6 @@ def enumerate_candidates(t: ProjectedTest) -> Iterator[Candidate]:
         start, end = first * size, (first + pack.m) * size
         rf, co = pack.join([rfs[start:end]]), pack.join([cos[start:end]])
         chunk = Bundles(pack, rf=rf, co=co, fr=_fr(pack, rf, co, space.links))
-        chunk.space, chunk.first = space, first  # for final_outcome's tables
         yield from map(Candidate, itertools.islice(events, pack.m), itertools.repeat(t),
                        itertools.repeat(chunk), range(pack.m))
 
@@ -85,14 +81,12 @@ def _fr(pack: Packing, rf: int, co: int, links) -> int:
 
 class _Space(NamedTuple):
     """A test's candidates, as tables: per rf choice its events and its rf
-    bytes, a relation's block (Packing.join); per co order its co bytes and
-    each location's co-last write; and each (write, read) that some
-    choice's rf holds."""
+    bytes, a relation's block (Packing.join); per co order its co bytes;
+    and each (write, read) that some choice's rf holds."""
 
     events: list
     rf: list
     co: list
-    tops: list
     links: list
 
 
@@ -104,11 +98,8 @@ def _space(t: ProjectedTest) -> _Space:
         if is_write(e):
             writes_by_loc[e.action.loc].append(e.id)
 
-    orders, tops = [], []
-    for loc in t.locations:
-        bits, lasts = _orders(n, writes_by_loc[loc])  # the init write has the smallest id
-        orders.append(bits)
-        tops.append(lasts)
+    # the init write has the smallest id
+    orders = [_orders(n, writes_by_loc[loc]) for loc in t.locations]
     # per read, the read reading each write it may read and that rf pair's
     # bit; a choice's events are t's followed by its picks, the reads taken
     # from slot (t has at least two events)
@@ -125,7 +116,6 @@ def _space(t: ProjectedTest) -> _Space:
         list(map(operator.itemgetter(*slot), map(t.events.__add__, itertools.product(*picks)))),
         _to_bytes(map(sum, itertools.product(*bits)), size),
         _to_bytes(map(sum, itertools.product(*orders)), size),
-        list(itertools.product(*tops)),
         links,
     )
 
@@ -135,45 +125,41 @@ def _to_bytes(relations, size: int) -> list:
     return list(map(int.to_bytes, relations, itertools.repeat(size), itertools.repeat("little")))
 
 
-def _orders(n: int, writes: list) -> tuple:
-    """(bits, last writes) of each total order of writes, given ascending,
-    that starts with writes[0], the others in lexicographic order.  An
-    order's bits extend its prefix's, made once per prefix: each write
-    comes before all the writes left after it."""
-    bits, lasts = [], []
+def _orders(n: int, writes: list) -> list:
+    """The bits of each total order of writes, given ascending, that
+    starts with writes[0], the others in lexicographic order.  An order's
+    bits extend its prefix's, made once per prefix: each write comes
+    before all the writes left after it."""
+    bits = []
 
     def place(acc, w, left, later):  # w next, then left, whose bits are later
         acc |= later << w * n
         if len(left) == 2:  # the last two, either way round
             a, b = left
             bits.extend((acc | 1 << a * n + b, acc | 1 << b * n + a))
-            lasts.extend((b, a))
         elif len(left) < 2:
             bits.append(acc)
-            lasts.append(left[0] if left else w)
         else:
             for i, v in enumerate(left):
                 place(acc, v, left[:i] + left[i + 1:], later ^ 1 << v)
 
     place(0, writes[0], tuple(writes[1:]), sum(1 << v for v in writes[1:]))
-    return bits, lasts
+    return bits
 
 
 def final_outcome(t: ProjectedTest):
-    """t's final condition as a function giving an enumerated candidate's
-    (observed state, that state joined by "; ", truth).  The atoms resolve
-    once per call.  The registers' values depend only on the candidate's rf
-    choice and the locations' on its co order: each is read once per
-    choice and once per order, when a candidate of it is first asked
-    about, and the outcome is made once per distinct state."""
+    """t's final condition as a function giving a candidate's (observed
+    state, that state joined by "; ", truth).  The atoms resolve once per
+    call.  A register's value is its constant or its read's value in the
+    candidate's events, a location's that of its one write with no
+    co-successor; the outcome is made once per distinct state."""
     regs = sorted({(a.thread, a.reg) for a in atoms(t.final.cond) if isinstance(a, RegEq)})
     locs = sorted({a.loc for a in atoms(t.final.cond) if isinstance(a, LocEq)})
     sources = [(kind == "const", arg) for kind, arg in map(t.reg_sources.get, regs)]
-    at = [t.locations.index(loc) for loc in locs]  # each location's place in an order's tops
+    writes = [[e.id for e in t.events if is_write(e) and e.action.loc == loc] for loc in locs]
     values = [e.action.value for e in t.events]  # each write's value
     names = [f"{th}:{reg}=" for th, reg in regs] + [f"{loc}=" for loc in locs]
-    # outcomes by state, and each half of a state by rf choice and by co order
-    memo, by_choice, by_order = {}, {}, {}
+    n, full, memo = t.n, (1 << t.n) - 1, {}  # outcomes by state
 
     def compile_cond(node):
         if isinstance(node, (And, Or)):
@@ -188,18 +174,12 @@ def final_outcome(t: ProjectedTest):
         return state, "; ".join(state), cond(key)
 
     def outcome(cand):
-        chunk = cand.chunk
-        order, choice = divmod(chunk.first + cand.j, len(chunk.space.events))
-        held = by_choice.get(choice)
-        if held is None:
-            events = chunk.space.events[choice]
-            held = by_choice[choice] = tuple(
-                [arg if const else events[arg].action.value for const, arg in sources])
-        last = by_order.get(order)
-        if last is None:
-            tops = chunk.space.tops[order]
-            last = by_order[order] = tuple([values[tops[i]] for i in at])
-        key = held + last
+        events = cand.events
+        key = [arg if const else events[arg].action.value for const, arg in sources]
+        if writes:
+            co = cand.chunk.blocks("co")[cand.j]
+            key += [values[w] for ws in writes for w in ws if not co >> w * n & full]
+        key = tuple(key)
         # the memo hits on most passing candidates of wide tests, though on no suite test
         return memo.get(key) or memo.setdefault(key, make(key))
 

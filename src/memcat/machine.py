@@ -38,8 +38,8 @@ Initial-state writes have no labels: they are committed and past
 coherence point from the start, so they drop out of every need, and an
 init write among those that would wedge a label wedges it for good.  A
 label that can never fire, wedged so or failing sr:obs or cr:visible,
-gets the need NEVER, which no done set covers, so it never fires and
-the machine rejects the candidate.
+needs itself, which no done set covers while it is pending, so it never
+fires and the machine rejects the candidate.
 
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
@@ -55,7 +55,7 @@ exists exactly when that precedence graph is acyclic.  Each event e has
 a first label a(e), c(w) or s(w,r), and a second b(e), cp(w) or c(w,r).
 Each premise is then one event relation of the candidate, masked to a
 rectangle of program writes W, reads R, init writes I and M = W | R, in
-one quadrant of label pairs; a NEVER is a label that needs itself:
+one quadrant of label pairs; a label that can never fire needs itself:
 
   a -> a  need   sr:source                  rf & ~po-loc & WxR
           block  cw:coWW, cw:prop           (po-loc | prop) & WxW
@@ -78,10 +78,10 @@ one quadrant of label pairs; a NEVER is a label that needs itself:
 where last, first and earlier pair each read with its last po-loc-earlier
 write, its first po-loc-later write and its po-loc-earlier reads.  Over a
 chunk of Power's candidates each quadrant is one bundle over the n
-events: AA = need_aa | block_aa, AB = need_ab, BA = need_ba | block_ba
-and BB = need_bb | block_bb, each block off the diagonal.  A cycle of
-labels runs through second labels alone, or from first label to first
-label, directly or through second labels; so a candidate is rejected
+events, the machine's one precedence graph: XY holds (e, f) when x(e)
+must fire before y(f), its needs with its blocks off the diagonal.  A
+cycle of labels runs through second labels alone, or from first label to
+first label, directly or through second labels; so a candidate is rejected
 exactly when loops(BB+ | (AA | AB;BB*;BA)+) is set, and two closures and
 two compositions decide every candidate of the chunk.  machine_context
 computes these verdicts at the chunk's first candidate and
@@ -91,18 +91,18 @@ read's labels sit at one index whatever its rf source; only the label
 tuples name the source) and each read's po-loc neighbours, is the
 layout, built with the premises of each chunk and kept on them.
 
-A candidate's labels and its need and block bitmasks, in that label
-order, are built from its block of the quadrants only when read.
-witness_path sorts their graph, _preds, preferring commits in co and
-prop order where the premises allow, so the witness is the machine's own
-firing order, and it exists exactly when the machine accepts.
+A candidate's labels and its preds, the labels each label must fire
+after, in that label order, are read from its block of the quadrants
+only when asked for.  witness_path sorts preds, preferring commits in co
+and prop order where the premises allow, so the witness is the machine's
+own firing order, and it exists exactly when the machine accepts.
 replay_path runs a given path and reports the index of the first step
-that cannot fire.
+that fires a label twice or ahead of one of its preds.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 # cat, executions and models are called through their modules, so a binding
@@ -149,16 +149,11 @@ class BoundError(Exception):
 DEFAULT_BOUND = 10
 
 
-# a need no done set covers
-NEVER = -1
-
-
 class _Layout(NamedTuple):
     """What the premises take from a test's events and po-loc alone."""
 
-    write_ids: tuple  # program writes, in label order; their labels come first
-    read_ids: tuple
-    write_labels: tuple  # c(w) and cp(w) of each program write
+    write_labels: tuple  # c(w) and cp(w) of each program write; they come first
+    read_ids: tuple  # the reads, in label order
     writes: int  # the program writes' event mask
     slot: list  # slot[e]: the bit of event e's first label
     # the bits of WxW, WxR, RxR, RxW, RxM, WxI, RxI and id over M, for
@@ -196,40 +191,23 @@ def _layout(t):
     masks = (ww, rect(w, r), rr, rw, rect(r, w | r), rect(w, i), rect(r, i),
              rect(w | r, w | r) & one.diag, nearest(back), nearest(t.po_loc.bits), back & rr)
     write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
-    return _Layout(tuple(e.id for e in writes), tuple(e.id for e in reads), write_labels,
-                   w, slot, masks)
+    return _Layout(write_labels, tuple(e.id for e in reads), w, slot, masks)
 
 
 def _mask(events):
     return sum(1 << e.id for e in events)
 
 
-def _firsts(slot, events):
-    """The first-label bits of an event bitmask's events."""
-    out = 0
-    while events:
-        low = events & -events
-        out |= slot[low.bit_length() - 1]
-        events ^= low
-    return out
-
-
-# the bundles of _premises: need_xy holds (e, f) when label y(f) needs
-# label x(e), block_xy when label x(e) is wedged by label y(f), where
-# a(e) is e's first label and b(e) its second
-_NEED = ("need_aa", "need_ab", "need_ba", "need_bb")
-_BLOCK = ("block_aa", "block_ba", "block_bb")
-
-
 def _premises(t, c):
     """The premises of every candidate of c, a chunk of t's candidates as
     Power evaluated it, and the machine's verdict on each.
 
-    Each premise is one of the chunk's event bundles masked to a
-    rectangle of events, in one quadrant of labels (see the module
-    docstring); a label that can never fire needs itself.  Returns the
-    quadrants' Bundles, with prop, with t's layout, and with rejected:
-    byte j is nonzero iff the machine rejects candidate j.
+    Quadrant xy holds (e, f) when label x(e) must fire before label
+    y(f): each premise is one of the chunk's event bundles masked to a
+    rectangle of events (see the module docstring), and a label that can
+    never fire needs itself.  Returns the quadrants aa, ab, ba and bb
+    with prop as Bundles, with t's layout, and with rejected: byte j is
+    nonzero iff the machine rejects candidate j.
     """
     p, layout = c.pack, _layout(t)
     ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in layout.masks)
@@ -241,21 +219,18 @@ def _premises(t, c):
     # sr:obs: a co-successor of r's source reaches r by prop;hb*
     hidden = p.compose(fr, p.compose(prop, p.closure(hb, True))) & diag
     never_cr = p.domain(ppo_fence & ri) | _invisible(p, rf, fr, po_loc, last, first, earlier)
+    # the needs, then the blocks off the diagonal: a label never wedges itself
     b = Bundles(
         p,
         prop=prop,
-        need_aa=rf & ~po_loc & wr | hidden | wedged,  # sr:source
-        need_ab=ids | prop & rw,  # cpw:buff, cr:satisfied and cpw:prop-rw
-        need_ba=prop & wr,  # sr:prop-wr
-        need_bb=co & ww | never_cr | wedged,  # cpw:co
-        # cw:coWW, cw:prop, cw:fences, sr:ppo and sr:prop-rr
-        block_aa=order & ww | fence & wr | (ppo_fence | prop) & rr,
-        block_ba=ppo_fence & rm,  # cr:ppo-write and cr:ppo-read
-        block_bb=order & ww,  # cpw:order
+        # sr:source; cw:coWW, cw:prop, cw:fences, sr:ppo and sr:prop-rr
+        aa=rf & ~po_loc & wr | hidden | wedged
+        | (order & ww | fence & wr | (ppo_fence | prop) & rr) & ~diag,
+        ab=ids | prop & rw,  # cpw:buff, cr:satisfied and cpw:prop-rw
+        ba=prop & wr | ppo_fence & rm,  # sr:prop-wr; cr:ppo-write and cr:ppo-read
+        bb=co & ww | never_cr | wedged | order & ww & ~diag,  # cpw:co; cpw:order
     )
-    # the label graph's quadrants, bb closed to BB+; a label never wedges itself
-    aa, ab = b["need_aa"] | b["block_aa"] & ~diag, b["need_ab"]
-    ba, bb = b["need_ba"] | b["block_ba"], p.closure(b["need_bb"] | b["block_bb"] & ~diag)
+    aa, ab, ba, bb = b["aa"], b["ab"], b["ba"], p.closure(b["bb"])
     # a cycle runs through second labels alone, or from first label to first label
     b.rejected = p.loops(bb | p.closure(aa | p.compose(p.compose(ab, bb | diag), ba)))
     b.layout = layout
@@ -273,7 +248,7 @@ def _invisible(p, rf, fr, po_loc, last, first, earlier):
 
 class MachineContext:
     """One candidate on the machine: block j of its chunk's premises.
-    Its labels, need, block and rf sources are built when first read."""
+    Its labels, preds and rf sources are built when first read."""
 
     __slots__ = ("cand", "premises", "j", "__dict__")  # __dict__ holds the cached properties
 
@@ -297,31 +272,21 @@ class MachineContext:
     def label_index(self) -> dict:  # label -> id
         return {label: i for i, label in enumerate(self.labels)}
 
-    @property
-    def need(self) -> tuple:  # labels that must already be done; NEVER if it cannot fire
-        return self._bitmasks[0]
-
-    @property
-    def block(self) -> tuple:  # labels whose being done wedges it
-        return self._bitmasks[1]
-
     @cached_property
     def prop(self) -> Relation:
         return self.premises.relation("prop", self.j)
 
     @cached_property
-    def _bitmasks(self) -> tuple:
-        """(need, block) as label bitmasks, indexed by label id."""
-        b, j = self.premises, self.j
-        aa, ab, ba, bb = (b.relation(k, j).inverse().row for k in _NEED)  # by the label needing
-        out_aa, out_ba, out_bb = (b.relation(k, j).row for k in _BLOCK)
-        firsts = partial(_firsts, b.layout.slot)
-        need, block = [], []
-        for e in b.layout.write_ids + b.layout.read_ids:
-            need += [NEVER if aa(e) >> e & 1 else firsts(aa(e)) | firsts(ba(e)) << 1,
-                     NEVER if bb(e) >> e & 1 else firsts(ab(e)) | firsts(bb(e)) << 1]
-            block += [firsts(out_aa(e)), firsts(out_ba(e)) | firsts(out_bb(e)) << 1]
-        return tuple(need), tuple(block)
+    def preds(self) -> list:
+        """preds[i] holds, by label id, each label that label i must fire
+        after: block j of the chunk's quadrants.  A label that can never
+        fire holds its own bit."""
+        slot = self.premises.layout.slot
+        preds = [0] * len(self.labels)
+        for quadrant, x, y in (("aa", 0, 0), ("ab", 0, 1), ("ba", 1, 0), ("bb", 1, 1)):
+            for e, f in self.premises.relation(quadrant, self.j).pairs():
+                preds[slot[f].bit_length() - 1 + y] |= slot[e] << x
+        return preds
 
 
 def machine_context(cand, env):
@@ -345,8 +310,8 @@ def machine_context(cand, env):
 
 
 def _fires(ctx, i, done):
-    """Label i can fire from the done set: not done, needs met, unwedged."""
-    return not (done >> i & 1 or ctx.need[i] & ~done or ctx.block[i] & done)
+    """Label i can fire from the done set: not done, and its preds all done."""
+    return not (done >> i & 1 or ctx.preds[i] & ~done)
 
 
 def _linearise(preds):
@@ -366,26 +331,19 @@ def _linearise(preds):
     return order, [i for i in range(len(preds)) if not done >> i & 1]
 
 
-def _preds(ctx):
-    """The precedence graph of ctx's premises: preds[i] holds each label
-    that label i needs and each label whose being done label i wedges."""
-    preds = list(ctx.need)  # a NEVER keeps bits no done set covers
-    for i, block in enumerate(ctx.block):
-        block &= ~(1 << i)  # a label never wedges itself
-        while block:
-            low = block & -block
-            preds[low.bit_length() - 1] |= 1 << i
-            block ^= low
-    return preds
-
-
 def machine_accepts(ctx):
     """True when some interleaving fires every label of the candidate."""
     return not ctx.premises.rejected[ctx.j]
 
 
 def replay_path(ctx, path):
-    """Run path label by label.  Returns (accepted, first_blocked_index)."""
+    """Run path label by label.  Returns (accepted, first_blocked_index).
+
+    A step blocks when its label is not the candidate's, is already done
+    or fires ahead of one of its preds.  On a path that is not a firing
+    order, that is the first label fired ahead of a label it must follow,
+    which can come before the step whose label the premises wedge.
+    """
     done = 0
     for step, label in enumerate(path):
         i = ctx.label_index.get(label)
@@ -398,14 +356,14 @@ def replay_path(ctx, path):
 def witness_path(ctx):
     """The machine's firing order for a candidate it accepts.
 
-    Sorts _preds, the candidate's part of the graph machine_accepts
+    Sorts ctx.preds, the candidate's part of the graph machine_accepts
     decides, preferring c(w1) before c(w2) for program writes with
     (w1, w2) in co | WW(prop+): that order is kept where the premises
     allow it and dropped where they do not.  Raises
     WitnessCycleError, naming the labels that never fire, exactly when
     machine_accepts rejects the candidate.
     """
-    cand, preds = ctx.cand, _preds(ctx)
+    cand, preds = ctx.cand, ctx.preds
     writes, slot = ctx.premises.layout.writes, ctx.premises.layout.slot
     ahead = cand.co.bits | Packing.single(cand.n).closure(ctx.prop.bits)
     prefer = list(preds)

@@ -385,9 +385,10 @@ def corpus():
 @pytest.mark.parametrize("chunk", [1, 3, executions.CHUNK])
 def test_tables_match_walked_candidates_and_outcomes(monkeypatch, corpus, chunk):
     # enumeration takes each candidate's events and rf from its choice's
-    # row and its co from its order's, and final_outcome reads each half of
-    # an outcome once per choice and per order: every candidate must equal
-    # the one built by walking its reads, chunk by chunk, with its outcome
+    # row and its co from its order's: every candidate must equal the one
+    # built by walking its reads, chunk by chunk, with its outcome; the
+    # walked candidates' chunks carry no enumeration tables, so
+    # final_outcome reads each candidate itself
     monkeypatch.setattr(executions, "CHUNK", chunk)
     checked = 0
     for t in corpus:
@@ -400,7 +401,7 @@ def test_tables_match_walked_candidates_and_outcomes(monkeypatch, corpus, chunk)
             assert (a.j, a.events) == (b.j, b.events), t.name
             for name in ("rf", "co", "fr"):
                 assert a.chunk.blocks(name)[a.j] == b.chunk.blocks(name)[b.j], (t.name, name)
-            assert outcome(a) == reference(a) == expected, t.name
+            assert outcome(a) == reference(a) == outcome(b) == expected, t.name
             assert (observed_state(a), evaluate_final(a)) == (expected[0], expected[2]), t.name
         checked += len(got)
     assert (len(corpus), checked) == (126, 7566)

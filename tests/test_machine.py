@@ -5,7 +5,6 @@ import runpy
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,13 +13,11 @@ from memcat.cat import bind, run_model
 from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import parse_litmus, project
 from memcat.machine import (
-    NEVER,
     WitnessCycleError,
     derive_from_path,
     label_str,
     machine_accepts,
     machine_context,
-    _fires,
     replay_path,
     trace_lines,
     witness_path,
@@ -30,19 +27,27 @@ from memcat.relation import Packing, closure, compose, is_read, is_write, restri
 
 from test_executions import CHUNKED, reference_state
 
+# the need of a label that can never fire: no done set covers it
+NEVER = -1
+
 
 @pytest.fixture(scope="module")
 def power():
     return load_builtin("power")
 
 
-def contexts(t, power):
-    """Each candidate of t, a test or a suite name, with its machine
-    context and Power's verdict; Power is bound to t once."""
+def evaluated(t, power):
+    """Each candidate of t, a test or a suite name, with Power's result on
+    it; Power is bound to t once."""
     t = suite.load(t) if isinstance(t, str) else t
     judge = bind(power, t)
     for cand in enumerate_candidates(t):
-        result = run_model(judge, cand)
+        yield cand, run_model(judge, cand)
+
+
+def contexts(t, power):
+    """Each candidate of t with its machine context and Power's verdict."""
+    for cand, result in evaluated(t, power):
         yield cand, machine_context(cand, result.env), result.passed
 
 
@@ -101,17 +106,45 @@ def test_machine_equivalence_on_assorted_tests(power):
     assert checked == 296
 
 
-def reference_accepts(ctx):
+def fires(need, block, i, done):
+    """The machine's firing rule on need and block label bitmasks: label i
+    fires when it is not done, all of its need is done and none of its
+    block is."""
+    return not (done >> i & 1 or need[i] & ~done or block[i] & done)
+
+
+def reference_preds(need, block):
+    """The precedence graph of need and block, as the machine once folded
+    them: preds[i] holds each label that label i needs and each label
+    whose being done label i wedges."""
+    preds = list(need)  # a NEVER keeps bits no done set covers
+    for i, wedges in enumerate(block):
+        wedges &= ~(1 << i)  # a label never wedges itself
+        while wedges:
+            low = wedges & -wedges
+            preds[low.bit_length() - 1] |= 1 << i
+            wedges ^= low
+    return preds
+
+
+def settled(preds):
+    """preds with every label that can never fire, one holding its own
+    bit, reduced to that bit: such a label's other bits differ between a
+    NEVER need and a label that needs itself."""
+    return [1 << i if p >> i & 1 else p for i, p in enumerate(preds)]
+
+
+def reference_accepts(need, block):
     """The exhaustive search over done sets that machine_accepts replaced."""
-    full = (1 << len(ctx.labels)) - 1
+    full = (1 << len(need)) - 1
     dead = set()
 
     def search(done):
         if done == full:
             return True
         if done not in dead:
-            for i in range(len(ctx.labels)):
-                if _fires(ctx, i, done) and search(done | 1 << i):
+            for i in range(len(need)):
+                if fires(need, block, i, done) and search(done | 1 << i):
                     return True
             dead.add(done)
         return False
@@ -119,17 +152,19 @@ def reference_accepts(ctx):
     return search(0)
 
 
-def settled_accepts(ctx):
+def settled_accepts(need, block):
     """reference_accepts, answering at once for a label that needs NEVER:
-    that label never fires (test_never_label_fires_from_no_done_set)."""
-    return NEVER not in ctx.need and reference_accepts(ctx)
+    that label never fires."""
+    return NEVER not in need and reference_accepts(need, block)
 
 
 def test_machine_accepts_agrees_with_reference_search(power):
     checked = 0
     for name in suite.names():
-        for cand, ctx, _ in contexts(name, power):
-            assert machine_accepts(ctx) is reference_accepts(ctx), name
+        for cand, result in evaluated(name, power):
+            _, need, block, _ = candidate_context(cand, result.env)
+            ctx = machine_context(cand, result.env)
+            assert machine_accepts(ctx) is reference_accepts(need, block), name
             checked += 1
     assert checked == 296
 
@@ -141,16 +176,12 @@ def test_never_label_fires_from_no_done_set(power):
     for t in tests:
         for cand, ctx, _ in contexts(t, power):
             full = (1 << len(ctx.labels)) - 1
-            for i, need in enumerate(ctx.need):
-                if need == NEVER:
+            for i, preds in enumerate(ctx.preds):
+                if preds >> i & 1:
                     others = full & ~(1 << i)
                     assert not any(machine._fires(ctx, i, done) for done in (0, others))
                     nevers += 1
     assert nevers > 0
-
-
-def hand_built(need, block):
-    return SimpleNamespace(labels=tuple(range(len(need))), need=tuple(need), block=tuple(block))
 
 
 @pytest.mark.parametrize(
@@ -169,8 +200,8 @@ def hand_built(need, block):
 def test_machine_accepts_hand_built_premises(need, block, accepted):
     # premises as witness_path sorts them: a full order exists exactly
     # when the search finds a path
-    ctx = hand_built(need, block)
-    assert (not machine._linearise(machine._preds(ctx))[1]) is reference_accepts(ctx) is accepted
+    preds = reference_preds(need, block)
+    assert (not machine._linearise(preds)[1]) is reference_accepts(need, block) is accepted
 
 
 def reference_linearise(preds):
@@ -199,7 +230,7 @@ def test_linearise_matches_the_rescanning_reference_on_the_suite(power, monkeypa
     monkeypatch.setattr(machine, "_linearise", checked)
     for name in suite.names():
         for cand, ctx, _ in contexts(name, power):
-            assert machine_accepts(ctx) == (not machine._linearise(machine._preds(ctx))[1])
+            assert machine_accepts(ctx) == (not machine._linearise(ctx.preds)[1])
             try:
                 witness_path(ctx)
             except WitnessCycleError:
@@ -479,15 +510,17 @@ def candidate_visible(co, rf_src, w, neighbours):
 
 
 def assert_matches_reference(cand, env):
-    """cand's premises, built from its block of its chunk's, equal both
-    per-candidate builders', and the chunk's verdict on it equals the
-    search over them."""
+    """cand's labels and preds, read from its block of its chunk's
+    premises, equal those of both per-candidate builders, and the chunk's
+    verdict on it equals the search over their need and block."""
     ctx = machine_context(cand, env)
-    got = (ctx.labels, ctx.need, ctx.block, ctx.rf_src)
-    assert got == candidate_context(cand, env) == reference_context(cand, env), (
-        cand.source.name, cand.j, cand.rf.pairs())
+    labels, need, block, rf_src = want = candidate_context(cand, env)
+    where = (cand.source.name, cand.j, cand.rf.pairs())
+    assert want == reference_context(cand, env), where
+    assert (ctx.labels, ctx.rf_src) == (labels, rf_src), where
+    assert settled(ctx.preds) == settled(reference_preds(need, block)), where
     assert ctx.label_index == {l: i for i, l in enumerate(ctx.labels)}
-    assert machine_accepts(ctx) is settled_accepts(ctx), (cand.source.name, cand.j)
+    assert machine_accepts(ctx) is settled_accepts(need, block), where
 
 
 def assert_test_matches_reference(t, power):
@@ -740,6 +773,44 @@ def test_witness_path_exists_exactly_when_the_machine_accepts(power):
                 with pytest.raises(WitnessCycleError):
                     reference_witness_path(ctx, result.env)
     assert seen == {True, False}
+
+
+def reference_replay(labels, need, block, path):
+    """replay_path under the need and block rules: a step blocks when its
+    label is not one of labels or cannot fire from the steps before it."""
+    index, done = {label: i for i, label in enumerate(labels)}, 0
+    for step, label in enumerate(path):
+        i = index.get(label)
+        if i is None or not fires(need, block, i, done):
+            return False, step
+        done |= 1 << i
+    return done == (1 << len(labels)) - 1, None
+
+
+def test_perturbed_witness_paths_replay_as_the_need_and_block_rules(power):
+    # each adjacent swap and each duplicated label of every witness path:
+    # replay_path accepts exactly the paths the need and block rules fire
+    # in full; where the two block at different steps, replay_path blocks
+    # first, at a label fired ahead of one it must follow, where the rules
+    # go on until the label that one wedges
+    paths = moved = 0
+    for t in suite_and_neighbour_tests() + [project(parse_litmus(WIDE1_02))]:
+        for cand, result in evaluated(t, power):
+            ctx = machine_context(cand, result.env)
+            if not machine_accepts(ctx):
+                continue
+            labels, need, block, _ = candidate_context(cand, result.env)
+            path = witness_path(ctx)
+            perturbed = [path[:k] + path[k:k + 2][::-1] + path[k + 2:] for k in range(len(path) - 1)]
+            perturbed += [path[:k + 1] + path[k:] for k in range(len(path))]
+            for bad in perturbed:
+                (ok, step), want = replay_path(ctx, bad), reference_replay(labels, need, block, bad)
+                assert ok is want[0], (t.name, cand.j, bad)
+                if step != want[1]:
+                    assert step < want[1], (t.name, cand.j, bad)
+                    moved += 1
+            paths += len(perturbed)
+    assert (paths, moved) == (5_084, 252)
 
 
 def test_behaviors_match_a_per_candidate_reference(power):
