@@ -151,10 +151,11 @@ DIRS = {src + tgt: (src, tgt) for src in "RWM" for tgt in "RWM"}
 _BINARY = {"|": (1, Union), "&": (2, Inter), "\\": (2, Diff), ";": (3, Seq)}
 _KEYWORDS = {"let", "rec", "and", "acyclic", "irreflexive", "as", "include"}
 _IDENT = "[A-Za-z0-9_.-]"
-# ctrl+isync, ctrl+isb and ctrl+cfence lex as single names
+# the compound dependency names (ctrl+isync, ...) lex as single names
+_COMPOUND = "|".join(re.escape(k) for k in DEP_KINDS if "+" in k)
 _TOKEN = re.compile(
     rf'\s+|(?P<string>"[^"\n]*")'
-    rf"|(?P<name>ctrl\+(?:isync|isb|cfence)(?!{_IDENT})|[^\W\d]{_IDENT}*)"
+    rf"|(?P<name>(?:{_COMPOUND})(?!{_IDENT})|[^\W\d]{_IDENT}*)"
     r"|(?P<zero>0)|(?P<op>[|&\\;+*()=])"
 )
 _COMMENT_MARK = re.compile(r"\(\*|\*\)")

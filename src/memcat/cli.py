@@ -31,7 +31,6 @@ from .litmus import LitmusError, parse_litmus, project
 from .machine import (  # noqa: F401
     DEFAULT_BOUND,
     BoundError,
-    WitnessCycleError,
     cross_check,
     enumerate_accepted,
     model_behaviors,
@@ -42,21 +41,19 @@ from .models import evaluate_test, load_model
 
 
 class UsageError(Exception):
-    """A usage, parse, unreadable-file or model evaluation error: exit 2,
-    reported by the subcommand's parser."""
-
-
-def _model_label(spec: str) -> str:
-    return Path(spec).stem if spec.endswith(".cat") else spec
+    """A usage, parse or unreadable-file error: exit 2, reported by the
+    subcommand's parser, as a CatError is."""
 
 
 def _load_model(spec: str, static_ppo: bool = False):
+    """spec's model and its label: a .cat file's stem, else spec."""
     try:
-        return load_model(spec, static_ppo)
-    except (OSError, CatError) as exc:
+        model = load_model(spec, static_ppo)
+    except OSError as exc:
         raise UsageError(str(exc))
     except UnicodeDecodeError as exc:
         raise UsageError(f"{spec}: {exc}")
+    return model, Path(spec).stem if spec.endswith(".cat") else spec
 
 
 def _expand(args):
@@ -72,13 +69,12 @@ def _load_tests(args):
     tests, bundled = [], cache(lambda: set(suite.names()))
     for arg in _expand(args):
         path = Path(arg)
-        try:
-            if path.is_file():
-                tests.append(project(parse_litmus(path.read_text())))
-            elif arg in bundled():
-                tests.append(suite.load(arg))
-            else:
+        if not path.is_file():
+            if arg not in bundled():
                 raise UsageError(f"{arg}: not a file or bundled test")
+            path = suite.suite_dir() / f"{arg}.litmus"
+        try:
+            tests.append(project(parse_litmus(path.read_text())))
         except (LitmusError, OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"{arg}: {exc}")
     return tests
@@ -89,13 +85,6 @@ def _bounded(tests, limit):
         if (count := count_candidates(t)) > limit:
             raise UsageError(f"{t.name}: {count} candidates exceed --max-candidates {limit}")
     return tests
-
-
-def _evaluate(t, model, spec, **kw):
-    try:
-        return evaluate_test(t, model, _model_label(spec), **kw)
-    except CatError as exc:  # names the failing statement's file:line:col
-        raise UsageError(str(exc))
 
 
 def _table(headers, rows) -> str:
@@ -185,12 +174,11 @@ def _command(*options, inputs="tests"):
 )
 def run(model_spec, prune, static_ppo, max_candidates, fmt, tests):
     """Evaluate one model over litmus tests."""
-    model = _load_model(model_spec, static_ppo)
-    label = _model_label(model_spec)
+    model, label = _load_model(model_spec, static_ppo)
     loaded = _bounded(_load_tests(tests), max_candidates)
 
     def work(t):
-        r = _evaluate(t, model, model_spec, prune=prune)
+        r = evaluate_test(t, model, label, prune=prune)
         expected = t.expect.get(label)
         return {
             "test": r.name,
@@ -228,14 +216,13 @@ def run(model_spec, prune, static_ppo, max_candidates, fmt, tests):
 )
 def compare(spec_a, spec_b, max_candidates, fmt, tests):
     """Diff two models' verdicts and allowed states."""
-    model_a = _load_model(spec_a)
-    model_b = _load_model(spec_b)
-    label_a, label_b = _model_label(spec_a), _model_label(spec_b)
+    model_a, label_a = _load_model(spec_a)
+    model_b, label_b = _load_model(spec_b)
     loaded = _bounded(_load_tests(tests), max_candidates)
 
     def work(t):
-        ra = _evaluate(t, model_a, spec_a)
-        rb = _evaluate(t, model_b, spec_b)
+        ra = evaluate_test(t, model_a, label_a)
+        rb = evaluate_test(t, model_b, label_b)
         return {
             "test": t.name,
             "model_a": label_a,
@@ -274,7 +261,7 @@ def compare(spec_a, spec_b, max_candidates, fmt, tests):
 )
 def machine(bound, trace, fmt, tests):
     """Cross-check the operational machine against axiomatic Power."""
-    power = _load_model("power")
+    power, _ = _load_model("power")
     loaded = _load_tests(tests)
 
     def work(t):
@@ -283,8 +270,6 @@ def machine(bound, trace, fmt, tests):
             accepted, axiomatic, first = cross_check(t, power, bound)
         except BoundError as exc:
             return {**base, "skipped": True, "warning": str(exc)}
-        except CatError as exc:  # an unbound name, or no ppo/fence/prop/hb
-            raise UsageError(str(exc))
         rec = {
             **base,
             "skipped": False,
@@ -294,11 +279,8 @@ def machine(bound, trace, fmt, tests):
             "machine_states": sorted({s for _, s in accepted}),
             "axiomatic_states": sorted({s for _, s in axiomatic}),
         }
-        if trace:
-            try:
-                rec["trace"] = trace_lines(first, witness_path(first)) if first else []
-            except WitnessCycleError as exc:
-                rec["trace"] = [f"no single-path witness: {exc}"]
+        if trace:  # first is a context the machine accepts, so it has a witness path
+            rec["trace"] = trace_lines(first, witness_path(first)) if first else []
         return rec
 
     records = sorted(map(work, loaded), key=lambda r: r["test"])
@@ -325,20 +307,15 @@ def machine(bound, trace, fmt, tests):
 def _load_program(arg: str, names):
     """arg's program; names() gives the bundled .thr shapes' and tests' names."""
     path = Path(arg)
-    if path.is_file():
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(str(exc))
-        if path.suffix == ".litmus":
-            return program_from_litmus(project(parse_litmus(text)))
-        return parse_thr(text, name=path.stem)
-    shapes, bundled = names()
-    if arg in shapes:
-        return parse_thr(suite.thr_source(arg), name=arg)
-    if arg in bundled:
-        return program_from_litmus(suite.load(arg))
-    raise UsageError("not a file or bundled program")
+    if not path.is_file():
+        shapes, bundled = names()
+        if arg not in shapes and arg not in bundled:
+            raise UsageError("not a file or bundled program")
+        path = suite.suite_dir() / f"{arg}{'.thr' if arg in shapes else '.litmus'}"
+    text = path.read_text()
+    if path.suffix == ".litmus":
+        return program_from_litmus(project(parse_litmus(text)))
+    return parse_thr(text, name=path.stem)
 
 
 @_command(_FORMAT, inputs="inputs")
@@ -353,7 +330,7 @@ def cycles(fmt, inputs):
     for arg in _expand(inputs):
         try:
             program = _load_program(arg, names)
-        except (ThrError, LitmusError, OSError, UsageError) as exc:
+        except (ThrError, LitmusError, OSError, UnicodeDecodeError, UsageError) as exc:
             print(f"error: {arg}: {exc}", file=sys.stderr)
             errors += 1
             continue
@@ -382,7 +359,7 @@ def _call(argv):
     command = opts.pop("command")
     try:
         command(**opts)
-    except UsageError as exc:
+    except (UsageError, CatError) as exc:  # a CatError names its statement's file:line:col
         _COMMANDS[command.__name__].error(str(exc))
 
 

@@ -172,12 +172,12 @@ def _layout(t):
     writes have none.
     """
     events, n, one = t.events, t.n, Packing.single(t.n)
-    writes = [e for e in events if is_write(e) and e.thread != "init"]
+    writes = [e for e in events if is_write(e) and e.id not in t.init_ids]
     reads = [e for e in events if is_read(e)]
     slot = [0] * n
     for k, e in enumerate(writes + reads):
         slot[e.id] = 1 << 2 * k
-    w, r, i = _mask(writes), _mask(reads), _mask(e for e in events if e.thread == "init")
+    w, r, i = _mask(writes), _mask(reads), sum(1 << k for k in t.init_ids)
 
     def rect(rows, cols):
         return sum(cols << e * n for e in range(n) if rows >> e & 1)
@@ -384,7 +384,7 @@ def witness_path(ctx):
 def derive_from_path(cand, path):
     """Recover (rf, co) pair sets from a completed path."""
     rf = set()
-    rcp = sorted(e.id for e in cand.events if e.thread == "init")
+    rcp = list(cand.source.init_ids)
     for label in path:
         if label[0] == "cr":
             rf.add((label[1], label[2]))

@@ -7,7 +7,9 @@ i*n+j encodes membership of (i, j): row i is bits i*n ... i*n+n-1.  A
 bundle packs many such relations into one int, one block each
 (Packing), so one int operation acts on all of them; Bundles holds a
 chunk of consecutive candidates' bundles by name, and a Candidate is
-one block of its chunk.  The layout stays inside this module.  All
+one block of its chunk.  The layout stays inside this module and
+executions.enumerate_candidates, which lays each chunk's rf and co out
+itself, as Packing.single(n).size-byte blocks end to end.  All
 operations return fresh relations; instances are immutable and hashable.
 """
 

@@ -32,7 +32,7 @@ from memcat.cat import (
     run_model,
 )
 from memcat.executions import enumerate_candidates
-from memcat.litmus import parse_litmus, project
+from memcat.litmus import DEP_KINDS, parse_litmus, project
 from memcat.relation import (
     Packing,
     Relation,
@@ -99,6 +99,16 @@ def test_reserved_compound_names_lex_whole():
     assert e == Union(
         Union(Name("ctrl+isync"), Name("ctrl+isb")), Plus(Name("prop"))
     )
+    compound = [k for k in DEP_KINDS if "+" in k]
+    assert "ctrl+cfence" in compound
+    for kind in compound:
+        (e,) = exprs(f"let x = {kind} | ({kind})+")
+        assert e == Union(Name(kind), Plus(Name(kind)))
+        # a longer name is the plain name, +, and the rest
+        head, rest = kind.split("+")
+        assert [tok[:2] for tok in cat._lex(kind + "x")][:3] == [
+            ("name", head), ("op", "+"), ("name", rest + "x")
+        ]
 
 
 def test_zero_literal_and_nested_comments():

@@ -510,6 +510,27 @@ def test_model_evaluation_error_is_usage_error(tmp_path, body, where):
 
 
 @pytest.mark.parametrize(
+    "call, args",
+    [
+        ("evaluate_test", ("run", "-m", "sc", "mp")),
+        ("evaluate_test", ("compare", "-a", "sc", "-b", "tso", "mp")),
+        ("cross_check", ("machine", "mp")),
+        ("mine", ("cycles", "mp")),
+    ],
+    ids=["run", "compare", "machine", "cycles"],
+)
+def test_every_subcommand_reports_a_model_error_as_a_usage_error(monkeypatch, call, args):
+    def fail(*_, **__):
+        raise cat.CatError("x.cat:1:1: boom")
+
+    monkeypatch.setattr(memcat.cli, call, fail)
+    res = invoke(*args)
+    assert res.exit_code == 2
+    err = getattr(res, "stderr", "") or res.output
+    assert err.endswith(f"memcat {args[0]}: error: x.cat:1:1: boom\n")
+
+
+@pytest.mark.parametrize(
     "check",
     ["(" * 400 + "po" + ")" * 400, " | ".join(["po"] * 3000)],
     ids=["nested-parentheses", "long-union"],

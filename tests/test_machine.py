@@ -754,9 +754,12 @@ def test_machine_context_agrees_with_reference_on_wide1_02(power):
 
 
 def test_witness_path_exists_exactly_when_the_machine_accepts(power):
+    # the machine's own inputs too, so `machine --trace` always has a path to show
     wide = project(parse_litmus(WIDE1_02))
-    seen = set()
-    for t in [wide] + [suite.load(n) for n in suite.names()]:
+    tests = [wide, CHUNKED] + [suite.load(n) for n in suite.names()]
+    tests += [t for seed in (1, 2, 3) for t in generated("xcheck", seed)]
+    seen = Counter()
+    for t in tests:
         judge = bind(power, t)
         for k, cand in enumerate(enumerate_candidates(t)):
             result = run_model(judge, cand)
@@ -767,12 +770,12 @@ def test_witness_path_exists_exactly_when_the_machine_accepts(power):
             else:
                 with pytest.raises(WitnessCycleError):
                     witness_path(ctx)
-            seen.add(accepts)
+            seen[accepts] += 1
             if t is wide and k == 38:
                 assert result.passed and accepts
                 with pytest.raises(WitnessCycleError):
                     reference_witness_path(ctx, result.env)
-    assert seen == {True, False}
+    assert seen == {True: 1124, False: 3026}
 
 
 def reference_replay(labels, need, block, path):

@@ -9,6 +9,7 @@ import pytest
 
 from memcat import suite
 from memcat.cat import CatError, Check, bind, parse_cat, run_model
+from memcat.cycles import mine, parse_thr, program_from_litmus
 from memcat.executions import (
     CHUNK,
     count_candidates,
@@ -98,6 +99,17 @@ def test_check_names_and_order_match_snapshot(models, snapshot):
     for m in BUILTIN_MODELS:
         names = [s.name for s in models[m].statements if isinstance(s, Check)]
         assert names == snapshot["checks"][m], m
+
+
+def test_models_pruning_and_miner_name_the_same_four_axioms(tests, models):
+    # the models name their checks; the pruned check and the miner's axioms are among them
+    axioms = ["sc-per-location", "no-thin-air", "observation", "propagation"]
+    for m in BUILTIN_MODELS:
+        assert [s.name for s in models[m].statements if isinstance(s, Check)] == axioms, m
+    assert PRUNE_CHECK in axioms
+    programs = [program_from_litmus(t) for t in tests.values()]
+    programs += [parse_thr(suite.thr_source(n), name=n) for n in suite.thr_names()]
+    assert {r["axiom"] for p in programs for r in mine(p)} <= set(axioms)
 
 
 def test_pruning_keeps_every_outcome(tests, models, snapshot):
