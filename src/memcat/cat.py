@@ -5,8 +5,8 @@ and checks (`acyclic e`, `irreflexive e`).  Expressions combine named
 relations with union, intersection, difference, sequence, transitive
 and reflexive-transitive closure, and direction filters like WW(e).
 
-Checks are named by an `as` suffix, else by the last comment seen
-before them (lowercased, spaces to hyphens), else positionally.
+Checks are named by an `as` suffix, else by the comment right before
+their keyword (lowercased, spaces to hyphens), else positionally.
 
 `include "f.cat"` splices another file's statements in at load time, so
 a model is always one flat statement list.
@@ -27,14 +27,13 @@ verdicts, and its failures per check, are read from its per-check
 failure bytes.  What is built per candidate is a record of its verdict,
 its chunk and its block; its env, its check results and the check it
 failed are built only when read, each check's bundle split into blocks
-at most once per chunk.
+at most once per chunk (a Bundles of the checks' bits).
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Mapping
 from functools import cached_property, reduce
 from itertools import repeat
 from pathlib import Path
@@ -46,7 +45,6 @@ from .relation import (
     Candidate,
     Packing,
     Record,
-    Relation,
     check_acyclic,
     check_irreflexive,
     direction_mask,
@@ -94,18 +92,19 @@ class Seq(_Binary):
     __slots__ = ()
 
 
-class Plus(Record):
+class _Unary(Record):
     __slots__ = ("expr",)
 
     def __init__(self, expr: object):
         self.expr = expr
 
 
-class Star(Record):
-    __slots__ = ("expr",)
+class Plus(_Unary):
+    __slots__ = ()
 
-    def __init__(self, expr: object):
-        self.expr = expr
+
+class Star(_Unary):
+    __slots__ = ()
 
 
 class DirFilter(Record):
@@ -172,7 +171,8 @@ def _error(text: str, path, offset: int, msg: str) -> CatError:
 
 
 def _lex(text: str, path=None):
-    tokens = []
+    """Tokens (kind, value, offset, the comment right before it or None)."""
+    tokens, comment = [], None
     i, n = 0, len(text)
     while i < n:
         if text.startswith("(*", i):  # comments nest
@@ -183,7 +183,7 @@ def _lex(text: str, path=None):
                     break
             else:
                 raise _error(text, path, i, "unterminated comment")
-            tokens.append(("comment", text[i + 2:m.start()].strip(), i))
+            comment = text[i + 2:m.start()].strip()
             i = m.end()
             continue
         m = _TOKEN.match(text, i)
@@ -193,12 +193,13 @@ def _lex(text: str, path=None):
             raise _error(text, path, i, f"unexpected character {text[i]!r}")
         kind = m.lastgroup
         if kind == "string":
-            tokens.append((kind, m.group()[1:-1], i))
+            tokens.append((kind, m.group()[1:-1], i, comment))
         elif kind:
             word = m.group()
-            tokens.append(("kw" if word in _KEYWORDS else kind, word, i))
+            tokens.append(("kw" if word in _KEYWORDS else kind, word, i, comment))
+        comment = None if kind else comment
         i = m.end()
-    tokens.append(("eof", "", n))
+    tokens.append(("eof", "", n, comment))
     return tokens
 
 
@@ -214,7 +215,6 @@ class _Parser:
         self.including = including  # resolved paths of the open files
         self.tokens = _lex(text, path)
         self.pos = 0
-        self.last_comment = None
 
     def error(self, tok, msg) -> CatError:
         return _error(self.text, self.path, tok[2], msg)
@@ -223,9 +223,6 @@ class _Parser:
         return _position(self.text, self.path, tok[2])
 
     def peek(self):
-        while self.tokens[self.pos][0] == "comment":
-            self.last_comment = self.tokens[self.pos][1]
-            self.pos += 1
         return self.tokens[self.pos]
 
     def next(self):
@@ -259,7 +256,7 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        kind, value, _ = tok
+        kind, value = tok[:2]
         if kind == "zero":
             self.next()
             return Empty()
@@ -289,7 +286,7 @@ class _Parser:
         check_index = 0
         while True:
             tok = self.peek()
-            kind, value, _ = tok
+            kind, value = tok[:2]
             if kind == "eof":
                 break
             if kind == "kw" and value == "let":
@@ -299,18 +296,14 @@ class _Parser:
                 self.next()
                 out.extend(self.include(self.expect("string")))
             elif kind == "kw" and value in ("acyclic", "irreflexive"):
-                # grab the naming comment now: expression lookahead below
-                # may consume a comment that belongs to the next check
-                comment = self.last_comment
-                self.last_comment = None
                 self.next()
                 check_index += 1
                 expr = self.expr()
                 if self.peek()[:2] == ("kw", "as"):
                     self.next()
                     name = self.expect("name")[1]
-                elif comment:
-                    name = "-".join(comment.lower().split())
+                elif tok[3]:
+                    name = "-".join(tok[3].lower().split())
                 else:
                     name = f"check-{check_index}"
                 out.append(Check(value, expr, name, self.position(tok)))
@@ -356,29 +349,26 @@ class _Parser:
         return name, self.expr()
 
 
+def _reads(node, subtrahend=False):
+    """(name, whether it is read inside a subtrahend) for each name node
+    reads, left to right."""
+    if isinstance(node, Name):
+        yield node.value, subtrahend
+    elif isinstance(node, _Binary):
+        yield from _reads(node.left, subtrahend)
+        yield from _reads(node.right, subtrahend or isinstance(node, Diff))
+    elif not isinstance(node, Empty):
+        yield from _reads(node.expr, subtrahend)
+
+
 def _check_monotone(stmt: LetRec):
     rec_names = {n for n, _ in stmt.bindings}
     if len(rec_names) != len(stmt.bindings):
         raise CatError("duplicate name in recursive binding group")
-
-    def walk(node, in_subtrahend):
-        if isinstance(node, Name):
-            if in_subtrahend and node.value in rec_names:
-                raise CatError(
-                    f"recursive name {node.value!r} in a subtrahend: "
-                    "recursion must stay monotone"
-                )
-        elif isinstance(node, Diff):
-            walk(node.left, in_subtrahend)
-            walk(node.right, True)
-        elif isinstance(node, _Binary):
-            walk(node.left, in_subtrahend)
-            walk(node.right, in_subtrahend)
-        elif isinstance(node, (Plus, Star, DirFilter)):
-            walk(node.expr, in_subtrahend)
-
     for _, expr in stmt.bindings:
-        walk(expr, False)
+        for name, subtracted in _reads(expr):
+            if subtracted and name in rec_names:
+                raise CatError(f"recursive name {name!r} in a subtrahend: recursion must stay monotone")
 
 
 def parse_cat(text: str, path=None, include_dirs=()) -> Model:
@@ -415,14 +405,14 @@ class _Chunk(Bundles):
     """A chunk as a bound model evaluated it: each name's bundle; masks,
     each direction filter's mask repeated into every block; closures, the
     bits of e+ by slot for each e the model closes; per check (its result
-    if ok, bytes whose byte j is nonzero if candidate j fails it, its test
-    and bundle); and loops, the union of the relations whose loops fail a
-    check."""
+    if ok, bytes whose byte j is nonzero if candidate j fails it, and its
+    test), with checked, each check's bundle by its index; and loops, the
+    union of the relations whose loops fail a check."""
 
     def __init__(self, pack: Packing, masks: dict):
         super().__init__(pack)
         self.masks, self.checks, self.loops, self.closures = masks, [], 0, {}
-        self.split = {}  # check index -> its bundle's blocks
+        self.checked = Bundles(pack)
 
     def closed(self, i: int, f: Callable) -> int:
         """Bits of e+ for the expression e in closure slot i, f being e as a
@@ -435,7 +425,7 @@ class _Chunk(Bundles):
     def failures(self, skip: Optional[str] = None) -> dict:
         """Check name -> the chunk's candidates failing it, if any; one that
         fails a check named skip counts for none."""
-        fails, out = [(ok.name, int.from_bytes(f, "little")) for ok, f, *_ in self.checks], {}
+        fails, out = [(ok.name, int.from_bytes(f, "little")) for ok, f, _ in self.checks], {}
         ignore = reduce(operator.or_, (bits for name, bits in fails if name == skip), 0)
         for name, bits in fails:
             if count := (bits & ~ignore).bit_count():
@@ -443,40 +433,10 @@ class _Chunk(Bundles):
         return out
 
     def results(self, j: int) -> tuple:
-        """Each check's result on candidate j, in model order.  A failed
-        check's bundle is split into its blocks once per chunk, when a
-        candidate failing it is first read."""
-        out = []
-        for i, (ok, failed, test, bits) in enumerate(self.checks):
-            if failed[j]:
-                blocks = self.split.get(i)
-                if blocks is None:
-                    blocks = self.split[i] = self.pack.split(bits)
-                ok = CheckResult(ok.name, ok.kind, False, test(Relation(self.pack.n, blocks[j])))
-            out.append(ok)
-        return tuple(out)
-
-
-class _Env(Mapping):
-    """A candidate's names, read-only: its block of chunk, the chunk as the
-    model evaluated it, each name's bits wrapped in a Relation when read."""
-
-    __slots__ = ("chunk", "_j")
-
-    def __init__(self, chunk: _Chunk, j: int):
-        self.chunk, self._j = chunk, j
-
-    def __getitem__(self, name: str) -> Relation:
-        return self.chunk.relation(name, self._j)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.chunk
-
-    def __iter__(self):
-        return iter(self.chunk)
-
-    def __len__(self) -> int:
-        return len(self.chunk)
+        """Each check's result on candidate j, in model order; a failed
+        check's witness is read from its block of checked."""
+        return tuple(CheckResult(ok.name, ok.kind, False, test(self.checked.relation(i, j)))
+                     if failed[j] else ok for i, (ok, failed, test) in enumerate(self.checks))
 
 
 class ModelResult(NamedTuple):
@@ -489,8 +449,8 @@ class ModelResult(NamedTuple):
     j: int
 
     @property
-    def env(self) -> Mapping:  # name -> Relation, the candidate's block of its chunk
-        return _Env(self.chunk, self.j)
+    def env(self) -> dict:  # name -> Relation, the candidate's block of its chunk
+        return {name: self.chunk.relation(name, self.j) for name in self.chunk}
 
     @property
     def checks(self) -> tuple:  # each check's CheckResult
@@ -524,17 +484,14 @@ def _fixpoint(env: dict, group: list) -> None:
 
 def _names(node) -> set:
     """The names node reads."""
-    if isinstance(node, Name):
-        return {node.value}
-    if isinstance(node, _Binary):
-        return _names(node.left) | _names(node.right)
-    return set() if isinstance(node, Empty) else _names(node.expr)
+    return {name for name, _ in _reads(node)}
 
 
 def _compile(model: Model) -> tuple:
-    """Compile model's statements, in order, into (steps, dirs).  A step is
-    (statement position, function of a chunk), and every step runs once
-    per chunk.  dirs holds the direction filters whose masks the steps read.
+    """Compile model's statements, in order, into (steps, dirs, names).  A
+    step is (statement position, function of a chunk), and every step runs
+    once per chunk.  dirs holds the direction filters whose masks the steps
+    read, and names every name bound, the builtin ones included.
 
     An expression the model closes (in e+, e* or an acyclic check) gets a
     slot, and unless it reads a name of the let rec being compiled its
@@ -554,7 +511,7 @@ def _compile(model: Model) -> tuple:
             f, d = compile_expr(node.expr), node.dir
             dirs.add(d)
             return lambda c: f(c) & c.masks[d]
-        if isinstance(node, (Plus, Star)):
+        if isinstance(node, _Unary):
             f, star = compile_expr(node.expr), isinstance(node, Star)
             if rec and not rec.isdisjoint(_names(node.expr)):
                 return lambda c: c.pack.closure(f(c), star)
@@ -603,7 +560,8 @@ def _compile(model: Model) -> tuple:
             bits = f(c)
             loops = bits if i is None else c.closed(i, lambda _: bits)
             c.loops |= loops
-            c.checks.append((ok, c.pack.loops(loops), test, bits))
+            c.checked[len(c.checks)] = bits
+            c.checks.append((ok, c.pack.loops(loops), test))
 
         return check
 
@@ -615,7 +573,7 @@ def _compile(model: Model) -> tuple:
             raise CatError(f"{stmt.pos}: {exc}") from None
         except RecursionError:
             raise CatError(f"{stmt.pos}: {_TOO_DEEP}") from None
-    return steps, dirs
+    return steps, dirs, names
 
 
 def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
@@ -631,10 +589,9 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     per candidate, and one ModelResult per candidate is made then: its
     verdict, the chunk and its block.  Judging a candidate evaluates its
     chunk if it is not the one last evaluated and gives the candidate's
-    result, whose env wraps bits in a Relation only when a name is read
-    and whose checks are built only when read.
+    result, whose env and checks are built only when read.
     """
-    (steps, dirs), n = model.plan, t.n
+    (steps, dirs, _), n = model.plan, t.n
     masks = {d: direction_mask(n, t.events, *DIRS[d]) for d in dirs}
     shared = {"po": t.po.bits, "po-loc": t.po_loc.bits, "0": 0, "id": Packing.single(n).diag}
     shared.update((k, r.bits) for k, r in {**t.deps, **t.fences}.items())

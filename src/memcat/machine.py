@@ -7,8 +7,9 @@ a satisfy label s(w,r) and a commit label c(w,r), where w is the write the
 candidate's rf picked for r.
 
 The premises consult Power's ppo, fence, prop and hb, taken from the
-caller's one evaluation of Power on the candidate; cross_check feeds that
-result's env to the machine and its verdict to the axiomatic side.
+caller's one evaluation of Power on the candidate; cross_check checks once
+per test that the model binds all four, then feeds each candidate's result
+to the machine and its verdict to the axiomatic side.
 
 A candidate is accepted when some interleaving fires every label.  Each
 label's premises are two label sets over the done set: need, the labels
@@ -289,22 +290,19 @@ class MachineContext:
         return preds
 
 
-def machine_context(cand, env):
+def machine_context(cand, result):
     """The machine's premises for one candidate.
 
-    env supplies the ppo/fence/prop/hb bindings the machine consults: the
-    env of the caller's evaluation of Power on cand, run_model(power, cand).env.
+    result is the caller's evaluation of Power on cand, run_model(power,
+    cand), whose chunk binds the ppo/fence/prop/hb the machine consults.
     The premises and verdicts of all of the chunk's candidates are
-    computed at the first of them, from the chunk's bundles (env.chunk),
-    once that env is seen to bind all four, and kept on the chunk as its
-    machine, with the layout they share: labels, the event-to-label table
-    and the po-loc neighbours, built once per chunk.
+    computed at the first of them, from the chunk's bundles, and kept on
+    the chunk as its machine, with the layout they share: labels, the
+    event-to-label table and the po-loc neighbours, built once per chunk.
     """
-    chunk = env.chunk
+    chunk = result.chunk
     premises = getattr(chunk, "machine", None)
     if premises is None:
-        if missing := [k for k in ("ppo", "fence", "prop", "hb") if k not in env]:
-            raise CatError(f"power model binds no {', '.join(missing)}")
         premises = chunk.machine = _premises(cand.source, chunk)
     return MachineContext(cand, premises, cand.j)
 
@@ -425,15 +423,20 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     """Machine and model behaviors of t, evaluating model once per candidate.
 
     Returns (machine behaviors, model behaviors, context of the first
-    machine-accepted candidate or None); the model's env feeds the machine.
+    machine-accepted candidate or None); each candidate's result feeds the
+    machine.  Raises BoundError for a test over bound, else CatError, at
+    the model's last statement, if the model binds no ppo, fence, prop or hb.
     """
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
+    if missing := [k for k in ("ppo", "fence", "prop", "hb") if k not in model.plan[2]]:
+        where = f"{model.statements[-1].pos}: " if model.statements else ""
+        raise CatError(f"{where}power model binds no {', '.join(missing)}")
     accepted, allowed, first = set(), set(), None
     judge, outcome = cat.bind(model, t), final_outcome(t)
     for cand in executions.enumerate_candidates(t):
         result = cat.run_model(judge, cand)
-        ctx = machine_context(cand, result.env)
+        ctx = machine_context(cand, result)
         accepts = machine_accepts(ctx)
         if accepts or result.passed:
             seen = frozenset(cand.rf.pairs()), outcome(cand)[1]

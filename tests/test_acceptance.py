@@ -114,7 +114,7 @@ def test_criterion_4_machine_equivalence_and_witness_roundtrip_under_5min():
             result = run_model(power, cand)
             if not result.passed:
                 continue
-            ctx = machine_context(cand, result.env)
+            ctx = machine_context(cand, result)
             path = witness_path(ctx)
             accepted, blocked = replay_path(ctx, path)
             assert accepted and blocked is None, t.name

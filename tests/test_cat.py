@@ -138,6 +138,16 @@ def test_comment_names_following_check_then_clears():
     assert c2.name == "check-2"
 
 
+def test_a_comment_before_a_let_names_no_later_check():
+    m = parse_cat("(* foo *) let a = po\nacyclic a")
+    assert m.statements[1].name == "check-1"
+
+
+def test_a_comment_inside_a_check_names_no_later_check():
+    m = parse_cat("acyclic po (* bar *) as x\nacyclic rf")
+    assert [c.name for c in m.statements] == ["x", "check-2"]
+
+
 def test_comment_whitespace_of_any_kind_becomes_one_hyphen():
     comment = "Per\tLocation\n\u00a0 SC\u2003order"
     m = parse_cat(f"(*  {comment} *)\nacyclic po")
@@ -232,6 +242,13 @@ def test_include_needs_a_string(tmp_path):
 def test_recursive_name_in_subtrahend_rejected():
     with pytest.raises(CatError, match="subtrahend|monotone"):
         parse_cat("let rec a = b \\ a")
+
+
+def test_the_first_recursive_name_read_in_a_subtrahend_is_reported():
+    # a and b are both subtracted in a's binding, b first; a is also
+    # subtracted in b's binding
+    with pytest.raises(CatError, match="recursive name 'b' in a subtrahend"):
+        parse_cat("let rec a = a | (po \\ (b | a)) and b = po \\ a")
 
 
 def test_recursion_under_closure_and_diff_lhs_allowed():
@@ -602,8 +619,8 @@ def test_power_closes_hb_once_per_chunk(monkeypatch):
     monkeypatch.setattr(Packing, "closure", counted)
     t, power = suite.load("isa2+lwsync+addrs"), models.load_builtin("power")
     cands, judge = list(enumerate_candidates(t)), bind(power, t)
-    chunk = run_model(judge, cands[0]).env.chunk
-    assert all(run_model(judge, cand).env.chunk is chunk for cand in cands)  # one chunk
+    chunk = run_model(judge, cands[0]).chunk
+    assert all(run_model(judge, cand).chunk is chunk for cand in cands)  # one chunk
     assert chunk["hb"] and closed.count(chunk["hb"]) == 1
 
 
@@ -616,13 +633,13 @@ def test_binding_evaluates_nothing_and_a_chunk_runs_every_statement(monkeypatch)
         monkeypatch.setattr(Packing, name, lambda *a, f=getattr(Packing, name): calls.append(a) or f(*a))
     judge = bind(power, t)
     assert not calls
-    env = run_model(judge, cands[0]).env
+    chunk = run_model(judge, cands[0]).chunk
     lets = {s.name for s in power.statements if isinstance(s, Let)}
     lets |= {name for s in power.statements if isinstance(s, LetRec) for name, _ in s.bindings}
-    assert calls and lets <= set(env)
-    assert len(env.chunk.checks) == sum(isinstance(s, Check) for s in power.statements)
+    assert calls and lets <= set(chunk)
+    assert len(chunk.checks) == sum(isinstance(s, Check) for s in power.statements)
     made = len(calls)
-    assert all(run_model(judge, cand).env.chunk is env.chunk for cand in cands)  # one chunk
+    assert all(run_model(judge, cand).chunk is chunk for cand in cands)  # one chunk
     assert len(calls) == made
 
 
@@ -642,34 +659,23 @@ def test_a_closure_reading_its_let_rec_is_taken_at_every_pass():
     assert grew
 
 
-def test_env_membership_builds_no_relation(monkeypatch):
+def test_machine_reads_powers_chunk_once_per_chunk(monkeypatch):
     monkeypatch.setattr(executions, "CHUNK", 3)
     t, power = suite.load("mp"), models.load_builtin("power")
     judge = bind(power, t)
     cands = list(enumerate_candidates(t))
     results = [run_model(judge, cand) for cand in cands]
-    reads, chunk_reads = [], []
-    getitem = cat._Env.__getitem__
-
-    def counted(env, name):
-        reads.append(name)
-        return getitem(env, name)
+    chunk_reads = []
 
     def counted_chunk(chunk, name):
         chunk_reads.append(name)
         return dict.__getitem__(chunk, name)
 
-    monkeypatch.setattr(cat._Env, "__getitem__", counted)
-    for result in results:
-        assert all(k in result.env for k in ("ppo", "fence", "prop", "hb", "po", "rf", "ii"))
-        assert "mystery" not in result.env
-    assert not reads
-    # the machine reads Power's chunk, once per chunk, and no candidate's env
     monkeypatch.setattr(cat._Chunk, "__getitem__", counted_chunk)
     for cand, result in zip(cands, results):
-        machine.machine_context(cand, result.env)
+        machine.machine_context(cand, result)
     chunks = -(-len(cands) // 3)
-    assert not reads and chunks > 1
+    assert chunks > 1
     assert chunk_reads == ["rf", "co", "fr", "po-loc", "ppo", "fence", "prop", "hb"] * chunks
 
 

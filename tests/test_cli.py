@@ -294,7 +294,7 @@ def test_run_model_from_file_and_models_dir_override(tmp_path):
     # a power.cat that fails to evaluate, or lacks what the machine reads
     for body, want in (
         ("let x = pox\nacyclic x\n", "power.cat:1:1: unbound name 'pox'"),
-        ("acyclic po\n", "power model binds no ppo, fence, prop, hb\n"),
+        ("acyclic po\n", "power.cat:1:1: power model binds no ppo, fence, prop, hb\n"),
     ):
         (tmp_path / "power.cat").write_text(body)
         res = invoke("machine", "mp", env=env)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from memcat import machine, suite
-from memcat.cat import bind, run_model
+from memcat import executions, machine, suite
+from memcat.cat import CatError, bind, parse_cat, run_model
 from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import parse_litmus, project
 from memcat.machine import (
@@ -48,7 +48,7 @@ def evaluated(t, power):
 def contexts(t, power):
     """Each candidate of t with its machine context and Power's verdict."""
     for cand, result in evaluated(t, power):
-        yield cand, machine_context(cand, result.env), result.passed
+        yield cand, machine_context(cand, result), result.passed
 
 
 def test_machine_matches_model_on_mp(power):
@@ -82,7 +82,7 @@ def test_corr_strengthening_is_load_bearing(power, monkeypatch):
                  if not run_model(power, c).passed and evaluate_final(c)]
 
     def accepts(cand):
-        return machine_accepts(machine_context(cand, run_model(power, cand).env))
+        return machine_accepts(machine_context(cand, run_model(power, cand)))
 
     assert [accepts(c) for c in forbidden] == [False]
     monkeypatch.setattr(machine, "_invisible", lambda *a: 0)
@@ -163,7 +163,7 @@ def test_machine_accepts_agrees_with_reference_search(power):
     for name in suite.names():
         for cand, result in evaluated(name, power):
             _, need, block, _ = candidate_context(cand, result.env)
-            ctx = machine_context(cand, result.env)
+            ctx = machine_context(cand, result)
             assert machine_accepts(ctx) is reference_accepts(need, block), name
             checked += 1
     assert checked == 296
@@ -272,8 +272,7 @@ def test_witness_cycle_on_forbidden_candidate(power):
     for cand in enumerate_candidates(t):
         if not evaluate_final(cand):
             continue
-        env = run_model(power, cand).env
-        ctx = machine_context(cand, env)
+        ctx = machine_context(cand, run_model(power, cand))
         with pytest.raises(WitnessCycleError):
             witness_path(ctx)
         hit = True
@@ -509,11 +508,12 @@ def candidate_visible(co, rf_src, w, neighbours):
     return not any((w, rf_src[e]) in co for e in reads)
 
 
-def assert_matches_reference(cand, env):
+def assert_matches_reference(cand, result):
     """cand's labels and preds, read from its block of its chunk's
     premises, equal those of both per-candidate builders, and the chunk's
-    verdict on it equals the search over their need and block."""
-    ctx = machine_context(cand, env)
+    verdict on it equals the search over their need and block; result is
+    Power's on cand."""
+    ctx, env = machine_context(cand, result), result.env
     labels, need, block, rf_src = want = candidate_context(cand, env)
     where = (cand.source.name, cand.j, cand.rf.pairs())
     assert want == reference_context(cand, env), where
@@ -528,10 +528,10 @@ def assert_test_matches_reference(t, power):
     to t once.  Returns the counts of candidates and of chunks."""
     judge, chunks, checked = bind(power, t), [], 0
     for cand in enumerate_candidates(t):
-        env = run_model(judge, cand).env
-        assert_matches_reference(cand, env)
-        if not chunks or chunks[-1] is not env.chunk:
-            chunks.append(env.chunk)
+        result = run_model(judge, cand)
+        assert_matches_reference(cand, result)
+        if not chunks or chunks[-1] is not result.chunk:
+            chunks.append(result.chunk)
         checked += 1
     return checked, len(chunks)
 
@@ -565,6 +565,17 @@ def test_machine_decides_each_chunk_once_and_answers_each_candidate(power, monke
     accepted, allowed, _ = machine.cross_check(project(parse_litmus(chunked)), power)
     assert accepted == allowed
     assert calls == {"_premises": 3, "machine_context": 600, "machine_accepts": 600}
+
+
+def test_cross_check_refuses_a_model_without_the_machines_names_before_enumerating(monkeypatch):
+    # the contract is checked once per test, at the model's last statement,
+    # and only for a test within the bound
+    model = parse_cat("let po-loc-sc = po-loc\nacyclic po", "power.cat")
+    monkeypatch.setattr(executions, "enumerate_candidates", lambda t: pytest.fail("enumerated"))
+    with pytest.raises(CatError, match=r"^power.cat:2:1: power model binds no ppo, fence, prop, hb$"):
+        machine.cross_check(suite.load("mp"), model)
+    with pytest.raises(machine.BoundError):
+        machine.cross_check(suite.load("mp"), model, bound=3)
 
 
 def generated(workload, seed, mine_only=False):
@@ -640,7 +651,7 @@ def test_machine_context_switches_tests_when_fed_alternately(power):
     judges = [bind(power, t) for t in tests]
     for pair in zip(*map(enumerate_candidates, tests)):
         for judge, cand in zip(judges, pair):
-            assert_matches_reference(cand, run_model(judge, cand).env)
+            assert_matches_reference(cand, run_model(judge, cand))
 
 
 def reference_witness_path(ctx, env):
@@ -701,10 +712,10 @@ def test_witness_path_matches_the_reference_builder_on_accepted_candidates(power
     for t in suite_and_neighbour_tests():
         judge = bind(power, t)
         for cand in enumerate_candidates(t):
-            env = run_model(judge, cand).env
-            ctx = machine_context(cand, env)
+            result = run_model(judge, cand)
+            ctx = machine_context(cand, result)
             if machine_accepts(ctx):
-                assert witness_path(ctx) == reference_witness_path(ctx, env), t.name
+                assert witness_path(ctx) == reference_witness_path(ctx, result.env), t.name
                 checked += 1
     assert checked == 186 + 29
 
@@ -763,7 +774,7 @@ def test_witness_path_exists_exactly_when_the_machine_accepts(power):
         judge = bind(power, t)
         for k, cand in enumerate(enumerate_candidates(t)):
             result = run_model(judge, cand)
-            ctx = machine_context(cand, result.env)
+            ctx = machine_context(cand, result)
             accepts = machine_accepts(ctx)
             if accepts:
                 assert replay_path(ctx, witness_path(ctx)) == (True, None), (t.name, k)
@@ -799,7 +810,7 @@ def test_perturbed_witness_paths_replay_as_the_need_and_block_rules(power):
     paths = moved = 0
     for t in suite_and_neighbour_tests() + [project(parse_litmus(WIDE1_02))]:
         for cand, result in evaluated(t, power):
-            ctx = machine_context(cand, result.env)
+            ctx = machine_context(cand, result)
             if not machine_accepts(ctx):
                 continue
             labels, need, block, _ = candidate_context(cand, result.env)
