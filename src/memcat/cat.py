@@ -3,13 +3,18 @@
 A model is a sequence of `let` bindings (possibly mutually recursive)
 and checks (`acyclic e`, `irreflexive e`).  Expressions combine named
 relations with union, intersection, difference, sequence, transitive
-and reflexive-transitive closure, and direction filters like WW(e).
+and reflexive-transitive closure, direction filters like WW(e), and
+domain(e) and range(e), the identity over e's sources and over its
+targets.  domain and range are ordinary names unless "(" follows them.
 
 Checks are named by an `as` suffix, else by the comment right before
 their keyword (lowercased, spaces to hyphens), else positionally.
 
 `include "f.cat"` splices another file's statements in at load time, so
 a model is always one flat statement list.
+
+A model parsed with given names reads, besides the builtin ones, names
+another model binds, and runs on that model's chunk (extend).
 
 A model is compiled once, at its first bind, into one function per
 statement of a chunk of consecutive candidates, whose relations are
@@ -107,6 +112,14 @@ class Star(_Unary):
     __slots__ = ()
 
 
+class Domain(_Unary):  # the identity over expr's sources
+    __slots__ = ()
+
+
+class Range(_Unary):  # the identity over expr's targets
+    __slots__ = ()
+
+
 class DirFilter(Record):
     __slots__ = ("dir", "expr")
 
@@ -137,15 +150,19 @@ class Check(Record, uncompared=("pos",)):
 
 
 class Model(Record):
-    __slots__ = ("statements", "__dict__")  # __dict__ holds plan
+    # given: names bound by the model whose chunk this one runs on (extend);
+    # __dict__ holds plan
+    __slots__ = ("statements", "given", "__dict__")
 
-    def __init__(self, statements: tuple):
-        self.statements = statements
+    def __init__(self, statements: tuple, given: tuple = ()):
+        self.statements, self.given = statements, given
 
     plan = cached_property(lambda self: _compile(self))  # compiled at the first bind
 
 
 DIRS = {src + tgt: (src, tgt) for src in "RWM" for tgt in "RWM"}
+# the names that are calls when "(" follows them
+_CALLS = {"domain": Domain, "range": Range, **{d: lambda e, d=d: DirFilter(d, e) for d in DIRS}}
 
 _BINARY = {"|": (1, Union), "&": (2, Inter), "\\": (2, Diff), ";": (3, Seq)}
 _KEYWORDS = {"let", "rec", "and", "acyclic", "irreflexive", "as", "include"}
@@ -267,11 +284,11 @@ class _Parser:
             return node
         if kind == "name":
             self.next()
-            if value in DIRS and self.peek()[:2] == ("op", "("):
+            if value in _CALLS and self.peek()[:2] == ("op", "("):
                 self.next()
                 inner = self.expr()
                 self.expect("op", ")")
-                return DirFilter(value, inner)
+                return _CALLS[value](inner)
             return Name(value)
         raise self.error(tok, f"unexpected {_describe(tok)} in expression")
 
@@ -371,15 +388,16 @@ def _check_monotone(stmt: LetRec):
                 raise CatError(f"recursive name {name!r} in a subtrahend: recursion must stay monotone")
 
 
-def parse_cat(text: str, path=None, include_dirs=()) -> Model:
+def parse_cat(text: str, path=None, include_dirs=(), given=()) -> Model:
     """Parse a model, expanding each `include "f.cat"` in place.
 
     path names the file text came from, for error positions and as the
     first place to look for its includes; include_dirs are searched next.
+    given names what the model reads of the model it extends.
     """
     path = Path(path) if path else None
     including = frozenset({path.resolve()}) if path else frozenset()
-    return Model(tuple(_Parser(text, path, include_dirs, including).statements()))
+    return Model(tuple(_Parser(text, path, include_dirs, including).statements()), tuple(given))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -491,12 +509,12 @@ def _compile(model: Model) -> tuple:
     """Compile model's statements, in order, into (steps, dirs, names).  A
     step is (statement position, function of a chunk), and every step runs
     once per chunk.  dirs holds the direction filters whose masks the steps
-    read, and names every name bound, the builtin ones included.
+    read, and names every name bound, the builtin and given ones included.
 
     An expression the model closes (in e+, e* or an acyclic check) gets a
     slot, and unless it reads a name of the let rec being compiled its
     closure is taken once per chunk (_Chunk.closed)."""
-    names, steps, dirs, slots = set(_BUILTIN_NAMES), [], set(), {}
+    names, steps, dirs, slots = {*_BUILTIN_NAMES, *model.given}, [], set(), {}
     rec = set()  # the names of the let rec being compiled
     leaf = (Name, Empty)
 
@@ -511,6 +529,9 @@ def _compile(model: Model) -> tuple:
             f, d = compile_expr(node.expr), node.dir
             dirs.add(d)
             return lambda c: f(c) & c.masks[d]
+        if isinstance(node, (Domain, Range)):
+            f, ends = compile_expr(node.expr), Packing.domain if isinstance(node, Domain) else Packing.codomain
+            return lambda c: ends(c.pack, f(c))
         if isinstance(node, _Unary):
             f, star = compile_expr(node.expr), isinstance(node, Star)
             if rec and not rec.isdisjoint(_names(node.expr)):
@@ -576,6 +597,16 @@ def _compile(model: Model) -> tuple:
     return steps, dirs, names
 
 
+def _run(steps: list, c: _Chunk) -> _Chunk:
+    """Run every step on c, in order."""
+    try:
+        for pos, f in steps:
+            f(c)
+    except RecursionError:
+        raise CatError(f"{pos}: {_TOO_DEEP}") from None
+    return c
+
+
 def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
     """A function judging one candidate of t by model.
 
@@ -604,11 +635,7 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
         c.update((name, bits * rep) for name, bits in shared.items())
         c.update(rf=rf, rfe=rf & ~inner, rfi=rf & inner, co=co, coe=co & ~inner, coi=co & inner,
                  fr=fr, fre=fr & ~inner, fri=fr & inner, com=co | rf | fr)
-        try:
-            for pos, f in steps:
-                f(c)
-        except RecursionError:
-            raise CatError(f"{pos}: {_TOO_DEEP}") from None
+        _run(steps, c)
         # byte j of loops' bytes is nonzero if candidate j fails some check;
         # tuple.__new__ makes each result without a call into Python
         passed = map(operator.not_, pack.loops(c.loops))
@@ -622,6 +649,17 @@ def bind(model: Model, t: ProjectedTest) -> Callable[[Candidate], ModelResult]:
         return last[1][cand.j]
 
     return judge
+
+
+def extend(model: Model, t: ProjectedTest, base: _Chunk) -> _Chunk:
+    """model's chunk on base, a chunk of t's candidates as the model that
+    binds model.given evaluated it: model's every statement runs once, on
+    base's names and model's direction masks, into a new chunk, so base,
+    its checks and its results are left as they were."""
+    (steps, dirs, _), pack = model.plan, base.pack
+    c = _Chunk(pack, {d: direction_mask(t.n, t.events, *DIRS[d]) * pack.rep for d in dirs})
+    c.update(base)
+    return _run(steps, c)
 
 
 def run_model(model, cand: Candidate) -> ModelResult:

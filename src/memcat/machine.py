@@ -1,4 +1,4 @@
-"""Single-path operational machine cross-validating the axiomatic verdicts.
+r"""Single-path operational machine cross-validating the axiomatic verdicts.
 
 The machine runs one candidate execution at a time.  Per-thread program
 order feeds a global pool of pending labels: each program write w carries
@@ -36,11 +36,14 @@ of its block is.  The premises:
                               po-loc-earlier read saw a co-later write)
 
 Initial-state writes have no labels: they are committed and past
-coherence point from the start, so they drop out of every need, and an
-init write among those that would wedge a label wedges it for good.  A
-label that can never fire, wedged so or failing sr:obs or cr:visible,
-needs itself, which no done set covers while it is pending, so it never
-fires and the machine rejects the candidate.
+coherence point from the start, so they drop out of every need.  None
+wedges a label either, since no relation a model can write relates an
+event to an init write but that write itself: rf and co start at init
+writes, fr ends at a co-later write, po, po-loc, the deps and the fences
+miss them, only id ends at one, and a pair (x, i) in a;b needs (i, i) in
+b.  A label that can never fire, failing sr:obs or cr:visible, needs
+itself, which no done set covers while it is pending, so it never fires
+and the machine rejects the candidate.
 
 Propagation is enforced over all four quadrants of prop.  Write-to-write
 edges constrain the coherence-point order (cpw:order); edges that start
@@ -54,43 +57,34 @@ Every label fires once, so j in need[i] puts j before i and j in
 block[i] puts i before j (a label never wedges itself), and a full path
 exists exactly when that precedence graph is acyclic.  Each event e has
 a first label a(e), c(w) or s(w,r), and a second b(e), cp(w) or c(w,r).
-Each premise is then one event relation of the candidate, masked to a
-rectangle of program writes W, reads R, init writes I and M = W | R, in
-one quadrant of label pairs; a label that can never fire needs itself:
+Each premise is then one relation over events in one quadrant of label
+pairs, and models/_machine.cat states the four as lets over the names of
+the model the machine runs on (Power's, or any that binds ppo, fence,
+prop and hb):
 
-  a -> a  need   sr:source                  rf & ~po-loc & WxR
-          block  cw:coWW, cw:prop           (po-loc | prop) & WxW
-                 cw:fences                  fence & WxR
-                 sr:ppo, sr:prop-rr         (ppo | fence | prop) & RxR
-  a -> b  need   cpw:buff, cr:satisfied     id over M
-                 cpw:prop-rw                prop & RxW
-  b -> a  need   sr:prop-wr                 prop & WxR
-          block  cr:ppo-write, cr:ppo-read  (ppo | fence) & RxM
-  b -> b  need   cpw:co                     co & WxW
-          block  cpw:order                  (po-loc | prop) & WxW
-  never          sr:obs      a(r) for (r, r) in fr;prop;hb*
-                 cr:visible  b(r) for r in the domain of fr & last, of
-                             fr;rf & earlier, or of first & ~fr when
-                             r's source is not po-loc-before it
-                 wedged      both labels of w in the domain of
-                             (po-loc | prop) & WxI, b(r) for r in
-                             the domain of (ppo | fence) & RxI
+  aa  need   sr:source                  WR(rf \ po-loc)
+      never  sr:obs                     hidden: id & (fr ; prop ; hb*)
+      block  cw:coWW, cw:prop           WW(po-loc | prop) \ id
+             cw:fences                  WR(fence) \ id
+             sr:ppo, sr:prop-rr         RR(ppo | fence | prop) \ id
+  ab  need   cpw:buff, cr:satisfied     id
+             cpw:prop-rw                RW(prop)
+  ba  need   sr:prop-wr                 WR(prop)
+      block  cr:ppo-write, cr:ppo-read  RM(ppo | fence)
+  bb  need   cpw:co                     WW(co)
+      never  cr:visible                 unseen, over r's po-loc neighbours
+      block  cpw:order                  WW(po-loc | prop) \ id
 
-where last, first and earlier pair each read with its last po-loc-earlier
-write, its first po-loc-later write and its po-loc-earlier reads.  Over a
-chunk of Power's candidates each quadrant is one bundle over the n
-events, the machine's one precedence graph: XY holds (e, f) when x(e)
-must fire before y(f), its needs with its blocks off the diagonal.  A
-cycle of labels runs through second labels alone, or from first label to
-first label, directly or through second labels; so a candidate is rejected
-exactly when loops(BB+ | (AA | AB;BB*;BA)+) is set, and two closures and
-two compositions decide every candidate of the chunk.  machine_context
-computes these verdicts at the chunk's first candidate and
-machine_accepts reads the candidate's byte.
-What depends on the test alone, the rectangles, label positions (a
-read's labels sit at one index whatever its rf source; only the label
-tuples name the source) and each read's po-loc neighbours, is the
-layout, built with the premises of each chunk and kept on them.
+A cycle of labels runs through second labels alone, or from first label
+to first label, directly or through second labels; so the fragment's two
+checks, acyclic bb and acyclic aa | ab;bb*;ba, reject a candidate exactly
+when no interleaving fires every label.  machine_context runs the fragment
+once per chunk of the model's candidates, at the chunk's first
+candidate, with cat's own steps (cat.extend, on the model's chunk), and
+machine_accepts reads the candidate's byte.  The fragment is parsed and
+compiled once, at import.  What depends on the test alone, label
+positions (a read's labels sit at one index whatever its rf source; only
+the label tuples name the source), is the layout, kept on the premises.
 
 A candidate's labels and its preds, the labels each label must fire
 after, in that label order, are read from its block of the quadrants
@@ -111,14 +105,7 @@ from typing import NamedTuple
 from . import cat, executions, models
 from .cat import CatError
 from .executions import final_outcome
-from .relation import (
-    Bundles,
-    Candidate,
-    Packing,
-    Relation,
-    is_read,
-    is_write,
-)
+from .relation import Candidate, Packing, Relation, is_read, is_write
 
 __all__ = [
     "BoundError",
@@ -150,19 +137,20 @@ class BoundError(Exception):
 DEFAULT_BOUND = 10
 
 
+# the machine's premises and verdict, over the names a model must bind;
+# parsed and compiled here, once, so no call pays for it
+_FRAGMENT_PATH = models.BUNDLED_DIR / "_machine.cat"
+_FRAGMENT = cat.parse_cat(_FRAGMENT_PATH.read_text(), _FRAGMENT_PATH, given=("ppo", "fence", "prop", "hb"))
+_FRAGMENT.plan
+
+
 class _Layout(NamedTuple):
-    """What the premises take from a test's events and po-loc alone."""
+    """What the machine takes from a test's events alone."""
 
     write_labels: tuple  # c(w) and cp(w) of each program write; they come first
     read_ids: tuple  # the reads, in label order
     writes: int  # the program writes' event mask
     slot: list  # slot[e]: the bit of event e's first label
-    # the bits of WxW, WxR, RxR, RxW, RxM, WxI, RxI and id over M, for
-    # program writes W, reads R, init writes I and M = W | R; and of
-    # last, first and earlier, which pair each read with its last
-    # po-loc-earlier write, its first po-loc-later write and each of its
-    # po-loc-earlier reads
-    masks: tuple
 
 
 def _layout(t):
@@ -172,79 +160,25 @@ def _layout(t):
     same index whatever r's rf source; cp(w) is the next bit, and init
     writes have none.
     """
-    events, n, one = t.events, t.n, Packing.single(t.n)
-    writes = [e for e in events if is_write(e) and e.id not in t.init_ids]
-    reads = [e for e in events if is_read(e)]
-    slot = [0] * n
+    writes = [e for e in t.events if is_write(e) and e.id not in t.init_ids]
+    reads = [e for e in t.events if is_read(e)]
+    slot = [0] * t.n
     for k, e in enumerate(writes + reads):
         slot[e.id] = 1 << 2 * k
-    w, r, i = _mask(writes), _mask(reads), sum(1 << k for k in t.init_ids)
-
-    def rect(rows, cols):
-        return sum(cols << e * n for e in range(n) if rows >> e & 1)
-
-    ww, rw, rr = rect(w, w), rect(r, w), rect(r, r)
-    back = t.po_loc.inverse().bits
-
-    def nearest(po):  # (r, w) for read r's nearest write w along po, po-loc or its inverse
-        return po & rw & ~one.compose(po & rw, po & ww)
-
-    masks = (ww, rect(w, r), rr, rw, rect(r, w | r), rect(w, i), rect(r, i),
-             rect(w | r, w | r) & one.diag, nearest(back), nearest(t.po_loc.bits), back & rr)
     write_labels = tuple(x for e in writes for x in (("cw", e.id), ("cpw", e.id)))
-    return _Layout(write_labels, tuple(e.id for e in reads), w, slot, masks)
-
-
-def _mask(events):
-    return sum(1 << e.id for e in events)
+    return _Layout(write_labels, tuple(e.id for e in reads), sum(1 << e.id for e in writes), slot)
 
 
 def _premises(t, c):
     """The premises of every candidate of c, a chunk of t's candidates as
-    Power evaluated it, and the machine's verdict on each.
-
-    Quadrant xy holds (e, f) when label x(e) must fire before label
-    y(f): each premise is one of the chunk's event bundles masked to a
-    rectangle of events (see the module docstring), and a label that can
-    never fire needs itself.  Returns the quadrants aa, ab, ba and bb
-    with prop as Bundles, with t's layout, and with rejected: byte j is
+    a model binding ppo, fence, prop and hb evaluated it, and the
+    machine's verdict on each: the fragment's chunk on c, its quadrants
+    aa, ab, ba and bb, with t's layout, and with rejected, whose byte j is
     nonzero iff the machine rejects candidate j.
     """
-    p, layout = c.pack, _layout(t)
-    ww, wr, rr, rw, rm, wi, ri, ids, last, first, earlier = (m * p.rep for m in layout.masks)
-    rf, co, fr, po_loc = c["rf"], c["co"], c["fr"], c["po-loc"]
-    ppo, fence, prop, hb = c["ppo"], c["fence"], c["prop"], c["hb"]
-    order, ppo_fence, diag = po_loc | prop, ppo | fence, p.diag
-    # an init write is done from the start, so it wedges for good
-    wedged = p.domain(order & wi)
-    # sr:obs: a co-successor of r's source reaches r by prop;hb*
-    hidden = p.compose(fr, p.compose(prop, p.closure(hb, True))) & diag
-    never_cr = p.domain(ppo_fence & ri) | _invisible(p, rf, fr, po_loc, last, first, earlier)
-    # the needs, then the blocks off the diagonal: a label never wedges itself
-    b = Bundles(
-        p,
-        prop=prop,
-        # sr:source; cw:coWW, cw:prop, cw:fences, sr:ppo and sr:prop-rr
-        aa=rf & ~po_loc & wr | hidden | wedged
-        | (order & ww | fence & wr | (ppo_fence | prop) & rr) & ~diag,
-        ab=ids | prop & rw,  # cpw:buff, cr:satisfied and cpw:prop-rw
-        ba=prop & wr | ppo_fence & rm,  # sr:prop-wr; cr:ppo-write and cr:ppo-read
-        bb=co & ww | never_cr | wedged | order & ww & ~diag,  # cpw:co; cpw:order
-    )
-    aa, ab, ba, bb = b["aa"], b["ab"], b["ba"], p.closure(b["bb"])
-    # a cycle runs through second labels alone, or from first label to first label
-    b.rejected = p.loops(bb | p.closure(aa | p.compose(p.compose(ab, bb | diag), ba)))
-    b.layout = layout
-    return b
-
-
-def _invisible(p, rf, fr, po_loc, last, first, earlier):
-    """cr:visible's failures: (r, r) for each read r whose source w lies
-    co-before r's last po-loc-earlier write, or neither po-loc-before r
-    nor co-before its first po-loc-later write, or co-before the source
-    of a po-loc-earlier read."""
-    return (p.domain(fr & last | p.compose(fr, rf) & earlier)
-            | p.domain(first & ~fr) & p.codomain(rf & ~po_loc))
+    m = cat.extend(_FRAGMENT, t, c)
+    m.rejected, m.layout = m.pack.loops(m.loops), _layout(t)
+    return m
 
 
 class MachineContext:
@@ -296,9 +230,9 @@ def machine_context(cand, result):
     result is the caller's evaluation of Power on cand, run_model(power,
     cand), whose chunk binds the ppo/fence/prop/hb the machine consults.
     The premises and verdicts of all of the chunk's candidates are
-    computed at the first of them, from the chunk's bundles, and kept on
-    the chunk as its machine, with the layout they share: labels, the
-    event-to-label table and the po-loc neighbours, built once per chunk.
+    computed at the first of them, by running the fragment on the chunk,
+    and kept on the chunk as its machine, with the layout they share:
+    write labels and the event-to-label table, built once per chunk.
     """
     chunk = result.chunk
     premises = getattr(chunk, "machine", None)
@@ -429,7 +363,7 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     """
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")
-    if missing := [k for k in ("ppo", "fence", "prop", "hb") if k not in model.plan[2]]:
+    if missing := [k for k in _FRAGMENT.given if k not in model.plan[2]]:
         where = f"{model.statements[-1].pos}: " if model.statements else ""
         raise CatError(f"{where}power model binds no {', '.join(missing)}")
     accepted, allowed, first = set(), set(), None

@@ -17,6 +17,7 @@ from memcat.cat import (
     Check,
     Diff,
     DirFilter,
+    Domain,
     Empty,
     Inter,
     Let,
@@ -24,6 +25,7 @@ from memcat.cat import (
     Model,
     Name,
     Plus,
+    Range,
     Seq,
     Star,
     Union,
@@ -92,6 +94,30 @@ def test_direction_filter_is_a_call():
     assert e == Union(
         DirFilter("WW", Name("prop-base")), DirFilter("RM", Name("lwsync"))
     )
+
+
+def test_domain_and_range_are_calls_only_before_a_parenthesis():
+    (e,) = exprs("let x = domain(rf \\ po-loc) & range (fr)")
+    assert e == Inter(Domain(Diff(Name("rf"), Name("po-loc"))), Range(Name("fr")))
+    # otherwise they are ordinary names, which a model may bind and read
+    model = parse_cat("let range = rf\nlet domain = range | co\nacyclic range | domain")
+    assert [s.expr for s in model.statements] == [
+        Name("rf"), Union(Name("range"), Name("co")), Union(Name("range"), Name("domain"))]
+    assert run_model(model, mp_candidates()[0]).passed
+    with pytest.raises(CatError, match=r"^<model>:1:16: unexpected '\)' in expression$"):
+        parse_cat("let x = domain()")
+    # any other name before "(" was and is an error, so no model that
+    # parsed before reads differently now
+    with pytest.raises(CatError, match=r"^<model>:1:12: unexpected '\(' at statement level$"):
+        parse_cat("let x = po (rf)")
+
+
+def test_domain_and_range_evaluate_to_the_identity_over_either_end():
+    model = parse_cat("let d = domain(rf)\nlet r = range(rf)")
+    for cand in mp_candidates():
+        env = run_model(model, cand).env
+        assert env["d"].pairs() == sorted({(w, w) for w, _ in cand.rf.pairs()})
+        assert env["r"].pairs() == sorted({(r, r) for _, r in cand.rf.pairs()})
 
 
 def test_reserved_compound_names_lex_whole():
@@ -383,6 +409,10 @@ def reference_eval(node, env, cand):
         return closure(reference_eval(node.expr, env, cand), reflexive=isinstance(node, Star))
     if isinstance(node, DirFilter):
         return restrict(reference_eval(node.expr, env, cand), *DIRS[node.dir], cand.events)
+    if isinstance(node, (Domain, Range)):
+        end = 0 if isinstance(node, Domain) else 1
+        pairs = reference_eval(node.expr, env, cand).pairs()
+        return Relation.from_pairs(cand.n, ((p[end], p[end]) for p in pairs))
     raise CatError(f"cannot evaluate {node!r}")
 
 
@@ -453,6 +483,8 @@ def expressions(names, subtrahends=None):
             st.builds(Plus, sub),
             st.builds(Star, sub),
             st.builds(DirFilter, st.sampled_from(sorted(DIRS)), sub),
+            st.builds(Domain, sub),
+            st.builds(Range, sub),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
@@ -585,6 +617,38 @@ def test_generated_models_match_reference_evaluator_across_chunks(model):
                 assert (got.env, got.checks) == (want.env, want.checks)
 
 
+def assert_no_pair_ends_at_an_init_write(t, chunk):
+    """No name of chunk, a chunk of t's candidates, relates an event to an
+    init write but that write itself: the machine's fragment rests on it."""
+    n = t.n
+    ends = sum(1 << x * n + i for i in t.init_ids for x in range(n) if x != i) * chunk.pack.rep
+    assert [name for name, bits in chunk.items() if bits & ends] == [], t.name
+
+
+def test_no_bundled_model_relates_an_event_to_an_init_write():
+    tests = [suite.load(name) for name in suite.names()] + [CHUNKED]
+    for name in models.BUILTIN_MODELS:
+        model = models.load_builtin(name)
+        for t in tests:
+            judge, chunks = bind(model, t), {}
+            for cand in enumerate_candidates(t):
+                result = run_model(judge, cand)
+                chunks[id(result.chunk)] = result.chunk, machine.machine_context(cand, result).premises
+            for chunk, premises in chunks.values():
+                assert_no_pair_ends_at_an_init_write(t, chunk)
+                assert_no_pair_ends_at_an_init_write(t, premises)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(generated_models())
+def test_no_generated_model_relates_an_event_to_an_init_write(model):
+    for t in ORACLE_TESTS:
+        judge = bind(model, t)
+        for cand in enumerate_candidates(t):
+            if not cand.j:
+                assert_no_pair_ends_at_an_init_write(t, run_model(judge, cand).chunk)
+
+
 def test_let_rec_is_solved_once_per_chunk(monkeypatch):
     # power's group reads per-candidate names (ii0, ci0), so it is solved
     # for the whole chunk at once, not per candidate
@@ -665,18 +729,20 @@ def test_machine_reads_powers_chunk_once_per_chunk(monkeypatch):
     judge = bind(power, t)
     cands = list(enumerate_candidates(t))
     results = [run_model(judge, cand) for cand in cands]
-    chunk_reads = []
+    extended = []
 
-    def counted_chunk(chunk, name):
-        chunk_reads.append(name)
-        return dict.__getitem__(chunk, name)
+    def counted(model, t, base):
+        extended.append(base)
+        return extend(model, t, base)
 
-    monkeypatch.setattr(cat._Chunk, "__getitem__", counted_chunk)
+    extend = cat.extend
+    monkeypatch.setattr(cat, "extend", counted)
     for cand, result in zip(cands, results):
         machine.machine_context(cand, result)
-    chunks = -(-len(cands) // 3)
-    assert chunks > 1
-    assert chunk_reads == ["rf", "co", "fr", "po-loc", "ppo", "fence", "prop", "hb"] * chunks
+    # the fragment runs once on each of Power's chunks, none per candidate
+    chunks = list({id(r.chunk): r.chunk for r in results}.values())
+    assert len(chunks) == -(-len(cands) // 3) == 2
+    assert extended == chunks
 
 
 def test_evaluate_test_and_cross_check_bind_once_per_test(monkeypatch):

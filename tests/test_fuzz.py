@@ -26,7 +26,8 @@ LITMUS_WORDS = [
 CAT_WORDS = [
     "(*", "*)", "let", "rec", "and", "include", '"', '"_common.cat"', "acyclic",
     "irreflexive", "as", "|", "&", "\\", ";", "+", "*", "(", ")", "=", "0", "po",
-    "rf", "co", "fr", "po-loc", "ctrl+isync", "RR(", "WW", "id", "\n", " ",
+    "rf", "co", "fr", "po-loc", "ctrl+isync", "RR(", "WW", "id", "domain(", "range(",
+    "\n", " ",
 ]
 THR_WORDS = [
     "T0:", "T1:", "Wx", "Rx", "Ry", "Wz", ":", " ", "\n", "#", "addr", "data",

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from memcat import executions, machine, suite
-from memcat.cat import CatError, bind, parse_cat, run_model
+from memcat import cat, executions, machine, models, suite
+from memcat.cat import CatError, Empty, Let, Model, bind, parse_cat, run_model
 from memcat.executions import enumerate_candidates, evaluate_final, observed_state
 from memcat.litmus import parse_litmus, project
 from memcat.machine import (
@@ -23,7 +23,7 @@ from memcat.machine import (
     witness_path,
 )
 from memcat.models import evaluate_test, load_builtin
-from memcat.relation import Packing, closure, compose, is_read, is_write, restrict
+from memcat.relation import Packing, Relation, closure, compose, is_read, is_write, restrict
 
 from test_executions import CHUNKED, reference_state
 
@@ -73,9 +73,9 @@ def test_machine_blocks_stale_second_read(power):
 
 
 def test_corr_strengthening_is_load_bearing(power, monkeypatch):
-    # with the chunk's cr:visible term emptied, the machine commits the
-    # reads out of order and wrongly accepts the execution the model
-    # forbids; each run_model binds Power anew, so each call judges a
+    # with the fragment's cr:visible term (unseen) emptied, the machine
+    # commits the reads out of order and wrongly accepts the execution the
+    # model forbids; each run_model binds Power anew, so each call judges a
     # fresh chunk and the machine builds its premises again
     t = suite.load("coRR")
     forbidden = [c for c in enumerate_candidates(t)
@@ -85,7 +85,10 @@ def test_corr_strengthening_is_load_bearing(power, monkeypatch):
         return machine_accepts(machine_context(cand, run_model(power, cand)))
 
     assert [accepts(c) for c in forbidden] == [False]
-    monkeypatch.setattr(machine, "_invisible", lambda *a: 0)
+    fragment = machine._FRAGMENT
+    monkeypatch.setattr(machine, "_FRAGMENT", Model(tuple(
+        Let(s.name, Empty(), s.pos) if isinstance(s, Let) and s.name == "unseen" else s
+        for s in fragment.statements), fragment.given))
     assert [accepts(c) for c in forbidden] == [True]
 
 
@@ -430,8 +433,10 @@ def mask(events):
 
 
 def reference_neighbours(t):
-    """The po-loc scan machine._layout replaced: the bits of last, first
-    and earlier, found per read by testing every event against po-loc."""
+    """The po-loc scan the machine's fragment replaced: the bits of last,
+    first and earlier, which pair each read with its last po-loc-earlier
+    write, its first po-loc-later write and each of its po-loc-earlier
+    reads, found per read by testing every event against po-loc."""
     events, n, po_loc = t.events, t.n, t.po_loc
     last = first = earlier = 0
     for x in (e for e in events if is_read(e)):
@@ -523,10 +528,11 @@ def assert_matches_reference(cand, result):
     assert machine_accepts(ctx) is settled_accepts(need, block), where
 
 
-def assert_test_matches_reference(t, power):
-    """assert_matches_reference on every candidate of t, with Power bound
-    to t once.  Returns the counts of candidates and of chunks."""
-    judge, chunks, checked = bind(power, t), [], 0
+def assert_test_matches_reference(t, model):
+    """assert_matches_reference on every candidate of t, with model (Power,
+    or any model binding ppo, fence, prop and hb) bound to t once.  Returns
+    the counts of candidates and of chunks."""
+    judge, chunks, checked = bind(model, t), [], 0
     for cand in enumerate_candidates(t):
         result = run_model(judge, cand)
         assert_matches_reference(cand, result)
@@ -536,15 +542,19 @@ def assert_test_matches_reference(t, power):
     return checked, len(chunks)
 
 
-def test_machine_context_agrees_with_reference_on_the_suite(power):
-    counts = [assert_test_matches_reference(suite.load(name), power) for name in suite.names()]
-    assert sum(c for c, _ in counts) == 296
+def test_machine_context_agrees_with_reference_on_the_suite():
+    # every bundled model binds the names the machine reads
+    for name in models.BUILTIN_MODELS:
+        model = load_builtin(name)
+        counts = [assert_test_matches_reference(suite.load(t), model) for t in suite.names()]
+        assert sum(c for c, _ in counts) == 296, name
 
 
-def test_machine_context_agrees_with_reference_across_chunks(power):
+def test_machine_context_agrees_with_reference_across_chunks():
     # candidate j of each chunk reads block j of that chunk's premises
-    chunked = (Path(__file__).parent / "chunked.litmus").read_text()
-    assert assert_test_matches_reference(project(parse_litmus(chunked)), power) == (600, 3)
+    t = project(parse_litmus((Path(__file__).parent / "chunked.litmus").read_text()))
+    for name in models.BUILTIN_MODELS:
+        assert assert_test_matches_reference(t, load_builtin(name)) == (600, 3), name
 
 
 def test_machine_decides_each_chunk_once_and_answers_each_candidate(power, monkeypatch):
@@ -592,13 +602,19 @@ def test_machine_context_agrees_with_reference_on_generated_tests(power, seed):
     assert len(counts) == 20 and all(chunks == 1 for _, chunks in counts)
 
 
-def test_layout_neighbours_match_the_po_loc_scan():
-    # every input of the benchmark's wide and xcheck seeds 1-3, mined ones too
+def test_layout_neighbours_match_the_po_loc_scan(power):
+    # every input of the benchmark's wide and xcheck seeds 1-3, mined ones
+    # too: the fragment's last, now (w, r), its first and RR(po-loc), on
+    # block 0 of the fragment's chunk on Power's first chunk
     tests = suite_and_neighbour_tests() + [
         t for w in ("wide", "xcheck") for seed in (1, 2, 3) for mine in (False, True)
         for t in generated(w, seed, mine)]
     for t in tests:
-        assert machine._layout(t).masks[-3:] == reference_neighbours(t), t.name
+        cand = next(enumerate_candidates(t))
+        m = cat.extend(machine._FRAGMENT, t, run_model(power, cand).chunk)
+        earlier = Relation(t.n, m.pack.split(m["po-loc"] & m.masks["RR"])[0])
+        got = m.relation("last", 0).inverse(), m.relation("first", 0), earlier.inverse()
+        assert tuple(r.bits for r in got) == reference_neighbours(t), t.name
     assert len(tests) == 397
 
 

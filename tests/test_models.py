@@ -165,9 +165,10 @@ def test_axioms_and_ppo_fixpoint_live_in_one_fragment_each():
             if re.search(pattern, p.read_text(), re.M)
         )
 
-    # cpp-ra states its own, weaker propagation check
+    # cpp-ra states its own, weaker propagation check, and the machine
+    # its verdict
     assert holders(r"^\s*(acyclic|irreflexive)\b") == [
-        "_axioms.cat", "_common.cat", "cpp-ra.cat"
+        "_axioms.cat", "_common.cat", "_machine.cat", "cpp-ra.cat"
     ]
     assert holders(r"^\s*let rec\b") == ["_power-arm.cat"]
 
