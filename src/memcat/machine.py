@@ -6,10 +6,10 @@ a commit label c(w) and a coherence-point label cp(w); each read r carries
 a satisfy label s(w,r) and a commit label c(w,r), where w is the write the
 candidate's rf picked for r.
 
-The premises consult Power's ppo, fence, prop and hb, taken from the
-caller's one evaluation of Power on the candidate; cross_check checks once
-per test that the model binds all four, then feeds each candidate's result
-to the machine and its verdict to the axiomatic side.
+The premises consult Power's ppo, fence, prop, hb and po-loc-sc, taken
+from the caller's one evaluation of Power on the candidate; cross_check
+checks once per test that the model binds all five, then feeds each
+candidate's result to the machine and its verdict to the axiomatic side.
 
 A candidate is accepted when some interleaving fires every label.  Each
 label's premises are two label sets over the done set: need, the labels
@@ -33,7 +33,7 @@ of its block is.  The premises:
           block  cr:ppo-write commits of ppo/fence-later writes
                  cr:ppo-read  satisfactions of ppo/fence-later reads
           never  cr:visible   w lies outside r's po-loc neighbours (or a
-                              po-loc-earlier read saw a co-later write)
+                              po-loc-sc-earlier read saw a co-later write)
 
 Initial-state writes have no labels: they are committed and past
 coherence point from the start, so they drop out of every need.  None
@@ -58,22 +58,10 @@ block[i] puts i before j (a label never wedges itself), and a full path
 exists exactly when that precedence graph is acyclic.  Each event e has
 a first label a(e), c(w) or s(w,r), and a second b(e), cp(w) or c(w,r).
 Each premise is then one relation over events in one quadrant of label
-pairs, and models/_machine.cat states the four as lets over the names of
-the model the machine runs on (Power's, or any that binds ppo, fence,
-prop and hb):
-
-  aa  need   sr:source                  WR(rf \ po-loc)
-      never  sr:obs                     hidden: id & (fr ; prop ; hb*)
-      block  cw:coWW, cw:prop           WW(po-loc | prop) \ id
-             cw:fences                  WR(fence) \ id
-             sr:ppo, sr:prop-rr         RR(ppo | fence | prop) \ id
-  ab  need   cpw:buff, cr:satisfied     id
-             cpw:prop-rw                RW(prop)
-  ba  need   sr:prop-wr                 WR(prop)
-      block  cr:ppo-write, cr:ppo-read  RM(ppo | fence)
-  bb  need   cpw:co                     WW(co)
-      never  cr:visible                 unseen, over r's po-loc neighbours
-      block  cpw:order                  WW(po-loc | prop) \ id
+pairs: aa, ab, ba or bb, from first or second label to first or second
+label.  models/_machine.cat states the four as lets over the names of the
+model the machine runs on (Power's, or any that binds ppo, fence, prop,
+hb and po-loc-sc), each term commented with the premises it holds.
 
 A cycle of labels runs through second labels alone, or from first label
 to first label, directly or through second labels; so the fragment's two
@@ -140,7 +128,7 @@ DEFAULT_BOUND = 10
 # the machine's premises and verdict, over the names a model must bind;
 # parsed and compiled here, once, so no call pays for it
 _FRAGMENT_PATH = models.BUNDLED_DIR / "_machine.cat"
-_FRAGMENT = cat.parse_cat(_FRAGMENT_PATH.read_text(), _FRAGMENT_PATH, given=("ppo", "fence", "prop", "hb"))
+_FRAGMENT = cat.parse_cat(_FRAGMENT_PATH.read_text(), _FRAGMENT_PATH, given=("ppo", "fence", "prop", "hb", "po-loc-sc"))
 _FRAGMENT.plan
 
 
@@ -171,7 +159,7 @@ def _layout(t):
 
 def _premises(t, c):
     """The premises of every candidate of c, a chunk of t's candidates as
-    a model binding ppo, fence, prop and hb evaluated it, and the
+    a model binding ppo, fence, prop, hb and po-loc-sc evaluated it, and the
     machine's verdict on each: the fragment's chunk on c, its quadrants
     aa, ab, ba and bb, with t's layout, and with rejected, whose byte j is
     nonzero iff the machine rejects candidate j.
@@ -228,7 +216,8 @@ def machine_context(cand, result):
     """The machine's premises for one candidate.
 
     result is the caller's evaluation of Power on cand, run_model(power,
-    cand), whose chunk binds the ppo/fence/prop/hb the machine consults.
+    cand), whose chunk binds the ppo/fence/prop/hb/po-loc-sc the machine
+    consults.
     The premises and verdicts of all of the chunk's candidates are
     computed at the first of them, by running the fragment on the chunk,
     and kept on the chunk as its machine, with the layout they share:
@@ -359,7 +348,8 @@ def cross_check(t, model, bound: int = DEFAULT_BOUND):
     Returns (machine behaviors, model behaviors, context of the first
     machine-accepted candidate or None); each candidate's result feeds the
     machine.  Raises BoundError for a test over bound, else CatError, at
-    the model's last statement, if the model binds no ppo, fence, prop or hb.
+    the model's last statement, if the model leaves a name the machine
+    reads unbound: ppo, fence, prop, hb or po-loc-sc.
     """
     if len(t.events) > bound:
         raise BoundError(f"{t.name}: {len(t.events)} memory events exceed bound {bound}")

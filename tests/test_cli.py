@@ -294,7 +294,7 @@ def test_run_model_from_file_and_models_dir_override(tmp_path):
     # a power.cat that fails to evaluate, or lacks what the machine reads
     for body, want in (
         ("let x = pox\nacyclic x\n", "power.cat:1:1: unbound name 'pox'"),
-        ("acyclic po\n", "power.cat:1:1: power model binds no ppo, fence, prop, hb\n"),
+        ("acyclic po\n", "power.cat:1:1: power model binds no ppo, fence, prop, hb, po-loc-sc\n"),
     ):
         (tmp_path / "power.cat").write_text(body)
         res = invoke("machine", "mp", env=env)
@@ -302,6 +302,23 @@ def test_run_model_from_file_and_models_dir_override(tmp_path):
         err = getattr(res, "stderr", "") or res.output
         assert want in err
         assert "Traceback" not in err
+    # the machine's own fragment, _machine.cat, comes from the package, not
+    # from the override: with only a copy of power.cat there, machine's
+    # record for mp equals the snapshot's
+    (tmp_path / "power.cat").write_text((models_dir() / "power.cat").read_text())
+    res = invoke("machine", "--trace", "--format", "jsonl", "mp", env=env)
+    assert res.exit_code == 0, res.output
+    want = json.loads(Path(__file__).with_name("machine_snapshot.json").read_text())["10"]
+    assert jsonl(res) == [r for r in want if r["test"] == "mp"]
+    # a user model may call domain(...) and range(...), and include a
+    # bundled fragment: po through its own domain and range is po, so this
+    # model's records equal sc's
+    (tmp_path / "ends.cat").write_text(
+        "let po-loc-sc = po-loc\nlet ppo = domain(po) ; po ; range(po)\nlet fence = 0\n"
+        "let hb = ppo | fence | rfe\nlet prop = ppo | fence | rf | fr\ninclude \"_axioms.cat\"\n")
+    ends, sc = (jsonl(invoke("run", "-m", m, "--format", "jsonl", "mp", "sb", "iriw"))
+                for m in (str(tmp_path / "ends.cat"), "sc"))
+    assert len(sc) == 3 and [{**r, "model": "sc"} for r in ends] == sc
 
 
 def test_run_fragment_name_is_not_a_model():
@@ -573,7 +590,7 @@ def test_machine_trace_records_match_snapshot(bound):
     assert jsonl(res) == snapshot[bound]
 
 
-def test_cycles_records_match_snapshot():
+def test_cycles_records_match_snapshot(tmp_path):
     # every bundled test and both .thr shapes; the name mp is the .thr shape,
     # so the litmus mp goes by its path.  Frozen: the projection and the
     # miner are the only inputs of these records
@@ -584,6 +601,13 @@ def test_cycles_records_match_snapshot():
     )
     assert res.exit_code == 0, res.output
     assert jsonl(res) == snapshot
+    # a .thr file given by path goes through the reader the bundled shape
+    # of the same text does: the records differ only in input
+    shape = tmp_path / "shape.thr"
+    shape.write_text((suite.suite_dir() / "mp.thr").read_text())
+    recs = jsonl(invoke("cycles", "--format", "jsonl", "mp", str(shape)))
+    want = [{**r, "input": "shape"} for r in recs if r["input"] == "mp"]
+    assert want and [r for r in recs if r["input"] == "shape"] == want
 
 
 CHUNKED_PATH = str(Path(__file__).with_name("chunked.litmus"))
